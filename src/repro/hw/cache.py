@@ -19,9 +19,21 @@ other in address are merged — the merged extent has identical per-line
 depths, so coalescing is exactness-preserving and keeps the extent
 count near the number of *distinct live regions*, not chunks.
 
-Storage is three parallel NumPy arrays in MRU-to-LRU order
-(``_starts``, ``_ends``, ``_dirty``); every operation is a bulk array
-rebuild, so cost scales with the number of extents at NumPy constants.
+Storage is two views of the same extents, in plain Python lists and a
+dict (no NumPy):
+
+- the **stack**: extent starts and sizes in MRU-to-LRU order
+  (``_stk``, ``_sz``);
+- the **address index**: the starts in ascending order (``_keys``, kept
+  with :mod:`bisect`) plus a ``start -> (end, dirty)`` map (``_ext``).
+
+An op finds the ``k`` extents overlapping its range by bisecting the
+index, in O(log n + k), and splices each one's remainder pieces in at
+its own stack position.  An access also pushes its band at the top and
+trims from the bottom; the depth of an overlapped extent is a prefix sum
+over a slice of ``_sz``.  Coalescing happens only at the seams a splice
+creates, which keeps the stack fully merged.  A snoop that overlaps
+nothing costs two bisects.
 
 Addresses here are **line numbers**, not bytes; callers divide by the
 line size.  ``dirty`` tracking enables write-back accounting (evicted
@@ -30,17 +42,16 @@ dirty lines become bus traffic in :mod:`repro.hw.coherence`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from repro.errors import HardwareError
 
 __all__ = ["AccessResult", "ExtentLRUCache", "Extent"]
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_B = np.empty(0, dtype=bool)
+#: One extent or piece of one: (start, end, dirty).
+_Piece = tuple[int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,10 @@ class ExtentLRUCache:
         self.capacity = capacity_lines
         self.name = name
         self.prof = prof
-        # MRU first; pairwise disjoint in address.
-        self._starts = _EMPTY_I
-        self._ends = _EMPTY_I
-        self._dirty = _EMPTY_B
+        self._stk: list[int] = []  # extent starts, MRU first
+        self._sz: list[int] = []  # their sizes, same order
+        self._keys: list[int] = []  # extent starts, ascending
+        self._ext: dict[int, tuple[int, bool]] = {}  # start -> (end, dirty)
         self._lines = 0
 
     # ------------------------------------------------------------- util
@@ -106,57 +117,63 @@ class ExtentLRUCache:
         return self._lines
 
     def __contains__(self, line: int) -> bool:
-        return bool(np.any((self._starts <= line) & (line < self._ends)))
+        i, j = self._find(line, line + 1)
+        return i < j
 
     def iter_extents(self) -> Iterator[Extent]:
         """MRU-to-LRU iteration (for tests and debugging)."""
-        for s, e, d in zip(
-            self._starts.tolist(), self._ends.tolist(), self._dirty.tolist()
-        ):
+        ext = self._ext
+        for s in self._stk:
+            e, d = ext[s]
             yield Extent(s, e, d)
 
     def resident_lines(self, start: int, end: int) -> int:
         """How many lines of [start, end) are currently resident."""
-        if start >= end or not len(self._starts):
-            return 0
-        lo = np.maximum(self._starts, start)
-        hi = np.minimum(self._ends, end)
-        return int(np.maximum(hi - lo, 0).sum())
+        i, j = self._find(start, end)
+        ext = self._ext
+        return sum(min(ext[s][0], end) - max(s, start) for s in self._keys[i:j])
 
     def flush(self) -> int:
         """Drop everything; returns the number of dirty lines flushed."""
-        dirty = int(((self._ends - self._starts) * self._dirty).sum())
-        self._set(_EMPTY_I, _EMPTY_I, _EMPTY_B)
+        dirty = sum(e - s for s, (e, d) in self._ext.items() if d)
+        self._stk, self._sz, self._keys, self._ext = [], [], [], {}
+        self._lines = 0
         return dirty
 
-    def _set(self, starts, ends, dirty) -> None:
-        self._starts = starts
-        self._ends = ends
-        self._dirty = dirty
-        self._lines = int((ends - starts).sum())
-
     def _check(self) -> None:
-        """Invariant check used by tests (disjointness, capacity, count)."""
-        order = np.argsort(self._starts)
-        s = self._starts[order]
-        e = self._ends[order]
-        if np.any(s >= e):
-            raise HardwareError(f"{self.name}: empty extent present")
-        if np.any(s[1:] < e[:-1]):
-            raise HardwareError(f"{self.name}: overlapping extents")
-        total = int((self._ends - self._starts).sum())
+        """Invariant check used by tests: the index and the stack agree,
+        extents are non-empty and disjoint, the line count and capacity
+        hold, and no stack-adjacent pair is left unmerged."""
+        keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
+        if keys != sorted(stk) or len(ext) != len(stk) or set(ext) != set(stk):
+            raise HardwareError(f"{self.name}: address index and stack disagree")
+        if sz != [ext[s][0] - s for s in stk]:
+            raise HardwareError(f"{self.name}: stack sizes disagree with the index")
+        prev_end = None
+        for s in keys:
+            e = ext[s][0]
+            if s >= e:
+                raise HardwareError(f"{self.name}: empty extent present")
+            if prev_end is not None and s < prev_end:
+                raise HardwareError(f"{self.name}: overlapping extents")
+            prev_end = e
+        total = sum(sz)
         if total != self._lines:
             raise HardwareError(f"{self.name}: line count drift {total} != {self._lines}")
         if total > self.capacity:
             raise HardwareError(f"{self.name}: over capacity {total} > {self.capacity}")
+        for above, below in zip(stk, stk[1:]):
+            if ext[below] == (above, ext[above][1]):
+                raise HardwareError(
+                    f"{self.name}: unmerged stack-adjacent extents at {below}, {above}"
+                )
 
     # ---------------------------------------------------- profiled API
     # The public ops delegate to ``_``-prefixed implementations through
     # a wall-clock timing branch.  With ``prof`` unset or disabled the
-    # only overhead is one attribute check per bulk op (each op already
-    # does several NumPy array rebuilds, so this is noise).
+    # only overhead is one attribute check per bulk op.
 
-    def peek(self, start: int, end: int) -> list[tuple[int, int, bool]]:
+    def peek(self, start: int, end: int) -> list[_Piece]:
         prof = self.prof
         if prof is None or not prof.enabled:
             return self._peek(start, end)
@@ -196,21 +213,30 @@ class ExtentLRUCache:
         finally:
             prof.pop(frame)
 
+    # ------------------------------------------------------------ index
+    def _find(self, start: int, end: int) -> tuple[int, int]:
+        """``_keys[i:j]`` are the extents overlapping [start, end)."""
+        if start >= end:
+            return 0, 0
+        keys = self._keys
+        i = bisect_right(keys, start)
+        if i and self._ext[keys[i - 1]][0] > start:
+            i -= 1
+        return i, bisect_left(keys, end, i)
+
     # ------------------------------------------------------------ peek
-    def _peek(self, start: int, end: int) -> list[tuple[int, int, bool]]:
+    def _peek(self, start: int, end: int) -> list[_Piece]:
         """Resident overlaps of [start, end) as (start, end, dirty),
         in address order, without touching LRU state (a snoop probe).
         Address-adjacent same-dirty segments are merged."""
-        if start >= end or not len(self._starts):
+        i, j = self._find(start, end)
+        if i == j:
             return []
-        lo = np.maximum(self._starts, start)
-        hi = np.minimum(self._ends, end)
-        mask = lo < hi
-        if not mask.any():
-            return []
-        raw = sorted(zip(lo[mask].tolist(), hi[mask].tolist(), self._dirty[mask].tolist()))
-        out: list[tuple[int, int, bool]] = []
-        for a, b, dirty in raw:
+        ext = self._ext
+        out: list[_Piece] = []
+        for s in self._keys[i:j]:
+            e, dirty = ext[s]
+            a, b = max(s, start), min(e, end)
             if out and out[-1][1] == a and out[-1][2] == dirty:
                 out[-1] = (out[-1][0], b, dirty)
             else:
@@ -226,208 +252,223 @@ class ExtentLRUCache:
         """
         if start >= end:
             return AccessResult(0, 0, 0)
+        i, j = self._find(start, end)
+        if i == j:
+            self._splice(i, j, [], [], [(start, end, write)])
+            return AccessResult(0, end - start, self._trim())
+
         cap = self.capacity
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        n = len(starts)
+        ext, sz = self._ext, self._sz
+        olds = self._keys[i:j]
+        pos = [self._stk.index(s) for s in olds]
+        # -- 1. lines above each overlapped extent: prefix sums of _sz
+        above = [0] * len(olds)
+        acc = prev = 0
+        for x in sorted(range(len(olds)), key=pos.__getitem__):
+            acc += sum(sz[prev : pos[x]])
+            prev = pos[x]
+            above[x] = acc
+        # -- 2. sweep the resident runs in address order, deciding
+        # survival per run.  Line x in [a, b) has pre-sweep depth
+        # d(x) = depth_a-(x-a) and survives iff s(d(x)) > T, where s(d)
+        # counts already-hit lines with pre-sweep depth < d; survivors
+        # form an address prefix of each run.
+        hits = misses = wb_self = 0
+        survivors: list[_Piece] = []
+        edits: list[list[_Piece]] = []
+        hit_depths: list[tuple[int, int]] = []
+        cursor = start
+        for s, top in zip(olds, above):
+            e, run_dirty = ext[s]
+            a, b = max(s, start), min(e, end)
+            depth_a = top + e - 1 - a
+            misses += a - cursor
+            cursor = b
+            run_len = b - a
+            T = hits + misses + depth_a - cap
+            if T < 0:
+                survive = run_len
+            else:
+                survive = _count_surviving(hit_depths, depth_a - (run_len - 1), depth_a, T)
+            if survive > 0:
+                hits += survive
+                hit_depths.append((depth_a - survive + 1, depth_a + 1))
+                survivors.append((a, a + survive, run_dirty))
+            failed = run_len - survive
+            if failed > 0:
+                misses += failed
+                if run_dirty:
+                    wb_self += failed
+            edits.append(_outside(s, e, run_dirty, start, end))
+        misses += end - cursor
 
-        # -- 1. resident runs of R with the depth of their first line
-        if n:
-            lo = np.maximum(starts, start)
-            hi = np.minimum(ends, end)
-            ov = lo < hi
-        else:
-            ov = _EMPTY_B
-        hits = 0
-        misses = 0
-        wb_self = 0
-        survivors: list[tuple[int, int, bool]] = []
-        if ov.any():
-            sizes = ends - starts
-            prefixes = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            idx = np.nonzero(ov)[0]
-            run_lo = lo[idx]
-            order = np.argsort(run_lo, kind="stable")
-            idx = idx[order]
-            runs = zip(
-                lo[idx].tolist(),
-                hi[idx].tolist(),
-                dirty[idx].tolist(),
-                (prefixes[idx] + ends[idx] - 1 - lo[idx]).tolist(),
-            )
-            # -- 2. sweep in address order, deciding survival per run.
-            # Line x in [a, b) has pre-sweep depth d(x) = depth_a-(x-a)
-            # and survives iff s(d(x)) > T, where s(d) counts
-            # already-hit lines with pre-sweep depth < d; survivors
-            # form an address prefix of each run.
-            hit_depths: list[tuple[int, int]] = []
-            cursor = start
-            for a, b, run_dirty, depth_a in runs:
-                misses += a - cursor
-                cursor = b
-                run_len = b - a
-                T = hits + misses + depth_a - cap
-                if T < 0:
-                    survive = run_len
-                else:
-                    survive = _count_surviving(
-                        hit_depths, depth_a - (run_len - 1), depth_a, T
-                    )
-                if survive > 0:
-                    hits += survive
-                    hit_depths.append((depth_a - survive + 1, depth_a + 1))
-                    survivors.append((a, a + survive, run_dirty))
-                failed = run_len - survive
-                if failed > 0:
-                    misses += failed
-                    if run_dirty:
-                        wb_self += failed
-            misses += end - cursor
-        else:
-            misses = end - start
-
-        # -- 3. top band covering R (descending address order)
-        band = _build_band(start, end, write, survivors)
-
-        # -- 4. remaining old extents: drop the overlap, keep the rest
-        if n:
-            new_starts, new_ends, new_dirty = _remove_range(
-                starts, ends, dirty, start, end, ov
-            )
-            bs, be, bd = band
-            new_starts = np.concatenate((bs, new_starts))
-            new_ends = np.concatenate((be, new_ends))
-            new_dirty = np.concatenate((bd, new_dirty))
-        else:
-            new_starts, new_ends, new_dirty = band
-
-        # -- 5. trim to capacity from the bottom (deepest line of the
-        # deepest extent = its lowest address)
-        new_starts, new_ends, new_dirty, wb_evict = _trim(
-            new_starts, new_ends, new_dirty, cap
-        )
-        self._set(*_merge_stack(new_starts, new_ends, new_dirty))
-        return AccessResult(hits, misses, wb_self + wb_evict)
+        # -- 3. remainders stay in place, the band covering [start, end)
+        # goes on top; trim to capacity from the bottom.
+        self._splice(i, j, edits, pos, _build_band(start, end, write, survivors))
+        return AccessResult(hits, misses, wb_self + self._trim())
 
     # ------------------------------------------------------ coherence
     def _invalidate(self, start: int, end: int) -> tuple[int, int]:
         """Remove [start, end); returns (resident_lines, dirty_lines)."""
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        if start >= end or not len(starts):
+        i, j = self._find(start, end)
+        if i == j:
             return (0, 0)
-        lo = np.maximum(starts, start)
-        hi = np.minimum(ends, end)
-        ov = lo < hi
-        if not ov.any():
-            return (0, 0)
-        overlap = np.maximum(hi - lo, 0)
-        resident = int(overlap[ov].sum())
-        dirty_lines = int(overlap[ov & dirty].sum())
-        self._set(*_remove_range(starts, ends, dirty, start, end, ov))
+        ext = self._ext
+        resident = dirty_lines = 0
+        edits = []
+        for s in self._keys[i:j]:
+            e, dirty = ext[s]
+            n = min(e, end) - max(s, start)
+            resident += n
+            if dirty:
+                dirty_lines += n
+            edits.append(_outside(s, e, dirty, start, end))
+        self._splice(i, j, edits)
         return resident, dirty_lines
 
     def _downgrade(self, start: int, end: int) -> int:
         """Mark [start, end) clean (after a snoop read forces a
         writeback); returns the number of lines that were dirty."""
-        starts, ends, dirty = self._starts, self._ends, self._dirty
-        if start >= end or not len(starts):
+        i, j = self._find(start, end)
+        ext = self._ext
+        olds = self._keys[i:j]
+        if not any(ext[s][1] for s in olds):
             return 0
-        lo = np.maximum(starts, start)
-        hi = np.minimum(ends, end)
-        hot = (lo < hi) & dirty
-        if not hot.any():
-            return 0
-        dirtied = int(np.maximum(hi - lo, 0)[hot].sum())
-        # Fully-covered dirty extents just flip clean; partially covered
-        # ones split into up to three pieces (high / clean middle / low)
-        # preserving the depth convention.
-        out_s: list[np.ndarray] = []
-        out_e: list[np.ndarray] = []
-        out_d: list[np.ndarray] = []
-        full = hot & (starts >= start) & (ends <= end)
-        partial_idx = np.nonzero(hot & ~full)[0]
-        new_dirty = dirty.copy()
-        new_dirty[full] = False
-        prev = 0
-        for i in partial_idx.tolist():
-            _append_rows(out_s, out_e, out_d, starts, ends, new_dirty, prev, i)
-            a, b = max(starts[i], start), min(ends[i], end)
-            piece_s, piece_e, piece_d = [], [], []
-            if b < ends[i]:
-                piece_s.append(b)
-                piece_e.append(ends[i])
-                piece_d.append(True)
-            piece_s.append(a)
-            piece_e.append(b)
-            piece_d.append(False)
-            if starts[i] < a:
-                piece_s.append(starts[i])
-                piece_e.append(a)
-                piece_d.append(True)
-            out_s.append(np.array(piece_s, dtype=np.int64))
-            out_e.append(np.array(piece_e, dtype=np.int64))
-            out_d.append(np.array(piece_d, dtype=bool))
-            prev = i + 1
-        _append_rows(out_s, out_e, out_d, starts, ends, new_dirty, prev, len(starts))
-        self._set(
-            np.concatenate(out_s) if out_s else _EMPTY_I,
-            np.concatenate(out_e) if out_e else _EMPTY_I,
-            np.concatenate(out_d) if out_d else _EMPTY_B,
-        )
+        dirtied = 0
+        edits = []
+        for s in olds:
+            e, dirty = ext[s]
+            if not dirty:
+                edits.append([(s, e, False)])
+                continue
+            # Split into up to three pieces (high dirty / clean middle /
+            # low dirty), preserving the depth convention.
+            a, b = max(s, start), min(e, end)
+            dirtied += b - a
+            pieces = _outside(s, e, True, start, end)
+            pieces.insert(1 if e > end else 0, (a, b, False))
+            edits.append(pieces)
+        self._splice(i, j, edits)
         return dirtied
+
+    # ------------------------------------------------------- mutation
+    def _splice(
+        self,
+        i: int,
+        j: int,
+        edits: list[list[_Piece]],
+        pos: list[int] | None = None,
+        top: Sequence[_Piece] = (),
+    ) -> None:
+        """Replace the extents ``_keys[i:j]`` by ``edits`` (one list of
+        pieces per extent, in stack order) at their stack positions
+        ``pos``, push ``top`` (in stack order) onto the stack, and
+        coalesce at every seam this creates."""
+        keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
+        olds = keys[i:j]
+        if pos is None:
+            pos = [stk.index(s) for s in olds]
+        delta = 0
+        for s in olds:
+            delta -= ext.pop(s)[0] - s
+        new_keys = []
+        for pieces in (*edits, top):
+            for a, b, dirty in pieces:
+                ext[a] = (b, dirty)
+                new_keys.append(a)
+                delta += b - a
+        new_keys.sort()
+        keys[i:j] = new_keys
+        self._lines += delta
+
+        placed = sorted(zip(pos, edits))
+        for p, pieces in reversed(placed):
+            stk[p : p + 1] = [a for a, _, _ in pieces]
+            sz[p : p + 1] = [b - a for a, b, _ in pieces]
+        # A seam at q is the stack-adjacent pair (q-1, q).
+        seams = []
+        shift = len(top)
+        for p, pieces in placed:
+            seams.append(p + shift)
+            seams.append(p + shift + len(pieces))
+            shift += len(pieces) - 1
+        if top:
+            stk[0:0] = [a for a, _, _ in top]
+            sz[0:0] = [b - a for a, b, _ in top]
+            seams.append(len(top))
+        self._coalesce(seams)
+
+    def _coalesce(self, seams: list[int]) -> None:
+        """Merge the stack-adjacent pairs at ``seams`` that continue
+        each other.
+
+        If extent ``A`` sits directly above ``B`` in the stack and
+        ``A.start == B.end`` with equal dirty flags, the merged extent
+        has *identical* per-line depths under the ascending-recency
+        convention, so merging is exactness-preserving.  A merge keeps
+        the outer edges of the pair, so walking the seams from the
+        bottom up sees every pair a merge creates.
+        """
+        keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
+        n = len(stk)
+        for q in sorted(set(seams), reverse=True):
+            if not 0 < q < n:
+                continue
+            a, b = stk[q - 1], stk[q]
+            a_end, a_dirty = ext[a]
+            if ext[b] != (a, a_dirty):
+                continue
+            ext[b] = (a_end, a_dirty)
+            del ext[a]
+            del keys[bisect_left(keys, a)]
+            stk[q - 1] = b
+            sz[q - 1] += sz[q]
+            del stk[q], sz[q]
+            n -= 1
+
+    def _trim(self) -> int:
+        """Evict from the stack bottom until within capacity; returns
+        the number of dirty lines written back.  The deepest lines of
+        an extent are its lowest addresses."""
+        excess = self._lines - self.capacity
+        if excess <= 0:
+            return 0
+        keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
+        wb = 0
+        while excess:
+            s, n = stk[-1], sz[-1]
+            e, dirty = ext.pop(s)
+            k = bisect_left(keys, s)
+            cut = min(n, excess)
+            if cut == n:
+                stk.pop()
+                sz.pop()
+                del keys[k]
+            else:
+                stk[-1] = keys[k] = s + cut
+                sz[-1] = n - cut
+                ext[s + cut] = (e, dirty)
+            if dirty:
+                wb += cut
+            excess -= cut
+        self._lines = self.capacity
+        return wb
 
 
 # ---------------------------------------------------------------- helpers
-def _append_rows(out_s, out_e, out_d, starts, ends, dirty, lo: int, hi: int) -> None:
-    if lo < hi:
-        out_s.append(starts[lo:hi])
-        out_e.append(ends[lo:hi])
-        out_d.append(dirty[lo:hi])
+def _outside(s: int, e: int, dirty: bool, start: int, end: int) -> list[_Piece]:
+    """What is left of extent [s, e) after removing [start, end), in
+    stack order: the higher-address remainder first (more recent)."""
+    pieces = []
+    if e > end:
+        pieces.append((end, e, dirty))
+    if s < start:
+        pieces.append((s, start, dirty))
+    return pieces
 
 
-def _remove_range(starts, ends, dirty, start: int, end: int, ov) -> tuple:
-    """Drop [start, end) from the extents, keeping stack order.
-
-    Fully-covered extents disappear; the (at most two) partially
-    covered ones are replaced in place by their outside pieces, the
-    higher-address piece first (it is the more recent one).
-    """
-    full = ov & (starts >= start) & (ends <= end)
-    partial_idx = np.nonzero(ov & ~full)[0]
-    keep = ~ov
-    if not len(partial_idx):
-        return starts[keep], ends[keep], dirty[keep]
-    out_s: list[np.ndarray] = []
-    out_e: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    prev = 0
-
-    def keep_slice(lo, hi):
-        if lo < hi:
-            m = keep[lo:hi]
-            out_s.append(starts[lo:hi][m])
-            out_e.append(ends[lo:hi][m])
-            out_d.append(dirty[lo:hi][m])
-
-    for i in partial_idx.tolist():
-        keep_slice(prev, i)
-        piece_s, piece_e = [], []
-        a, b = max(starts[i], start), min(ends[i], end)
-        if b < ends[i]:  # higher-address remainder first (more recent)
-            piece_s.append(b)
-            piece_e.append(ends[i])
-        if starts[i] < a:
-            piece_s.append(starts[i])
-            piece_e.append(a)
-        out_s.append(np.array(piece_s, dtype=np.int64))
-        out_e.append(np.array(piece_e, dtype=np.int64))
-        out_d.append(np.full(len(piece_s), bool(dirty[i])))
-        prev = i + 1
-    keep_slice(prev, len(starts))
-    return np.concatenate(out_s), np.concatenate(out_e), np.concatenate(out_d)
-
-
-def _build_band(start: int, end: int, write: bool, survivors) -> tuple:
-    """Piece arrays covering [start, end) in DESCENDING address order
+def _build_band(start: int, end: int, write: bool, survivors) -> list[_Piece]:
+    """Pieces covering [start, end) in DESCENDING address order
     (most recent = highest address first).
 
     After a write the whole band is dirty.  After a read, only the
@@ -435,12 +476,8 @@ def _build_band(start: int, end: int, write: bool, survivors) -> tuple:
     lines were written back and refetched clean).
     """
     if write:
-        return (
-            np.array([start], dtype=np.int64),
-            np.array([end], dtype=np.int64),
-            np.array([True]),
-        )
-    pieces: list[tuple[int, int, bool]] = []
+        return [(start, end, True)]
+    pieces: list[_Piece] = []
     cursor = start
 
     def emit(a: int, b: int, dirty: bool) -> None:
@@ -459,58 +496,7 @@ def _build_band(start: int, end: int, write: bool, survivors) -> tuple:
         cursor = b
     emit(cursor, end, False)
     pieces.reverse()
-    return (
-        np.array([p[0] for p in pieces], dtype=np.int64),
-        np.array([p[1] for p in pieces], dtype=np.int64),
-        np.array([p[2] for p in pieces], dtype=bool),
-    )
-
-
-def _trim(starts, ends, dirty, cap: int) -> tuple:
-    """Evict from the stack bottom until within capacity; returns the
-    trimmed arrays and the number of dirty lines written back."""
-    sizes = ends - starts
-    total = int(sizes.sum())
-    if total <= cap:
-        return starts, ends, dirty, 0
-    cum = np.cumsum(sizes)
-    # First extent index at which the running total exceeds capacity.
-    cut = int(np.searchsorted(cum, cap, side="left"))
-    wb = int((sizes[cut + 1 :] * dirty[cut + 1 :]).sum())
-    keep_in_cut = cap - (int(cum[cut - 1]) if cut > 0 else 0)
-    excess_in_cut = int(sizes[cut]) - keep_in_cut
-    if dirty[cut]:
-        wb += excess_in_cut
-    starts = starts[: cut + 1].copy()
-    ends = ends[: cut + 1]
-    dirty = dirty[: cut + 1]
-    if keep_in_cut == 0:
-        starts, ends, dirty = starts[:cut], ends[:cut], dirty[:cut]
-    else:
-        # Deepest lines of an extent are its lowest addresses.
-        starts[cut] = ends[cut] - keep_in_cut
-    return starts, ends, dirty, wb
-
-
-def _merge_stack(starts, ends, dirty) -> tuple:
-    """Coalesce stack-adjacent extents that continue each other.
-
-    If extent ``A`` sits directly above ``B`` in the stack and
-    ``A.start == B.end`` with equal dirty flags, the merged extent has
-    *identical* per-line depths under the ascending-recency convention,
-    so merging is exactness-preserving.  Chunked sweeps produce exactly
-    this pattern; without merging the stack would hold one extent per
-    chunk.
-    """
-    n = len(starts)
-    if n < 2:
-        return starts, ends, dirty
-    brk = (starts[:-1] != ends[1:]) | (dirty[:-1] != dirty[1:])
-    if brk.all():
-        return starts, ends, dirty
-    heads = np.concatenate(([True], brk))
-    tails = np.concatenate((brk, [True]))
-    return starts[tails], ends[heads], dirty[heads]
+    return pieces
 
 
 def _count_surviving(

@@ -32,6 +32,14 @@ class ReferenceLRUCache:
             self.od[line] = dirty or write
         return hits, misses, writebacks
 
+    def __contains__(self, line: int) -> bool:
+        return line in self.od
+
+    def flush(self) -> int:
+        dirty = sum(self.od.values())
+        self.od.clear()
+        return dirty
+
     def resident_lines(self, start: int, end: int) -> int:
         return sum(1 for line in range(start, end) if line in self.od)
 

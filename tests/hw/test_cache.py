@@ -185,3 +185,34 @@ def test_pingpong_steady_state_reuse():
         b = c.access(100, 116, write=True)
     assert a.hits == 16 and b.hits == 16
     c._check()
+
+
+def _extents(c):
+    return [(x.start, x.end, x.dirty) for x in c.iter_extents()]
+
+
+def test_invalidate_merges_the_extents_it_makes_adjacent():
+    c = mk(64)
+    c.access(0, 10, write=False)
+    c.access(50, 60, write=False)
+    c.access(10, 20, write=False)  # continues [0, 10) but not on top of it
+    assert _extents(c) == [(10, 20, False), (50, 60, False), (0, 10, False)]
+    c.invalidate(50, 60)
+    assert _extents(c) == [(0, 20, False)]
+    c._check()
+
+
+def test_downgrade_merges_cleaned_lines_with_clean_neighbours():
+    c = mk(64)
+    c.access(0, 10, write=False)
+    c.access(10, 20, write=True)
+    c.access(20, 30, write=False)
+    assert _extents(c) == [(20, 30, False), (10, 20, True), (0, 10, False)]
+    assert c.downgrade(10, 20) == 10
+    assert _extents(c) == [(0, 30, False)]
+    c._check()
+    # A partial downgrade splits at its own stack position.
+    c.access(40, 50, write=True)
+    assert c.downgrade(44, 46) == 2
+    assert _extents(c) == [(46, 50, True), (44, 46, False), (40, 44, True), (0, 30, False)]
+    c._check()

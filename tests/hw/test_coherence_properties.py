@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import xeon_e5345
-from repro.hw.cache import ExtentLRUCache
+from repro.hw.cache import AccessResult, ExtentLRUCache
 from repro.hw.coherence import CoherenceDomain
-from repro.hw.counters import Papi
+from repro.hw.counters import EVENTS, Papi
+
+from .reference_cache import ReferenceLRUCache
 
 
 def _domain(capacity=32):
@@ -121,4 +123,43 @@ def test_counters_monotone_and_consistent(ops):
     for c in range(8):
         assert papi.read(c, "REMOTE_HITS") + papi.read(c, "DRAM_LINES") == papi.read(
             c, "L2_MISSES"
+        )
+
+
+class _ReferenceCache(ReferenceLRUCache):
+    """The per-line reference behind ExtentLRUCache's access signature."""
+
+    def access(self, start, end, write):
+        return AccessResult(*super().access(start, end, write))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_ops, capacity=st.integers(1, 48))
+def test_extent_domain_matches_reference_domain(ops, capacity):
+    """The same op sequence through extent caches and through per-line
+    reference caches yields equal breakdowns, DMA returns and PAPI
+    counters; every line a core streams is one L2 hit or miss."""
+    topo = xeon_e5345()
+    ext, _ = _domain(capacity)
+    ref = CoherenceDomain(
+        topo, [_ReferenceCache(capacity) for _ in range(topo.ndies)], Papi(topo.ncores)
+    )
+    streamed = [0] * topo.ncores
+    for i, (kind, core, start, length) in enumerate(ops):
+        end = start + length
+        if kind in ("read", "write"):
+            got = getattr(ext, kind)(core, start, end)
+            want = getattr(ref, kind)(core, start, end)
+            streamed[core] += length
+        else:
+            got = getattr(ext, kind)(start, end)
+            want = getattr(ref, kind)(start, end)
+        assert got == want, f"op {i}: {kind}({core}, {start}, {end}): {got} != {want}"
+    for c in range(topo.ncores):
+        for event in EVENTS:
+            assert ext.papi.read(c, event) == ref.papi.read(c, event), (c, event)
+        hits_and_misses = ext.papi.read(c, "L2_HITS") + ext.papi.read(c, "L2_MISSES")
+        assert hits_and_misses == streamed[c], (
+            f"core {c}: L2_HITS + L2_MISSES = {hits_and_misses} "
+            f"but it streamed {streamed[c]} lines"
         )
