@@ -27,6 +27,7 @@ EVENTS = (
     "DMA_BYTES",        # bytes this core offloaded to the DMA engine
     "CPU_BUSY",         # seconds of CPU time consumed (float)
 )
+_EVENT_SET = frozenset(EVENTS)
 
 
 class CounterSet:
@@ -39,12 +40,12 @@ class CounterSet:
         self._values: dict[str, float] = defaultdict(float)
 
     def add(self, event: str, amount: float = 1) -> None:
-        if event not in EVENTS:
+        if event not in _EVENT_SET:
             raise HardwareError(f"unknown counter event {event!r}")
         self._values[event] += amount
 
     def read(self, event: str) -> float:
-        if event not in EVENTS:
+        if event not in _EVENT_SET:
             raise HardwareError(f"unknown counter event {event!r}")
         return self._values[event]
 

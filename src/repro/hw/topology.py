@@ -71,14 +71,14 @@ class TopologySpec:
 
     # -- placement queries ----------------------------------------------
     def placement(self, core: int) -> CorePlacement:
-        if not 0 <= core < self.ncores:
-            raise HardwareError(f"core {core} out of range for {self.name}")
-        die = core // self.cores_per_die
+        die = self.die_of(core)
         socket = die // self.dies_per_socket
         return CorePlacement(core=core, die=die, socket=socket)
 
     def die_of(self, core: int) -> int:
-        return self.placement(core).die
+        if not 0 <= core < self.ncores:
+            raise HardwareError(f"core {core} out of range for {self.name}")
+        return core // self.cores_per_die
 
     def socket_of(self, core: int) -> int:
         return self.placement(core).socket

@@ -136,7 +136,8 @@ def _charge_chunk(
                 prof.pop(frame)
         else:
             move()
-    obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
+    if span is not None:
+        obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
     tracer = machine.engine.tracer
     if tracer.enabled:
         tracer.emit(

@@ -37,6 +37,7 @@ documented way to do that.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Optional
 
 __all__ = ["WallProfiler", "SUBSYSTEMS"]
@@ -114,18 +115,23 @@ class WallProfiler:
     def handler_key(self, fn) -> str:
         """The dispatch key for an engine callback (memoized).
 
-        Bound methods share their underlying function object, so the
-        memo stays small (one entry per callback *kind*, not per call).
+        The memo is keyed by the handler's code object, after unwrapping
+        ``functools.partial`` (``.func``) and bound methods
+        (``__func__``).  A fresh partial, bound method or closure per
+        scheduled callback therefore shares one entry per callback
+        *kind*, and the memo pins no process or event.
         """
-        f = getattr(fn, "__func__", fn)
+        f = fn.func if type(fn) is partial else fn
+        f = getattr(f, "__func__", f)
+        code = getattr(f, "__code__", f)
         try:
-            key = self._fn_keys.get(f)
+            key = self._fn_keys.get(code)
         except TypeError:  # unhashable callable — build the key each time
             return f"engine.dispatch.{type(fn).__name__}"
         if key is None:
             qualname = getattr(f, "__qualname__", None) or type(fn).__name__
             key = f"engine.dispatch.{qualname}"
-            self._fn_keys[f] = key
+            self._fn_keys[code] = key
         return key
 
     # ------------------------------------------------------- reports

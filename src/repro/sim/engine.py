@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, LivelockError, SimulationError
@@ -14,13 +15,16 @@ __all__ = ["Engine", "Handle"]
 
 
 class Handle:
-    """A cancellable scheduled callback (returned by :meth:`Engine.schedule`)."""
+    """A cancellable scheduled callback (returned by :meth:`Engine.schedule`).
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    The heap holds ``(time, seq, handle)`` tuples, so ordering is a
+    native tuple comparison; ``seq`` is unique, so a handle itself is
+    never compared.
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple) -> None:
-        self.time = time
-        self.seq = seq
+    __slots__ = ("fn", "args", "cancelled")
+
+    def __init__(self, fn: Callable, args: tuple) -> None:
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -28,9 +32,6 @@ class Handle:
     def cancel(self) -> None:
         """Prevent the callback from running; safe to call repeatedly."""
         self.cancelled = True
-
-    def __lt__(self, other: "Handle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Engine:
@@ -49,7 +50,7 @@ class Engine:
         obs=None,
     ) -> None:
         self.now: float = 0.0
-        self._heap: list[Handle] = []
+        self._heap: list[tuple[float, int, Handle]] = []
         self._seq = 0
         self._alive_processes: set = set()
         self._failed: list[BaseException] = []
@@ -77,8 +78,8 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        handle = Handle(self.now + delay, self._seq, fn, args)
-        heapq.heappush(self._heap, handle)
+        handle = Handle(fn, args)
+        heappush(self._heap, (self.now + delay, self._seq, handle))
         return handle
 
     def call_soon(self, fn: Callable, *args: Any) -> Handle:
@@ -134,13 +135,14 @@ class Engine:
     # -- main loop ----------------------------------------------------
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False if none left."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            when, _, handle = heappop(heap)
             if handle.cancelled:
                 continue
-            if handle.time < self.now - 1e-18:
+            if when < self.now - 1e-18:
                 raise SimulationError("event heap corrupted: time went backwards")
-            self.now = handle.time
+            self.now = when
             prof = self.prof
             if prof.enabled:
                 frame = prof.push(prof.handler_key(handle.fn))
@@ -183,21 +185,21 @@ class Engine:
             max_events = self.max_events
         if max_sim_time is None:
             max_sim_time = self.max_sim_time
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
+        stop_at = inf if until is None else until
+        event_budget = inf if max_events is None else max_events
+        time_budget = inf if max_sim_time is None else max_sim_time
+        heap = self._heap
+        step = self.step
+        while heap:
+            if heap[0][0] > stop_at:
                 self.now = until
                 return self.now
-            self.step()
-            if max_events is not None and self.events_executed > max_events:
+            step()
+            if self.events_executed > event_budget or self.now > time_budget:
                 raise LivelockError(
-                    f"event budget of {max_events} exceeded",
-                    self.events_executed,
-                    self.now,
-                    self._progress_snapshot(),
-                )
-            if max_sim_time is not None and self.now > max_sim_time:
-                raise LivelockError(
-                    f"sim-time budget of {max_sim_time:g}s exceeded",
+                    f"event budget of {max_events} exceeded"
+                    if self.events_executed > event_budget
+                    else f"sim-time budget of {max_sim_time:g}s exceeded",
                     self.events_executed,
                     self.now,
                     self._progress_snapshot(),

@@ -23,7 +23,9 @@ class Event:
     def __init__(self, engine: "Engine", name: str = "") -> None:  # noqa: F821
         self.engine = engine
         self.name = name
-        self._waiters: list[Callable[[Event], None]] = []
+        #: ``callback(event)`` functions, or ``(composite, index)``
+        #: pairs registered by :class:`AllOf`/:class:`AnyOf`.
+        self._waiters: list = []
         self.triggered = False
         self.ok = False
         self.value: Any = None
@@ -51,18 +53,28 @@ class Event:
         self.triggered = True
         self.ok = ok
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            # Deferred delivery keeps wake order deterministic and
-            # avoids re-entrant process stepping.
-            self.engine.call_soon(callback, self)
+        waiters = self._waiters
+        if not waiters:
+            return
+        self._waiters = []
+        schedule = self.engine.schedule
+        for waiter in waiters:
+            if type(waiter) is tuple:
+                # A composite parent: its bookkeeping is plain state, so
+                # it updates now; its own waiters are woken deferred.
+                composite, index = waiter
+                composite._on_child(index, self)
+            else:
+                # Deferred delivery keeps wake order deterministic and
+                # avoids re-entrant process stepping.
+                schedule(0.0, waiter, self)
 
     # -- waiting ------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)``; fires immediately (deferred)
         if the event already triggered."""
         if self.triggered:
-            self.engine.call_soon(callback, self)
+            self.engine.schedule(0.0, callback, self)
         else:
             self._waiters.append(callback)
 
@@ -87,7 +99,14 @@ class Timeout:
 
 
 class _Composite(Event):
-    """Base for AllOf/AnyOf: an Event derived from child events."""
+    """Base for AllOf/AnyOf: an Event derived from child events.
+
+    A composite registers itself on each pending child as a
+    ``(composite, index)`` pair, and the child calls :meth:`_on_child`
+    synchronously when it triggers; children already triggered are
+    taken in index order during construction.  The composite's own
+    waiters (processes) are still woken deferred, like any event's.
+    """
 
     __slots__ = ("_children", "_pending")
 
@@ -98,9 +117,12 @@ class _Composite(Event):
         if not self._children:
             raise SimulationError(f"{type(self).__name__} needs at least one event")
         for index, child in enumerate(self._children):
-            child.add_callback(self._make_callback(index))
+            if child.triggered:
+                self._on_child(index, child)
+            else:
+                child._waiters.append((self, index))
 
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
+    def _on_child(self, index: int, child: Event) -> None:
         raise NotImplementedError
 
 
@@ -113,18 +135,15 @@ class AllOf(_Composite):
 
     __slots__ = ()
 
-    def _make_callback(self, index: int):
-        def on_child(child: Event) -> None:
-            if self.triggered:
-                return
-            if not child.ok:
-                self.fail(child.value)
-                return
-            self._pending -= 1
-            if self._pending == 0:
-                self.succeed([c.value for c in self._children])
-
-        return on_child
+    def _on_child(self, index: int, child: Event) -> None:
+        if self.triggered:
+            return
+        if not child.ok:
+            self.fail(child.value)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed([c.value for c in self._children])
 
 
 class AnyOf(_Composite):
@@ -136,16 +155,13 @@ class AnyOf(_Composite):
 
     __slots__ = ()
 
-    def _make_callback(self, index: int):
-        def on_child(child: Event) -> None:
-            if self.triggered:
-                return
-            if not child.ok:
-                self.fail(child.value)
-                return
+    def _on_child(self, index: int, child: Event) -> None:
+        if self.triggered:
+            return
+        if child.ok:
             self.succeed((index, child.value))
-
-        return on_child
+        else:
+            self.fail(child.value)
 
 
 def first_of(engine: "Engine", events: Sequence[Event]) -> AnyOf:  # noqa: F821

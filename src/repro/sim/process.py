@@ -11,6 +11,7 @@ result.  This lets simulation code call helpers naturally::
 
 from __future__ import annotations
 
+from functools import partial
 from types import GeneratorType
 from typing import Any, Generator, Optional
 
@@ -120,14 +121,15 @@ class Process:
         self._step(send_value, throw_exc)
 
     def _on_event_with_token(self, token: int, event: Event) -> None:
+        """Event wakeup entry point (bound with ``partial``); drops
+        stale callbacks like :meth:`_resume`."""
+        if self.finished or token != self._wake_token:
+            return
+        self._pending_timer = None
         if event.ok:
-            self._resume(token, event.value, None)
+            self._step(event.value, None)
         else:
-            self._resume(token, None, event.value)
-
-    def _park_on_event(self, event: Event) -> None:
-        token = self._wake_token
-        event.add_callback(lambda evt, t=token: self._on_event_with_token(t, evt))
+            self._step(None, event.value)
 
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
         self.last_progress = self.engine.now
@@ -160,6 +162,14 @@ class Process:
                 self._stack.append(item)
                 send_value = None
                 continue
+            if isinstance(item, Process):
+                item = item.done
+            if isinstance(item, Event):
+                self._wake_token += 1
+                item.add_callback(
+                    partial(self._on_event_with_token, self._wake_token)
+                )
+                return
             if isinstance(item, (int, float)):
                 item = Timeout(item)
             if isinstance(item, Timeout):
@@ -167,14 +177,6 @@ class Process:
                 self._pending_timer = self.engine.schedule(
                     item.delay, self._resume, self._wake_token, item.value, None
                 )
-                return
-            if isinstance(item, Process):
-                self._wake_token += 1
-                self._park_on_event(item.done)
-                return
-            if isinstance(item, Event):
-                self._wake_token += 1
-                self._park_on_event(item)
                 return
             throw_exc = SimulationError(
                 f"{self.name} yielded unsupported value {item!r}"

@@ -23,21 +23,20 @@ from repro.sim.events import Event
 __all__ = ["ProcessorSharing", "FifoLock", "Channel"]
 
 
-class _Job:
-    __slots__ = ("remaining", "event")
-
-    def __init__(self, remaining: float, event: Event) -> None:
-        self.remaining = remaining
-        self.event = event
-
-
 class ProcessorSharing:
     """An egalitarian processor-sharing server.
 
     ``n`` concurrent jobs each receive ``rate / n`` service.  A job of
     ``work`` units therefore takes ``work / rate`` when alone and
-    stretches proportionally under load.  Completion order is exact
-    (virtual-time bookkeeping, re-evaluated at each arrival/departure).
+    stretches proportionally under load.  Completion order is exact:
+    every arrival and departure settles each job's remaining work and
+    re-arms one timer for the shortest.
+
+    Jobs are two parallel lists, remaining work and completion events.
+    The settle arithmetic is kept operation for operation (a
+    virtual-time clock would round completion times differently in
+    their last bits); ``tests/sim/test_ps_reference.py`` checks it
+    exactly against the per-job reference server.
     """
 
     def __init__(self, engine, rate: float, name: str = "") -> None:
@@ -46,7 +45,9 @@ class ProcessorSharing:
         self.engine = engine
         self.rate = float(rate)
         self.name = name
-        self._jobs: list[_Job] = []
+        self._job_name = f"{name}.job"
+        self._remaining: list[float] = []
+        self._events: list[Event] = []
         self._last_settle = engine.now
         self._timer = None
         # A nanosecond of full-rate service: the float tolerance for
@@ -57,18 +58,19 @@ class ProcessorSharing:
     @property
     def load(self) -> int:
         """Number of jobs currently in service."""
-        return len(self._jobs)
+        return len(self._remaining)
 
     def request(self, work: float) -> Event:
         """Submit ``work`` units; the returned event fires at completion."""
         if work < 0:
             raise SimulationError(f"negative work: {work}")
-        event = self.engine.event(name=f"{self.name}.job")
+        event = Event(self.engine, self._job_name)
         if work == 0:
             event.succeed(self.engine.now)
             return event
         self._settle()
-        self._jobs.append(_Job(float(work), event))
+        self._remaining.append(float(work))
+        self._events.append(event)
         self._reschedule()
         return event
 
@@ -79,33 +81,48 @@ class ProcessorSharing:
     # -- internals ----------------------------------------------------
     def _settle(self) -> None:
         now = self.engine.now
-        if self._jobs:
-            served = (now - self._last_settle) * self.rate / len(self._jobs)
+        remaining = self._remaining
+        if remaining:
+            served = (now - self._last_settle) * self.rate / len(remaining)
             if served > 0:
-                for job in self._jobs:
-                    job.remaining = max(0.0, job.remaining - served)
+                # Equal to max(0.0, r - served) for every float r.
+                self._remaining = [
+                    r - served if r > served else 0.0 for r in remaining
+                ]
         self._last_settle = now
 
     def _reschedule(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if not self._jobs:
+        remaining = self._remaining
+        if not remaining:
             return
-        shortest = min(job.remaining for job in self._jobs)
-        delay = shortest * len(self._jobs) / self.rate
+        delay = min(remaining) * len(remaining) / self.rate
         self._timer = self.engine.schedule(delay, self._complete)
 
     def _complete(self) -> None:
         self._timer = None
         self._settle()
-        finished = [j for j in self._jobs if j.remaining <= self._eps]
-        if not finished:
+        eps = self._eps
+        remaining, events = self._remaining, self._events
+        kept_remaining, kept_events, finished = [], [], []
+        for r, event in zip(remaining, events):
+            if r > eps:
+                kept_remaining.append(r)
+                kept_events.append(event)
+            else:
+                finished.append(event)
+        if finished:
+            self._remaining, self._events = kept_remaining, kept_events
+        else:
             # Float drift: the min job is by construction done now.
-            finished = [min(self._jobs, key=lambda j: j.remaining)]
-        self._jobs = [j for j in self._jobs if j not in finished]
-        for job in finished:
-            job.event.succeed(self.engine.now)
+            i = remaining.index(min(remaining))
+            del remaining[i]
+            finished = [events.pop(i)]
+        now = self.engine.now
+        for event in finished:
+            event.succeed(now)
         self._reschedule()
 
 

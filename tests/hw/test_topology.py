@@ -44,6 +44,10 @@ def test_core_out_of_range():
     with pytest.raises(HardwareError):
         t.placement(8)
     with pytest.raises(HardwareError):
+        t.die_of(8)
+    with pytest.raises(HardwareError):
+        t.die_of(-1)
+    with pytest.raises(HardwareError):
         t.cores_of_die(4)
 
 

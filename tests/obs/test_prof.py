@@ -2,6 +2,8 @@
 and the determinism guarantee (profiling must never perturb sim time).
 """
 
+from functools import partial
+
 import pytest
 
 from repro import ObsConfig, run_mpi
@@ -105,6 +107,23 @@ def test_handler_key_memoizes_on_underlying_function():
     assert len(prof._fn_keys) == 1  # bound methods share __func__
 
 
+def test_handler_key_unwraps_partials_and_closures():
+    prof = WallProfiler(enabled=True)
+
+    class H:
+        def cb(self, token, event):
+            pass
+
+    def make_closure(i):
+        return lambda event: i
+
+    keys = {prof.handler_key(partial(H().cb, token)) for token in range(5)}
+    assert len(keys) == 1 and keys.pop().endswith(".H.cb")
+    closures = {prof.handler_key(make_closure(i)) for i in range(5)}
+    assert len(closures) == 1
+    assert len(prof._fn_keys) == 2
+
+
 def test_merge_and_dict_roundtrip():
     now = [0.0]
     a = WallProfiler(enabled=True, clock=lambda: now[0])
@@ -154,6 +173,22 @@ def test_profiled_run_attributes_engine_cache_and_copy():
     snap = result.obs.metrics.snapshot()
     assert snap["wall.total_seconds"] > 0
     assert snap["wall.subsystem.engine.seconds"] > 0
+    calls = sum(
+        v for k, v in snap.items()
+        if k.startswith("wall.engine.dispatch.") and k.endswith(".calls")
+    )
+    assert calls == result.world.engine.events_executed
+
+
+def test_handler_key_memo_stays_one_entry_per_callback_kind():
+    """Per-park wakeup partials must not accumulate in the memo (each
+    entry would pin its process for the whole run)."""
+    result = _run(mode="knem", profile=True)
+    prof = result.obs.prof
+    assert len(prof._fn_keys) <= 10
+    assert "engine.dispatch.Process._on_event_with_token" in prof.calls
+    assert not any("partial" in k or "<lambda>" in k for k in prof.calls)
+    snap = result.obs.metrics.snapshot()
     calls = sum(
         v for k, v in snap.items()
         if k.startswith("wall.engine.dispatch.") and k.endswith(".calls")

@@ -340,3 +340,53 @@ def test_watchdog_reports_stalest_process_first():
     # The message lists processes stalest-first for diagnosability.
     msg = str(err.value)
     assert msg.index("stale") < msg.index("busy")
+
+
+def test_interrupt_then_repark_on_same_event_resumes_once():
+    """The wakeup registered before the interrupt is stale: only the
+    second park on the same event may resume the process."""
+    eng = Engine()
+    ev = eng.event()
+    log = []
+
+    def victim():
+        try:
+            yield ev
+        except SimulationError:
+            log.append("interrupted")
+        log.append((yield ev))
+        yield 5.0
+        log.append(eng.now)
+
+    def driver():
+        yield 1.0
+        proc.interrupt()
+        yield 1.0
+        ev.succeed("v")
+
+    proc = eng.process(victim, name="victim")
+    eng.process(driver, name="driver")
+    eng.run()
+    assert log == ["interrupted", "v", 7.0]
+
+
+@pytest.mark.parametrize("budgets", [{}, {"max_events": 10**6, "max_sim_time": 1e6}])
+def test_run_raises_deadlock_and_failures_with_and_without_budgets(budgets):
+    eng = Engine()
+
+    def stuck():
+        yield eng.event()
+
+    eng.process(stuck, name="stuck")
+    with pytest.raises(DeadlockError):
+        eng.run(**budgets)
+
+    eng = Engine()
+
+    def boom():
+        yield 1.0
+        raise ValueError("boom")
+
+    eng.process(boom, name="boom")
+    with pytest.raises(ValueError, match="boom"):
+        eng.run(**budgets)

@@ -114,3 +114,94 @@ def test_event_fail_requires_exception():
     eng = Engine()
     with pytest.raises(SimulationError):
         eng.event().fail("not an exception")
+
+
+# ------------------------------------------- synchronous composite fan-in
+def test_anyof_picks_first_child_triggered_in_one_callback():
+    eng = Engine()
+    e0, e1, e2 = eng.event(), eng.event(), eng.event()
+
+    def waiter():
+        return (yield AnyOf(eng, [e0, e1, e2]))
+
+    def firer():
+        yield 1.0
+        e2.succeed("c")
+        e0.succeed("a")
+        e1.succeed("b")
+
+    assert eng.run_processes([waiter(), firer()])[0] == (2, "c")
+
+
+def test_anyof_pretriggered_children_win_in_index_order():
+    eng = Engine()
+    pending, first, second = eng.event(), eng.event(), eng.event()
+
+    def waiter():
+        second.succeed("y")
+        first.succeed("x")
+        composite = AnyOf(eng, [pending, first, second])
+        pending.succeed("z")  # same callback, but after construction
+        return (yield composite)
+
+    assert eng.run_processes([waiter()]) == [(1, "x")]
+
+
+def test_allof_fails_exactly_once_and_ignores_later_children():
+    eng = Engine()
+    e0, e1, e2 = eng.event(), eng.event(), eng.event()
+    composite = AllOf(eng, [e0, e1, e2])
+    wakeups = []
+    composite.add_callback(wakeups.append)
+
+    def firer():
+        yield 1.0
+        e1.fail(ValueError("first"))
+        e0.fail(ValueError("second"))
+        yield 1.0
+        e2.succeed("late")
+
+    eng.run_processes([firer()])
+    assert wakeups == [composite]
+    assert not composite.ok
+    assert str(composite.value) == "first"
+
+
+def test_nested_composites_resolve():
+    eng = Engine()
+    a, b, c, d = (eng.event() for _ in range(4))
+
+    def waiter():
+        inner = [AnyOf(eng, [a, b]), AnyOf(eng, [c, d])]
+        return (yield AllOf(eng, inner)), eng.now
+
+    def firer():
+        yield 1.0
+        b.succeed("b")
+        yield 1.0
+        c.succeed("c")
+        a.succeed("a")
+        d.succeed("d")
+
+    result = eng.run_processes([waiter(), firer()])[0]
+    assert result == ([(1, "b"), (0, "c")], 2.0)
+
+
+def test_process_on_composite_is_woken_deferred():
+    """The composite updates inside the child's ``succeed()``; the
+    process parked on it runs only after the triggering callback."""
+    eng = Engine()
+    child = eng.event()
+    log = []
+
+    def waiter():
+        yield AllOf(eng, [child])
+        log.append("waiter")
+
+    def firer():
+        yield 1.0
+        child.succeed()
+        log.append("after succeed")
+
+    eng.run_processes([waiter(), firer()])
+    assert log == ["after succeed", "waiter"]
