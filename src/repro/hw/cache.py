@@ -33,7 +33,10 @@ its own stack position.  An access also pushes its band at the top and
 trims from the bottom; the depth of an overlapped extent is a prefix sum
 over a slice of ``_sz``.  Coalescing happens only at the seams a splice
 creates, which keeps the stack fully merged.  A snoop that overlaps
-nothing costs two bisects.
+nothing costs two bisects, and so does finding that an access is a
+pure miss: such a band skips the splice and either extends the top
+extent in place (the one merge its seam allows) or is pushed as a new
+extent.
 
 Addresses here are **line numbers**, not bytes; callers divide by the
 line size.  ``dirty`` tracking enables write-back accounting (evicted
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import HardwareError
 
@@ -54,8 +57,7 @@ __all__ = ["AccessResult", "ExtentLRUCache", "Extent"]
 _Piece = tuple[int, int, bool]
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one bulk access."""
 
     hits: int
@@ -254,8 +256,7 @@ class ExtentLRUCache:
             return AccessResult(0, 0, 0)
         i, j = self._find(start, end)
         if i == j:
-            self._splice(i, j, [], [], [(start, end, write)])
-            return AccessResult(0, end - start, self._trim())
+            return AccessResult(0, end - start, self._push_miss(i, start, end, write))
 
         cap = self.capacity
         ext, sz = self._ext, self._sz
@@ -306,6 +307,27 @@ class ExtentLRUCache:
         # goes on top; trim to capacity from the bottom.
         self._splice(i, j, edits, pos, _build_band(start, end, write, survivors))
         return AccessResult(hits, misses, wb_self + self._trim())
+
+    def _push_miss(self, i: int, start: int, end: int, write: bool) -> int:
+        """Push a band that overlaps nothing (``_keys[i]`` is its index
+        slot) and trim; returns the dirty lines written back.
+
+        This is ``_splice`` plus ``_coalesce`` specialised to one new
+        extent: its only seam is with the old top, which merges exactly
+        when the top ends at ``start`` with the same dirty flag.
+        """
+        n = end - start
+        ext, stk = self._ext, self._stk
+        if stk and ext[stk[0]] == (start, write):
+            ext[stk[0]] = (end, write)
+            self._sz[0] += n
+        else:
+            self._keys.insert(i, start)
+            ext[start] = (end, write)
+            stk.insert(0, start)
+            self._sz.insert(0, n)
+        self._lines += n
+        return self._trim()
 
     # ------------------------------------------------------ coherence
     def _invalidate(self, start: int, end: int) -> tuple[int, int]:

@@ -10,6 +10,10 @@ breakdown of where the lines were served from:
 - ``writeback_lines`` — dirty evictions/downgrades this stream caused
   (bus traffic that the memory model charges in the background).
 
+A stream snoops the remote caches first.  Only when one of them holds
+part of the range does it peek the local cache to find which remote
+lines the local cache lacks; otherwise every miss is served by DRAM.
+
 Protocol simplifications (documented in DESIGN.md): lines may be shared
 by several caches; a write invalidates all remote copies; a remote read
 of a dirty line forces a writeback and leaves the owner with a clean
@@ -19,7 +23,7 @@ reads and invalidates on writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hw.cache import ExtentLRUCache
 from repro.hw.counters import Papi
@@ -28,8 +32,7 @@ from repro.hw.topology import TopologySpec
 __all__ = ["StreamBreakdown", "CoherenceDomain"]
 
 
-@dataclass(frozen=True)
-class StreamBreakdown:
+class StreamBreakdown(NamedTuple):
     """Where the lines of one bulk stream were served from."""
 
     local_hits: int
@@ -49,6 +52,7 @@ class StreamBreakdown:
         return self.remote_hits + self.dram_lines
 
     def __add__(self, other: "StreamBreakdown") -> "StreamBreakdown":
+        # Field-wise, not the tuple concatenation NamedTuple inherits.
         return StreamBreakdown(
             self.local_hits + other.local_hits,
             self.remote_hits + other.remote_hits,
@@ -141,10 +145,8 @@ class CoherenceDomain:
         die = self.topo.die_of(core)
         local = self.caches[die]
 
-        local_segments = [(a, b) for a, b, _ in local.peek(start, end)]
-        gaps = _subtract_segments((start, end), _merge_segments(local_segments))
-
-        # Probe remote caches for the locally-missing portion.
+        # Snoop the remote caches first: they never touch the local
+        # cache, so its peek below sees the same state either way.
         remote_segments: list[tuple[int, int]] = []
         writebacks = 0
         invalidated = 0
@@ -154,7 +156,7 @@ class CoherenceDomain:
             found = cache.peek(start, end)
             if not found:
                 continue
-            for a, b, dirty in found:
+            for a, b, _ in found:
                 remote_segments.append((a, b))
             if write:
                 # RFO: invalidate every remote copy; dirty data is
@@ -168,29 +170,30 @@ class CoherenceDomain:
                 # are written back to memory (M -> S, HITM implicit
                 # writeback on FSB platforms).
                 writebacks += cache.downgrade(start, end)
-        remote_only = _overlap_count(gaps, _merge_segments(remote_segments))
+        if remote_segments:
+            # Lines a remote cache holds but the local one lacks.
+            local_segments = [(a, b) for a, b, _ in local.peek(start, end)]
+            gaps = _subtract_segments((start, end), _merge_segments(local_segments))
+            remote_only = _overlap_count(gaps, _merge_segments(remote_segments))
+        else:
+            remote_only = 0
 
         probe = self.interference
         token = probe.pre_access(die, start, end) if probe is not None else None
-        result = local.access(start, end, write=write)
+        hits, misses, result_wb = local.access(start, end, write=write)
         if probe is not None:
             probe.post_access(die, start, end, token)
-        writebacks += result.writebacks
+        writebacks += result_wb
 
-        remote_hits = min(result.misses, remote_only)
-        dram = result.misses - remote_hits
+        remote_hits = min(misses, remote_only)
+        dram = misses - remote_hits
         # Upgrades: remote copies invalidated for lines we already had
         # (the write-hit-on-shared case); RFO-fetched lines are already
         # counted in remote_hits.
         upgrades = max(0, invalidated - remote_hits) if write else 0
 
-        papi = self.papi[core]
-        papi.add("L2_HITS", result.hits)
-        papi.add("L2_MISSES", result.misses)
-        papi.add("REMOTE_HITS", remote_hits)
-        papi.add("DRAM_LINES", dram)
-        papi.add("WRITEBACKS", writebacks)
-        return StreamBreakdown(result.hits, remote_hits, dram, writebacks, upgrades)
+        self.papi[core].add_stream(hits, misses, remote_hits, dram, writebacks)
+        return StreamBreakdown(hits, remote_hits, dram, writebacks, upgrades)
 
     # ------------------------------------------------------------ DMA --
     def dma_read(self, start: int, end: int) -> int:

@@ -44,6 +44,17 @@ class CounterSet:
             raise HardwareError(f"unknown counter event {event!r}")
         self._values[event] += amount
 
+    def add_stream(
+        self, hits: int, misses: int, remote_hits: int, dram_lines: int, writebacks: int
+    ) -> None:
+        """Add one coherence stream's five cache counters in one call."""
+        values = self._values
+        values["L2_HITS"] += hits
+        values["L2_MISSES"] += misses
+        values["REMOTE_HITS"] += remote_hits
+        values["DRAM_LINES"] += dram_lines
+        values["WRITEBACKS"] += writebacks
+
     def read(self, event: str) -> float:
         if event not in _EVENT_SET:
             raise HardwareError(f"unknown counter event {event!r}")

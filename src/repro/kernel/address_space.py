@@ -153,14 +153,19 @@ class AddressSpace:
         return shared
 
 
+class _SharedSpace:
+    """The owner every shared-memory buffer reports."""
+
+    pid = -1
+    name = "shm"
+
+
+_SHARED_SPACE = _SharedSpace()
+
+
 def alloc_shared(machine, nbytes: int, name: str = "shm") -> Buffer:
     """Allocate a shared-memory region outside any particular space."""
     if nbytes <= 0:
         raise KernelError(f"allocation must be positive, got {nbytes}")
-
-    class _SharedSpace:
-        pid = -1
-        name = "shm"
-
     phys = machine.alloc_phys(nbytes)
-    return Buffer(_SharedSpace(), name, nbytes, phys, shared=True)
+    return Buffer(_SHARED_SPACE, name, nbytes, phys, shared=True)

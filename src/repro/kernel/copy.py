@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.hw.coherence import StreamBreakdown
+from repro.errors import KernelError
 from repro.kernel.address_space import BufferView
 from repro.sim.events import AllOf
 from repro.units import CACHE_LINE, KiB
@@ -35,6 +35,12 @@ __all__ = ["cpu_copy", "stream_access", "iter_lockstep"]
 DEFAULT_CHUNK = 64 * KiB
 
 
+def _check_chunk(chunk: int) -> None:
+    # A chunk of zero bytes would never advance the walk.
+    if chunk <= 0:
+        raise KernelError(f"copy chunk must be positive, got {chunk}")
+
+
 def iter_lockstep(
     dst_views: Sequence[BufferView],
     src_views: Sequence[BufferView],
@@ -42,6 +48,7 @@ def iter_lockstep(
 ) -> Iterator[tuple[BufferView, BufferView]]:
     """Walk two iovec lists in lockstep, yielding equal-length pieces of
     at most ``chunk`` bytes."""
+    _check_chunk(chunk)
     di = si = 0
     doff = soff = 0
     while di < len(dst_views) and si < len(src_views):
@@ -59,49 +66,37 @@ def iter_lockstep(
             soff = 0
 
 
-def _stream_cost(machine, breakdown: StreamBreakdown) -> tuple[float, int, int]:
-    """(cpu_seconds, dram_bytes, fsb_bytes) for one stream breakdown."""
-    p = machine.params
-    line = CACHE_LINE
-    cpu = (
-        breakdown.local_hits * line * p.t_l2_hit
-        + breakdown.remote_hits * line * p.t_fsb
-        + breakdown.dram_lines * line * p.t_dram
-    )
-    dram_bytes = breakdown.dram_lines * line
-    # FSB transactions: cache-to-cache transfers and DRAM fills carry a
-    # data phase; ownership upgrades are address-only and cost only a
-    # fraction of a slot.
-    fsb_bytes = (
-        breakdown.remote_hits
-        + breakdown.dram_lines
-        + breakdown.upgrade_lines * p.fsb_upgrade_weight
-    ) * line
-    return cpu, dram_bytes, fsb_bytes
-
-
 def _charge_chunk(
     machine, core: int, nbytes: int, breakdowns, move=None,
     parent=None, span_kind="copy", span_name=None,
 ):
     """Wait for the CPU / DRAM / FSB work of one chunk, then move data."""
     p = machine.params
+    line = CACHE_LINE
+    t_hit, t_fsb, t_dram = p.t_l2_hit, p.t_fsb, p.t_dram
+    upgrade_weight = p.fsb_upgrade_weight
     access_cpu = 0.0
     dram_bytes = 0
     fsb_bytes = 0
     writeback_lines = 0
-    for b in breakdowns:
-        c, d, f = _stream_cost(machine, b)
-        access_cpu += c
-        dram_bytes += d
-        fsb_bytes += f
-        writeback_lines += b.writeback_lines
+    for local_hits, remote_hits, dram_lines, writebacks, upgrades in breakdowns:
+        access_cpu += (
+            local_hits * line * t_hit
+            + remote_hits * line * t_fsb
+            + dram_lines * line * t_dram
+        )
+        dram_bytes += dram_lines * line
+        # FSB transactions: cache-to-cache transfers and DRAM fills carry
+        # a data phase; ownership upgrades are address-only and cost only
+        # a fraction of a slot.
+        fsb_bytes += (remote_hits + dram_lines + upgrades * upgrade_weight) * line
+        writeback_lines += writebacks
     # A streaming copy loop overlaps its instruction stream with its
     # outstanding memory accesses (prefetch + OoO): the core is busy for
     # whichever is longer, not their sum.
     cpu = max(nbytes * p.t_instr, access_cpu)
     machine.memory.charge_writebacks(writeback_lines * CACHE_LINE)
-    machine.papi.add(core, "CPU_BUSY", cpu)
+    machine.papi[core].add("CPU_BUSY", cpu)
 
     t0 = machine.engine.now
     obs = machine.engine.obs
@@ -188,7 +183,7 @@ def cpu_copy(
             machine, core, dv.nbytes, (src_bd, dst_bd), move,
             parent=parent, span_kind="copy", span_name="cpu.copy",
         )
-        machine.papi.add(core, "BYTES_COPIED", dv.nbytes)
+        machine.papi[core].add("BYTES_COPIED", dv.nbytes)
         copied += dv.nbytes
     return copied
 
@@ -208,6 +203,7 @@ def stream_access(
     pure streaming scan; higher values model arithmetic per element).
     Generator; returns the number of bytes touched.
     """
+    _check_chunk(chunk)
     touched = 0
     prof = machine.engine.prof
     for view in views:

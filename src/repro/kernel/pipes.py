@@ -286,10 +286,16 @@ class Pipe:
         return view
 
 
-def _alloc_kernel_ring(machine, capacity: int, name: str) -> Buffer:
-    class _KernelSpace:
-        pid = -2
-        name = "kernel"
+class _KernelSpace:
+    """The owner every pipe ring buffer reports."""
 
+    pid = -2
+    name = "kernel"
+
+
+_KERNEL_SPACE = _KernelSpace()
+
+
+def _alloc_kernel_ring(machine, capacity: int, name: str) -> Buffer:
     phys = machine.alloc_phys(capacity)
-    return Buffer(_KernelSpace(), f"{name}.ring", capacity, phys, shared=True)
+    return Buffer(_KERNEL_SPACE, f"{name}.ring", capacity, phys, shared=True)

@@ -216,3 +216,51 @@ def test_downgrade_merges_cleaned_lines_with_clean_neighbours():
     assert c.downgrade(44, 46) == 2
     assert _extents(c) == [(46, 50, True), (44, 46, False), (40, 44, True), (0, 30, False)]
     c._check()
+
+
+# -- pure misses: a band that overlaps no resident extent -------------------
+
+
+def test_pure_miss_continuing_the_top_extent_merges_with_it():
+    for dirty in (False, True):
+        c = mk(64)
+        c.access(0, 10, write=dirty)
+        c._check()
+        assert c.access(10, 16, write=dirty) == AccessResult(0, 6, 0)
+        c._check()
+        assert _extents(c) == [(0, 16, dirty)]
+        assert c.used_lines == 16
+
+
+def test_pure_miss_with_other_dirty_flag_or_gap_pushes_a_new_extent():
+    c = mk(64)
+    c.access(0, 10, write=False)
+    c._check()
+    assert c.access(10, 16, write=True) == AccessResult(0, 6, 0)  # other flag
+    c._check()
+    assert _extents(c) == [(10, 16, True), (0, 10, False)]
+    assert c.access(20, 24, write=True) == AccessResult(0, 4, 0)  # a gap
+    c._check()
+    assert _extents(c) == [(20, 24, True), (10, 16, True), (0, 10, False)]
+    # Lands between two resident extents in address order.
+    assert c.access(16, 18, write=False) == AccessResult(0, 2, 0)
+    c._check()
+    assert _extents(c) == [
+        (16, 18, False), (20, 24, True), (10, 16, True), (0, 10, False)
+    ]
+    assert c.used_lines == 22
+
+
+def test_pure_miss_larger_than_capacity_trims_itself():
+    c = mk(8)
+    c.access(100, 104, write=True)  # 4 dirty lines, evicted by the band
+    c._check()
+    assert c.access(0, 20, write=False) == AccessResult(0, 20, 4)
+    c._check()
+    assert _extents(c) == [(12, 20, False)]
+    assert c.used_lines == c.capacity
+    # A dirty band writes back the lines it evicts of itself.
+    assert c.access(40, 60, write=True) == AccessResult(0, 20, 12)
+    c._check()
+    assert _extents(c) == [(52, 60, True)]
+    assert c.used_lines == c.capacity

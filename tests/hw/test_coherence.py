@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.errors import HardwareError
 from repro.hw import xeon_e5345
-from repro.hw.cache import ExtentLRUCache
-from repro.hw.coherence import CoherenceDomain
+from repro.hw.cache import AccessResult, ExtentLRUCache
+from repro.hw.coherence import CoherenceDomain, StreamBreakdown
 from repro.hw.counters import Papi
 
 
@@ -119,3 +120,28 @@ def test_mismatched_cache_count_rejected():
     topo = xeon_e5345()
     with pytest.raises(ValueError):
         CoherenceDomain(topo, [ExtentLRUCache(8)], Papi(topo.ncores))
+
+
+def test_stream_breakdown_addition_is_field_wise():
+    a = StreamBreakdown(1, 2, 3, 4, 5)
+    b = StreamBreakdown(10, 20, 30, 40)
+    total = a + b
+    assert type(total) is StreamBreakdown
+    assert total == StreamBreakdown(11, 22, 33, 44, 5)
+    assert (total.lines, total.misses) == (66, 55)
+
+
+def test_access_result_keywords_equal_positional():
+    r = AccessResult(hits=3, misses=5, writebacks=2)
+    assert r == AccessResult(3, 5, 2)
+    assert (r.hits, r.misses, r.writebacks, r.lines) == (3, 5, 2, 8)
+
+
+@pytest.mark.parametrize("core", [-1, 8])
+def test_out_of_range_core_rejected(domain, core):
+    dom, caches, _ = domain
+    with pytest.raises(HardwareError):
+        dom.read(core=core, start=0, end=16)
+    with pytest.raises(HardwareError):
+        dom.write(core=core, start=0, end=16)
+    assert all(c.peek(0, 16) == [] for c in caches)

@@ -81,6 +81,13 @@ def test_shared_buffer_mappable(machine):
         sp.map_shared(private)
 
 
+def test_shared_buffers_report_the_shm_owner(machine):
+    a = alloc_shared(machine, 4096)
+    b = alloc_shared(machine, 8192, name="other")
+    for buf in (a, b):
+        assert (buf.space.pid, buf.space.name) == (-1, "shm")
+
+
 def test_total_bytes(machine):
     sp = AddressSpace(machine, pid=0)
     buf = sp.alloc(100)

@@ -1,8 +1,12 @@
 """Tests for the timed cache-accurate copy primitive."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
+from repro.errors import KernelError
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.copy import cpu_copy, iter_lockstep, stream_access
 from repro.units import KiB, MiB
@@ -95,6 +99,36 @@ def test_iter_lockstep_pieces():
     sizes = [d[2] for d, s in pieces]
     assert sizes == [60, 40, 50]
     assert sum(sizes) == 150
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging if the body runs longer than ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("chunk", [0, -64])
+def test_iter_lockstep_rejects_non_positive_chunk(space, chunk):
+    buf = space.alloc(4 * KiB)
+    with _deadline(5), pytest.raises(KernelError, match="chunk"):
+        list(iter_lockstep(buf.whole(), buf.whole(), chunk))
+
+
+@pytest.mark.parametrize("chunk", [0, -64])
+def test_stream_access_rejects_non_positive_chunk(engine, machine, space, chunk):
+    buf = space.alloc(4 * KiB)
+    with _deadline(5), pytest.raises(KernelError, match="chunk"):
+        next(stream_access(machine, 0, buf.whole(), chunk=chunk))
 
 
 def test_remote_source_copy_slower_than_shared(engine, machine, space):

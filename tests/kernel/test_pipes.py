@@ -25,6 +25,12 @@ def test_pipe_capacity_default_64k(machine):
     assert pipe.space == 64 * KiB
 
 
+def test_pipe_ring_reports_the_kernel_owner(machine):
+    for pipe in (Pipe(machine), Pipe(machine, name="other")):
+        ring = pipe._kernel_ring
+        assert (ring.space.pid, ring.space.name) == (-2, "kernel")
+
+
 def test_writev_readv_roundtrip(engine, machine, space, space2):
     pipe = Pipe(machine)
     src = space.alloc(32 * KiB)

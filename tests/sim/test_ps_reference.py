@@ -14,7 +14,7 @@ times differently in their last bits.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine, ProcessorSharing
@@ -71,6 +71,12 @@ def _completions(server_cls, rate, arrivals):
 
 
 @settings(max_examples=400, deadline=None)
+# A lone job completes, then a new one arrives on the idle server.
+@example(rate=1.0, arrivals=[(0.0, 1.0), (2.0, 1.0)])
+# An arrival at exactly the lone job's completion instant.
+@example(rate=0.7, arrivals=[(0.0, 1.0), (1.0 / 0.7, 2.5)])
+# Two back-to-back lone jobs: the second arrives one ULP after the first ends.
+@example(rate=1.0, arrivals=[(0.0, 0.3), (math.nextafter(0.3, math.inf), 0.3)])
 @given(
     rate=_rates,
     arrivals=st.lists(st.tuples(_gaps, _works()), min_size=1, max_size=12),
