@@ -361,12 +361,6 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
         default=0.05,
         help="relative median drift allowed by the gate (default 0.05)",
     )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="arm the wall-clock flight recorder per trial and print the "
-        "aggregated subsystem shares (simulated results are unchanged)",
-    )
     fleet = p.add_argument_group(
         "fleet", "supervised mode (run/resume --supervise, chaos)"
     )
@@ -594,17 +588,7 @@ def _run_campaign_cli(argv: list[str]) -> int:
             if name.startswith("campaign.") and ".worker." not in name:
                 print(f"{name} = {run.fleet[name]:g}", file=sys.stderr)
     else:
-        run = run_campaign(
-            spec, cache=cache, workers=args.workers, profile=args.profile
-        )
-        if run.wall is not None:
-            from repro.bench.reporting import format_wall_shares
-
-            print(
-                "wall shares (executed trials): "
-                f"{format_wall_shares(run.wall.shares())}",
-                file=sys.stderr,
-            )
+        run = run_campaign(spec, cache=cache, workers=args.workers)
     doc = run.document()
     if args.out:
         atomic_write_json(args.out, doc)
@@ -741,67 +725,6 @@ def _run_offload(argv: list[str]) -> int:
     return 0
 
 
-def _perf_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-bench perf",
-        description="Run the pinned wall-clock performance suite with the "
-        "flight recorder armed: pingpong, hierarchical allreduce, the "
-        "DMAmin crossover sweep and a serial campaign shard.  Emits "
-        "events/sec, trials/sec and per-subsystem wall shares; the "
-        "simulated timelines are byte-identical to unprofiled runs.",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink repetition counts (CI perf-smoke mode; same workloads)",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_perf.json",
-        help="where to write the JSON document (default: BENCH_perf.json)",
-    )
-    p.add_argument(
-        "--collapsed",
-        metavar="FILE",
-        default=None,
-        help="also write flamegraph collapsed stacks (semicolon paths + "
-        "microseconds; feed to flamegraph.pl or speedscope)",
-    )
-    return p
-
-
-def _run_perf(argv: list[str]) -> int:
-    args = _perf_parser().parse_args(argv)
-
-    from repro.bench.perf import (
-        format_perf_doc,
-        run_perf_suite,
-        validate_perf_doc,
-    )
-    from repro.bench.store import atomic_write_json, atomic_write_text
-
-    doc, collapsed = run_perf_suite(quick=args.quick)
-    print(format_perf_doc(doc))
-    atomic_write_json(args.out, doc)
-    print(f"saved perf document to {args.out}", file=sys.stderr)
-    if args.collapsed:
-        atomic_write_text(args.collapsed, "\n".join(collapsed) + "\n")
-        print(
-            f"saved {len(collapsed)} collapsed stacks to {args.collapsed}",
-            file=sys.stderr,
-        )
-    problems = validate_perf_doc(doc)
-    if problems:
-        print(
-            "perf suite FAILED its own schema gate:\n  "
-            + "\n  ".join(problems),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _run_service(argv: list[str]) -> int:
     """Lazy wrapper: the serving layer only imports when used."""
     from repro.service.cli import main as service_main
@@ -820,7 +743,6 @@ SUBCOMMANDS = {
     ),
     "sched": (_run_sched, "multi-tenant scheduling interference demo"),
     "nhood": (_run_nhood, "node-aware neighborhood collective demo"),
-    "perf": (_run_perf, "wall-clock flight-recorder suite (BENCH_perf.json)"),
     "offload": (
         _run_offload,
         "DMAmin re-derivation across machine generations (DSA vs I/OAT)",

@@ -21,7 +21,6 @@ __all__ = [
     "topology_block",
     "resilience_block",
     "obs_block",
-    "format_wall_shares",
 ]
 
 
@@ -182,22 +181,7 @@ def obs_block(obs) -> dict:
         block["phase_breakdown"] = obs.phase_breakdown()
         block["spans"] = len(obs.spans)
         block["dropped_spans"] = obs.dropped_spans
-    if obs.prof.enabled:
-        block["wall"] = {
-            "total_seconds": obs.prof.total_seconds,
-            "subsystem_seconds": obs.prof.subsystem_seconds(),
-        }
     return block
-
-
-def format_wall_shares(shares: dict) -> str:
-    """One-line rendering of :meth:`WallProfiler.shares` output —
-    ``engine 42.0% | cache 12.3% | copy 5.1% | other 40.6%``."""
-    from repro.obs.prof import SUBSYSTEMS
-
-    return " | ".join(
-        f"{name} {shares.get(name, 0.0):.1%}" for name in (*SUBSYSTEMS, "other")
-    )
 
 
 def format_json(

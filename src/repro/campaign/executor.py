@@ -72,32 +72,19 @@ def _faults(config: dict):
     return FaultPlan(seed=config["seed"], drop=config["drop"])
 
 
-def _obs(config: dict, trace_dir: Optional[str], profile: bool = False):
-    """The trial's observability argument.
-
-    Returns ``None`` (inert), or an :class:`~repro.obs.spans.ObsCollector`
-    so :func:`run_trial` keeps a reference and can read the wall-clock
-    recording back out after the workload finishes.  ``profile`` arms
-    the wall profiler only — it never touches the trial config, so
-    trial hashes (and therefore cache keys and the campaign document)
-    are identical with profiling on or off.
-    """
-    if trace_dir is None and not profile:
+def _obs(config: dict, trace_dir: Optional[str]):
+    """The trial's observability argument: ``None`` (inert), or one
+    :class:`~repro.obs.spans.ObsCollector` recording spans into a
+    Chrome trace per trial under ``trace_dir``."""
+    if trace_dir is None:
         return None
     from repro.obs import ObsConfig
     from repro.obs.spans import ObsCollector
 
-    chrome_path = None
-    if trace_dir is not None:
-        root = Path(trace_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        chrome_path = str(root / f"{trial_hash(config)}.trace.json")
-    cfg = ObsConfig(
-        spans=trace_dir is not None,
-        profile=profile,
-        chrome_path=chrome_path,
-    )
-    return ObsCollector(config=cfg)
+    root = Path(trace_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    chrome_path = str(root / f"{trial_hash(config)}.trace.json")
+    return ObsCollector(config=ObsConfig(spans=True, chrome_path=chrome_path))
 
 
 def _pingpong_main(nbytes: int, reps: int):
@@ -358,22 +345,13 @@ _WORKLOAD_FNS: dict[str, Callable[[dict, object], dict]] = {
 
 
 # ---------------------------------------------------------------- execution
-def run_trial(
-    config: dict, trace_dir: Optional[str] = None, profile: bool = False
-) -> dict:
+def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
     """Execute one trial; never raises.
 
     Returns the trial record: ``{"hash", "config", "seed", "status",
     "primary", "metrics", "error"}`` with ``status`` of ``"ok"`` or
     ``"failed"``.  Module-level and dict-in/dict-out so it is picklable
     for the worker pool.
-
-    ``profile`` arms the wall-clock flight recorder for the trial's
-    engine and attaches its recording as a transient ``"wall"`` key —
-    an *executor* parameter, never part of the config or hash, and
-    :func:`run_campaign` strips it before records are cached or
-    documented, so profiled and unprofiled campaigns stay
-    byte-identical.
     """
     record = {
         "hash": trial_hash(config),
@@ -393,12 +371,9 @@ def run_trial(
 
             os.kill(os.getpid(), signal.SIGKILL)
         fn = _WORKLOAD_FNS[config["workload"]]
-        obs = _obs(config, trace_dir, profile)
-        metrics = fn(config, obs)
+        metrics = fn(config, _obs(config, trace_dir))
         record["primary"] = metrics.pop("primary")
         record["metrics"] = metrics
-        if profile and obs is not None:
-            record["wall"] = obs.prof.to_dict()
     except Exception as exc:  # one broken trial must never kill the run
         record["status"] = "failed"
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -421,11 +396,6 @@ class CampaignRun:
     #: the document must be a pure function of the spec, so recovered
     #: and undisturbed runs compare byte-identical.
     fleet: Optional[dict] = None
-    #: Aggregated wall-clock recording (a
-    #: :class:`~repro.obs.prof.WallProfiler`) when the campaign ran
-    #: with ``profile=True``; host-dependent, so — like ``fleet`` —
-    #: never part of :meth:`document`.
-    wall: Optional[object] = None
 
     @property
     def executed(self) -> int:
@@ -544,7 +514,6 @@ def run_campaign(
     workers: int = 0,
     trials: Optional[Sequence[Trial]] = None,
     trace_dir: Optional[str] = None,
-    profile: bool = False,
 ) -> CampaignRun:
     """Expand ``spec`` and execute every trial not already cached.
 
@@ -552,9 +521,6 @@ def run_campaign(
     pool; otherwise they run serially in-process.  ``trials`` overrides
     the spec expansion (used by tests and partial re-runs).  Cached
     failures are never served — a failed trial always re-executes.
-    ``profile`` arms the wall-clock flight recorder per trial and
-    aggregates the recordings into :attr:`CampaignRun.wall`; trial
-    hashes, records and the campaign document are unaffected.
     """
     trials = list(trials) if trials is not None else spec.trials()
     trace_dir = trace_dir if trace_dir is not None else spec.trace_dir
@@ -570,23 +536,15 @@ def run_campaign(
             records[i] = {**hit, "cached": True}
         else:
             pending.append((i, trial))
-    wall = None
     if pending:
         configs = [t.config for _, t in pending]
-        runner = partial(run_trial, trace_dir=trace_dir, profile=profile)
+        runner = partial(run_trial, trace_dir=trace_dir)
         if workers > 1 and len(configs) > 1:
             fresh = _pool_run(runner, configs, workers)
         else:
             fresh = [runner(c) for c in configs]
         for (i, trial), record in zip(pending, fresh):
-            recording = record.pop("wall", None)
-            if recording is not None:
-                if wall is None:
-                    from repro.obs.prof import WallProfiler
-
-                    wall = WallProfiler()
-                wall.merge_dict(recording)
             if cache is not None and record["status"] == "ok":
                 cache.put(trial.hash, record)
             records[i] = {**record, "cached": False}
-    return CampaignRun(spec=spec, trials=trials, records=records, wall=wall)
+    return CampaignRun(spec=spec, trials=trials, records=records)

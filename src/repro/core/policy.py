@@ -171,7 +171,6 @@ class LmtPolicy:
         from_name: str,
         to_name: str,
         reason: str,
-        tracer=None,
         now: float = 0.0,
     ) -> None:
         """Record one structured downgrade event (deduped per unordered
@@ -191,18 +190,9 @@ class LmtPolicy:
                 "t": now,
             }
         )
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                now,
-                "policy.downgrade",
-                pair=pair,
-                frm=from_name,
-                to=to_name,
-                reason=reason,
-            )
 
     def _degrade(
-        self, backend: LmtBackend, node: int, pair, tracer, now: float
+        self, backend: LmtBackend, node: int, pair, now: float
     ) -> LmtBackend:
         """Walk the chain DSA -> KNEM+I/OAT -> vmsplice -> shm until
         the node's capability mask (and its hardware) admits the
@@ -240,7 +230,6 @@ class LmtPolicy:
             backend.name,
             name,
             f"node {node} lacks {missing}",
-            tracer=tracer,
             now=now,
         )
         return self._backends[name]
@@ -255,13 +244,12 @@ class LmtPolicy:
         hint: int = 1,
         node: int = 0,
         pair=None,
-        tracer=None,
         now: float = 0.0,
     ) -> LmtBackend:
         """Pick the backend for one rendezvous transfer, degrading to
         what the node's capability mask actually supports."""
         backend = self._select_mode(nbytes, send_core, recv_core, cache_sharers, hint)
-        return self._degrade(backend, node, pair, tracer, now)
+        return self._degrade(backend, node, pair, now)
 
     def _select_mode(
         self,
@@ -344,7 +332,6 @@ class ClusterLmtPolicy(LmtPolicy):
         src_node: int = 0,
         dst_node: int = 0,
         pair=None,
-        tracer=None,
         now: float = 0.0,
     ) -> LmtBackend:
         """Pick the rendezvous backend for an internode transfer."""
@@ -357,7 +344,6 @@ class ClusterLmtPolicy(LmtPolicy):
                         "nic+rdma",
                         "nic+staged",
                         f"node {node} lacks rdma-reg",
-                        tracer=tracer,
                         now=now,
                     )
                     return self._backends["nic+staged"]

@@ -94,19 +94,13 @@ class ExtentLRUCache:
         Cache size in lines (e.g. 4 MiB / 64 B = 65536).
     name:
         For diagnostics (e.g. ``"L2.die0"``).
-    prof:
-        Optional :class:`~repro.obs.prof.WallProfiler`; when armed,
-        every bulk op (``peek``/``access``/``invalidate``/
-        ``downgrade``) records its wall self time under ``cache.*``.
-        ``None`` (the default) costs one attribute check per op.
     """
 
-    def __init__(self, capacity_lines: int, name: str = "", prof=None) -> None:
+    def __init__(self, capacity_lines: int, name: str = "") -> None:
         if capacity_lines <= 0:
             raise HardwareError(f"cache capacity must be positive: {capacity_lines}")
         self.capacity = capacity_lines
         self.name = name
-        self.prof = prof
         self._stk: list[int] = []  # extent starts, MRU first
         self._sz: list[int] = []  # their sizes, same order
         self._keys: list[int] = []  # extent starts, ascending
@@ -170,51 +164,6 @@ class ExtentLRUCache:
                     f"{self.name}: unmerged stack-adjacent extents at {below}, {above}"
                 )
 
-    # ---------------------------------------------------- profiled API
-    # The public ops delegate to ``_``-prefixed implementations through
-    # a wall-clock timing branch.  With ``prof`` unset or disabled the
-    # only overhead is one attribute check per bulk op.
-
-    def peek(self, start: int, end: int) -> list[_Piece]:
-        prof = self.prof
-        if prof is None or not prof.enabled:
-            return self._peek(start, end)
-        frame = prof.push("cache.peek")
-        try:
-            return self._peek(start, end)
-        finally:
-            prof.pop(frame)
-
-    def access(self, start: int, end: int, write: bool) -> AccessResult:
-        prof = self.prof
-        if prof is None or not prof.enabled:
-            return self._access(start, end, write)
-        frame = prof.push("cache.access")
-        try:
-            return self._access(start, end, write)
-        finally:
-            prof.pop(frame)
-
-    def invalidate(self, start: int, end: int) -> tuple[int, int]:
-        prof = self.prof
-        if prof is None or not prof.enabled:
-            return self._invalidate(start, end)
-        frame = prof.push("cache.invalidate")
-        try:
-            return self._invalidate(start, end)
-        finally:
-            prof.pop(frame)
-
-    def downgrade(self, start: int, end: int) -> int:
-        prof = self.prof
-        if prof is None or not prof.enabled:
-            return self._downgrade(start, end)
-        frame = prof.push("cache.downgrade")
-        try:
-            return self._downgrade(start, end)
-        finally:
-            prof.pop(frame)
-
     # ------------------------------------------------------------ index
     def _find(self, start: int, end: int) -> tuple[int, int]:
         """``_keys[i:j]`` are the extents overlapping [start, end)."""
@@ -227,7 +176,7 @@ class ExtentLRUCache:
         return i, bisect_left(keys, end, i)
 
     # ------------------------------------------------------------ peek
-    def _peek(self, start: int, end: int) -> list[_Piece]:
+    def peek(self, start: int, end: int) -> list[_Piece]:
         """Resident overlaps of [start, end) as (start, end, dirty),
         in address order, without touching LRU state (a snoop probe).
         Address-adjacent same-dirty segments are merged."""
@@ -246,7 +195,7 @@ class ExtentLRUCache:
         return out
 
     # ---------------------------------------------------------- access
-    def _access(self, start: int, end: int, write: bool) -> AccessResult:
+    def access(self, start: int, end: int, write: bool) -> AccessResult:
         """Bulk access of lines [start, end) in ascending order.
 
         Returns exact hit/miss counts and the number of dirty lines
@@ -330,7 +279,7 @@ class ExtentLRUCache:
         return self._trim()
 
     # ------------------------------------------------------ coherence
-    def _invalidate(self, start: int, end: int) -> tuple[int, int]:
+    def invalidate(self, start: int, end: int) -> tuple[int, int]:
         """Remove [start, end); returns (resident_lines, dirty_lines)."""
         i, j = self._find(start, end)
         if i == j:
@@ -348,7 +297,7 @@ class ExtentLRUCache:
         self._splice(i, j, edits)
         return resident, dirty_lines
 
-    def _downgrade(self, start: int, end: int) -> int:
+    def downgrade(self, start: int, end: int) -> int:
         """Mark [start, end) clean (after a snoop read forces a
         writeback); returns the number of lines that were dirty."""
         i, j = self._find(start, end)

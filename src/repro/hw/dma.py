@@ -157,7 +157,6 @@ class DmaEngine:
                 memory.charge_writebacks(flushed * line)
                 # Service time: device streaming rate, but the data
                 # crosses the (shared) DRAM bus twice (read + write).
-                t0 = self.engine.now
                 span = None
                 if obs.enabled:
                     span = obs.begin(
@@ -172,10 +171,6 @@ class DmaEngine:
                     desc.execute()
                 self.bytes_copied += desc.nbytes
                 self.descriptors_processed += 1
-                if self.engine.tracer.enabled:
-                    self.engine.tracer.emit(
-                        t0, "dma", nbytes=desc.nbytes, end=self.engine.now
-                    )
             if request.status_write:
                 # The trailing in-order one-byte status copy.
                 yield self.engine.timeout(line / self.params.dma_rate)

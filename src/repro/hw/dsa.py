@@ -166,13 +166,9 @@ class DsaEngine:
         coherence = self.machine.coherence
         memory = self.machine.memory
         obs = self.engine.obs
-        prof = obs.prof
         while True:
             request: DsaRequest = yield queue.get()
             for desc in request.descriptors:
-                frame = None
-                if prof.enabled:
-                    frame = prof.push("engine.dsa.dispatch")
                 src_l0 = desc.src_phys // line
                 src_l1 = src_l0 + ceil_div(desc.nbytes, line)
                 dst_l0 = desc.dst_phys // line
@@ -180,11 +176,8 @@ class DsaEngine:
                 flushed = coherence.dma_read(src_l0, src_l1)
                 coherence.dma_write(dst_l0, dst_l1)
                 memory.charge_writebacks(flushed * line)
-                if prof.enabled:
-                    prof.pop(frame)
                 # Service time: device streaming rate, but the data
                 # crosses the (shared) DRAM bus twice (read + write).
-                t0 = self.engine.now
                 span = None
                 if obs.enabled:
                     span = obs.begin(
@@ -196,18 +189,9 @@ class DsaEngine:
                 yield AllOf(self.engine, [device, bus])
                 obs.end(span)
                 if desc.execute is not None:
-                    frame = None
-                    if prof.enabled:
-                        frame = prof.push("copy.dsa_execute")
                     desc.execute()
-                    if prof.enabled:
-                        prof.pop(frame)
                 self.bytes_copied += desc.nbytes
                 self.descriptors_processed += 1
-                if self.engine.tracer.enabled:
-                    self.engine.tracer.emit(
-                        t0, "dsa", nbytes=desc.nbytes, end=self.engine.now
-                    )
             # Completion record: one line written back to memory.
             yield self.engine.timeout(line / self.params.dsa_rate)
             request.done.succeed(self.engine.now)

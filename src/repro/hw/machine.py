@@ -35,7 +35,7 @@ class Machine:
             for i in range(topo.ncores)
         ]
         self.caches = [
-            ExtentLRUCache(topo.l2_lines, name=f"L2.die{d}", prof=engine.obs.prof)
+            ExtentLRUCache(topo.l2_lines, name=f"L2.die{d}")
             for d in range(topo.ndies)
         ]
         self.papi = Papi(topo.ncores)

@@ -98,7 +98,6 @@ def _charge_chunk(
     machine.memory.charge_writebacks(writeback_lines * CACHE_LINE)
     machine.papi[core].add("CPU_BUSY", cpu)
 
-    t0 = machine.engine.now
     obs = machine.engine.obs
     span = None
     if obs.enabled:
@@ -119,31 +118,9 @@ def _charge_chunk(
     else:
         yield AllOf(machine.engine, waits)
     if move is not None:
-        # Wall-profile only the synchronous payload move — never across
-        # a yield, where other processes' wall time would be charged to
-        # this chunk.
-        prof = machine.engine.prof
-        if prof.enabled:
-            frame = prof.push("copy.move")
-            try:
-                move()
-            finally:
-                prof.pop(frame)
-        else:
-            move()
+        move()
     if span is not None:
         obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
-    tracer = machine.engine.tracer
-    if tracer.enabled:
-        tracer.emit(
-            t0,
-            "copy",
-            core=core,
-            nbytes=nbytes,
-            end=machine.engine.now,
-            dram=dram_bytes,
-            fsb=fsb_bytes,
-        )
 
 
 def cpu_copy(
@@ -161,20 +138,11 @@ def cpu_copy(
     ``parent`` links the emitted ``copy`` spans into a causal tree.
     """
     copied = 0
-    prof = machine.engine.prof
     for dv, sv in iter_lockstep(dst_views, src_views, chunk):
-        # Wall-profile the synchronous per-chunk accounting (coherence
-        # sweeps nest under this frame as cache.* self time); the
-        # sim-time waits below are yields and are never timed.
-        frame = prof.push("copy.chunk") if prof.enabled else None
-        try:
-            s0, s1 = machine.line_span(sv.phys, sv.nbytes)
-            d0, d1 = machine.line_span(dv.phys, dv.nbytes)
-            src_bd = machine.coherence.read(core, s0, s1)
-            dst_bd = machine.coherence.write(core, d0, d1)
-        finally:
-            if frame is not None:
-                prof.pop(frame)
+        s0, s1 = machine.line_span(sv.phys, sv.nbytes)
+        d0, d1 = machine.line_span(dv.phys, dv.nbytes)
+        src_bd = machine.coherence.read(core, s0, s1)
+        dst_bd = machine.coherence.write(core, d0, d1)
 
         def move(dv=dv, sv=sv):
             dv.array[:] = sv.array
@@ -205,22 +173,16 @@ def stream_access(
     """
     _check_chunk(chunk)
     touched = 0
-    prof = machine.engine.prof
     for view in views:
         offset = 0
         while offset < view.nbytes:
             n = min(chunk, view.nbytes - offset)
-            frame = prof.push("copy.stream") if prof.enabled else None
-            try:
-                piece = view.sub(offset, n)
-                l0, l1 = machine.line_span(piece.phys, piece.nbytes)
-                if write:
-                    bd = machine.coherence.write(core, l0, l1)
-                else:
-                    bd = machine.coherence.read(core, l0, l1)
-            finally:
-                if frame is not None:
-                    prof.pop(frame)
+            piece = view.sub(offset, n)
+            l0, l1 = machine.line_span(piece.phys, piece.nbytes)
+            if write:
+                bd = machine.coherence.write(core, l0, l1)
+            else:
+                bd = machine.coherence.read(core, l0, l1)
             # Intensity scales the instruction-stream component only;
             # the memory-side costs come from the breakdown as usual.
             yield from _charge_chunk(

@@ -118,7 +118,6 @@ class ClusterWorld(MpiWorld):
             src_node=self.node_of(src_rank),
             dst_node=self.node_of(dst_rank),
             pair=(src_rank, dst_rank),
-            tracer=self.engine.tracer,
             now=self.engine.now,
         )
 
@@ -131,7 +130,6 @@ class ClusterWorld(MpiWorld):
                 backend.name,
                 "nic+staged",
                 "NIC memory registration failed",
-                tracer=self.engine.tracer,
                 now=self.engine.now,
             )
             return self.policy.backend("nic+staged")
@@ -159,7 +157,6 @@ def run_cluster(
     config: Optional[LmtConfig] = None,
     eager_cells: int = 8,
     until: Optional[float] = None,
-    trace: bool = False,
     coll_tuning: Optional[CollTuning] = None,
     noise=None,
     faults=None,
@@ -195,9 +192,7 @@ def run_cluster(
     from repro.sim.noise import NoiseModel
 
     noise = NoiseModel.coerce(noise)
-    engine = Engine(
-        trace=trace, obs=obs, max_events=max_events, max_sim_time=max_sim_time
-    )
+    engine = Engine(obs=obs, max_events=max_events, max_sim_time=max_sim_time)
     cluster = Cluster(engine, spec, faults=faults, noise=noise)
     policy = ClusterLmtPolicy(
         spec.node,

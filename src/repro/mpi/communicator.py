@@ -234,16 +234,6 @@ class Communicator:
         world = self.world
         peer_core = world.core_of(dest_world)
         backend = world.select_backend(nbytes, self.world_rank, dest_world)
-        tracer = world.engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                world.engine.now,
-                "lmt",
-                backend=backend.name,
-                src=self.world_rank,
-                dst=dest_world,
-                nbytes=nbytes,
-            )
         obs = world.engine.obs
         msg_span = None
         if obs.enabled:

@@ -144,7 +144,6 @@ class MpiWorld:
             hint=self.lmt_hint,
             node=self.node_of(dst_rank),
             pair=(src_rank, dst_rank),
-            tracer=self.engine.tracer,
             now=self.engine.now,
         )
 
@@ -329,7 +328,6 @@ def run_mpi(
     config: Optional[LmtConfig] = None,
     eager_cells: int = 8,
     until: Optional[float] = None,
-    trace: bool = False,
     coll_tuning: Optional[CollTuning] = None,
     noise=None,
     faults=None,
@@ -371,9 +369,7 @@ def run_mpi(
     from repro.sim.noise import NoiseModel
 
     noise = NoiseModel.coerce(noise)
-    engine = Engine(
-        trace=trace, obs=obs, max_events=max_events, max_sim_time=max_sim_time
-    )
+    engine = Engine(obs=obs, max_events=max_events, max_sim_time=max_sim_time)
     machine = Machine(engine, topo)
     capabilities = None
     if faults is not None:

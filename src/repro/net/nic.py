@@ -344,7 +344,6 @@ class Nic:
                     l1 = l0 + ceil_div(desc.nbytes, line)
                     flushed = machine.coherence.dma_read(l0, l1)
                     machine.memory.charge_writebacks(flushed * line)
-                t0 = self.engine.now
                 wire_span = None
                 if obs.enabled:
                     wire_span = obs.begin(
@@ -356,16 +355,6 @@ class Nic:
                 yield AllOf(self.engine, [wire, bus])
                 obs.end(wire_span)
                 self.bytes_tx += desc.nbytes
-                if self.engine.tracer.enabled:
-                    self.engine.tracer.emit(
-                        t0,
-                        "nic.tx",
-                        node=self.node,
-                        dst=request.dst_node,
-                        nbytes=desc.nbytes,
-                        req=request.kind,
-                        end=self.engine.now,
-                    )
                 self.fabric.switch.ingress(self.node, request, desc, request.retries)
             obs.end(attempt_span)
             if self._reliable and not request.delivered:
@@ -418,16 +407,6 @@ class Nic:
             self.engine.obs.instant(
                 "nic.retransmit", track=f"nic{self.node}.tx",
                 parent=request.span, seq=request.seq, attempt=request.retries,
-            )
-        if self.engine.tracer.enabled:
-            self.engine.tracer.emit(
-                self.engine.now,
-                "nic.retransmit",
-                node=self.node,
-                dst=request.dst_node,
-                seq=request.seq,
-                attempt=request.retries,
-                req=request.kind,
             )
         self._tx_queue.put(request)
 
@@ -499,16 +478,6 @@ class Nic:
                             parent=request.span, seq=request.seq,
                             why="corrupt" if corrupted else "incomplete",
                         )
-                    if self.engine.tracer.enabled:
-                        self.engine.tracer.emit(
-                            self.engine.now,
-                            "nic.rx_discard",
-                            node=self.node,
-                            src=request.src_node,
-                            seq=request.seq,
-                            req=request.kind,
-                            why="corrupt" if corrupted else "incomplete",
-                        )
 
     def _ack_done(self, request: NicRequest, t: float) -> None:
         """Hardware-ack completion, guarded so a duplicate delivery (a
@@ -523,14 +492,10 @@ class Nic:
             # A retransmission of a request that already landed clean
             # (its ack raced the sender's timer): swallow it.
             self.rx_duplicates += 1
-            if self.engine.tracer.enabled:
-                self.engine.tracer.emit(
-                    self.engine.now,
-                    "nic.rx_duplicate",
-                    node=self.node,
-                    src=request.src_node,
-                    seq=request.seq,
-                    req=request.kind,
+            if self.engine.obs.enabled:
+                self.engine.obs.instant(
+                    "nic.rx_duplicate", track=f"nic{self.node}.rx",
+                    parent=request.span, seq=request.seq, req=request.kind,
                 )
             return
         request.delivered = True
@@ -576,12 +541,3 @@ class Nic:
                     request.on_delivered,
                     request,
                 )
-        if self.engine.tracer.enabled:
-            self.engine.tracer.emit(
-                self.engine.now,
-                "nic.rx",
-                node=self.node,
-                src=request.src_node,
-                nbytes=request.nbytes,
-                req=request.kind,
-            )

@@ -95,15 +95,12 @@ class Switch:
         )
 
     def _emit_fault(self, kind: str, src_node: int, request, desc) -> None:
-        if self.engine.tracer.enabled:
-            self.engine.tracer.emit(
-                self.engine.now,
-                kind,
-                src=src_node,
-                dst=request.dst_node,
-                nbytes=desc.nbytes,
-                req=request.kind,
-                seq=request.seq,
+        obs = self.engine.obs
+        if obs.enabled:
+            obs.instant(
+                kind, track="switch", parent=request.span,
+                src=src_node, dst=request.dst_node, nbytes=desc.nbytes,
+                req=request.kind, seq=request.seq,
             )
 
     def _forward(self, request, desc, corrupt: bool = False, attempt: int = 0) -> None:

@@ -1,6 +1,6 @@
 """repro.obs — causal spans, unified metrics, and trace export.
 
-The observability layer for the whole stack.  Three pieces:
+The observability layer for the whole stack.  Four pieces:
 
 * :mod:`repro.obs.spans` — :class:`Span` trees over sim-time, owned by
   an :class:`ObsCollector` attached to every engine as ``engine.obs``;
@@ -9,10 +9,7 @@ The observability layer for the whole stack.  Three pieces:
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON and JSONL
   exporters plus the CI schema validator;
 * :mod:`repro.obs.phases` — per-phase (copy/syscall/pin/dma/wire)
-  sim-time attribution for benchmark JSON;
-* :mod:`repro.obs.prof` — the wall-clock flight recorder profiling
-  the harness itself (engine dispatch, cache ops, copy chunks) into
-  the ``wall.*`` metric namespace and flamegraph collapsed stacks.
+  sim-time attribution for benchmark JSON.
 
 Enable with ``run_mpi(..., obs=ObsConfig(spans=True))`` or the
 ``repro.bench.cli trace`` subcommand.
@@ -27,7 +24,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.phases import STRUCTURAL_KINDS, WORK_KINDS, phase_breakdown
-from repro.obs.prof import SUBSYSTEMS, WallProfiler
 from repro.obs.spans import ObsCollector, Span, SpanContext
 from repro.obs.export import (
     chrome_trace,
@@ -47,8 +43,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "WALL_PREFIX",
-    "WallProfiler",
-    "SUBSYSTEMS",
     "WORK_KINDS",
     "STRUCTURAL_KINDS",
     "phase_breakdown",

@@ -3,8 +3,7 @@
 Passed to :func:`repro.mpi.world.run_mpi` /
 :func:`repro.mpi.cluster.run_cluster` (or straight to
 :class:`repro.sim.engine.Engine`).  A run without a config pays one
-attribute check per instrumentation site and allocates nothing — same
-zero-overhead contract as :class:`repro.sim.trace.Tracer`.
+attribute check per instrumentation site and allocates nothing.
 """
 
 from __future__ import annotations
@@ -23,13 +22,6 @@ class ObsConfig:
         Record causal :class:`~repro.obs.spans.Span` trees (rendezvous
         handshakes, chunk copies, KNEM commands, DMA descriptors, NIC
         attempts, collective phases).
-    profile:
-        Arm the :class:`~repro.obs.prof.WallProfiler` flight recorder:
-        wall-clock self time and call counts per engine handler,
-        extent-LRU cache op, and copy chunk, published into the
-        metrics registry under the ``wall.*`` namespace at finalize.
-        Wall timing never feeds back into the simulation, so enabling
-        it leaves timelines and sim metrics byte-identical.
     metrics:
         Absorb the run's counters (PAPI, regcache, NIC resilience,
         engine stats) into the collector's
@@ -45,7 +37,6 @@ class ObsConfig:
     """
 
     spans: bool = False
-    profile: bool = False
     metrics: bool = True
     max_spans: Optional[int] = None
     chrome_path: Optional[str] = None

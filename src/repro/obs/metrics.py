@@ -25,12 +25,12 @@ from repro.errors import SimulationError
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "WALL_PREFIX"]
 
 #: Namespace convention: metric names starting with this prefix carry
-#: *wall-clock* (host) measurements — profiler self times, fleet trial
-#: latencies, journal fsync latencies.  They legitimately differ
-#: between two runs of the same seeded spec, so every determinism
-#: comparison must use :meth:`MetricsRegistry.sim_snapshot`, which
-#: excludes them; everything else in the registry is simulated-time
-#: data and must replay byte-identically.
+#: *wall-clock* (host) measurements — fleet trial latencies, journal
+#: fsync latencies.  They legitimately differ between two runs of the
+#: same seeded spec, so every determinism comparison must use
+#: :meth:`MetricsRegistry.sim_snapshot`, which excludes them;
+#: everything else in the registry is simulated-time data and must
+#: replay byte-identically.
 WALL_PREFIX = "wall."
 
 
@@ -191,9 +191,9 @@ class MetricsRegistry:
         """:meth:`snapshot` minus the ``wall.*`` namespace.
 
         This is the determinism surface: two seeded runs of the same
-        spec must produce *identical* ``sim_snapshot()`` dicts whether
-        or not profiling was armed, while the excluded wall metrics
-        are free to differ (they measure the host, not the model).
+        spec must produce *identical* ``sim_snapshot()`` dicts, while
+        the excluded wall metrics are free to differ (they measure the
+        host, not the model).
         """
         return {
             name: value

@@ -5,14 +5,12 @@ rendezvous send that caused the CTS wait that caused the KNEM cookie
 that caused each DMA descriptor.  Because every layer threads its
 parent explicitly (packet fields, ``TransferSide.span``,
 ``DmaRequest.span``, ``NicRequest.span``, ``parent=`` kwargs), one
-message's journey through the stack is a single connected tree rather
-than a pile of flat :class:`~repro.sim.trace.TraceRecord` lines.
+message's journey through the stack is a single connected tree.
 
 The :class:`ObsCollector` is the per-engine owner of spans and the
 :class:`~repro.obs.metrics.MetricsRegistry`.  Disabled (the default),
 ``collector.enabled`` is ``False`` and every instrumentation site
-skips span construction entirely — the same zero-overhead contract as
-``engine.tracer``.
+skips span construction entirely: one attribute check, no allocation.
 
 Span taxonomy (``Span.kind``):
 
@@ -127,17 +125,11 @@ class ObsCollector:
     def __init__(self, config=None, clock: Optional[Callable[[], float]] = None):
         from repro.obs.config import ObsConfig
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.prof import WallProfiler
 
         self.config = config if config is not None else ObsConfig()
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.enabled: bool = bool(self.config.spans)
         self.metrics = MetricsRegistry()
-        #: Wall-clock flight recorder (:mod:`repro.obs.prof`); inert
-        #: unless ``config.profile`` armed it.  Sim-time and wall-time
-        #: observability share this one collector so ``wall.*`` metrics
-        #: land beside the simulated ones at finalize.
-        self.prof = WallProfiler(enabled=bool(self.config.profile))
         self._spans: deque = deque(maxlen=self.config.max_spans)
         self.dropped_spans = 0
         self._next_span_id = 0
@@ -270,8 +262,6 @@ class ObsCollector:
                 self.metrics.absorb_spans(self._spans)
         if self.dropped_spans:
             self.metrics.counter("obs.dropped_spans").set(self.dropped_spans)
-        if self.prof.enabled:
-            self.prof.publish(self.metrics)
         if self.config.chrome_path:
             self.write_chrome_trace(self.config.chrome_path)
         if self.config.jsonl_path:

@@ -78,7 +78,6 @@ def agent_loop(
             if msg["type"] != "trial":
                 raise ServiceError(f"unexpected dispatch reply: {msg!r}")
             record = run_trial(msg["config"], trace_dir)
-            record.pop("wall", None)  # host-local, never on the wire
             send_msg(wfile, {
                 "type": "report",
                 "worker": worker_id,

@@ -21,7 +21,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.noise import NoiseModel
 from repro.sim.process import Process
 from repro.sim.resources import Channel, FifoLock, ProcessorSharing
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Engine",
@@ -34,7 +33,5 @@ __all__ = [
     "ProcessorSharing",
     "FifoLock",
     "Channel",
-    "Tracer",
-    "TraceRecord",
     "NoiseModel",
 ]

@@ -9,7 +9,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.errors import DeadlockError, LivelockError, SimulationError
 from repro.obs.spans import ObsCollector
 from repro.sim.events import Event, Timeout
-from repro.sim.trace import Tracer
 
 __all__ = ["Engine", "Handle"]
 
@@ -44,7 +43,6 @@ class Engine:
 
     def __init__(
         self,
-        trace: bool = False,
         max_events: Optional[int] = None,
         max_sim_time: Optional[float] = None,
         obs=None,
@@ -54,16 +52,11 @@ class Engine:
         self._seq = 0
         self._alive_processes: set = set()
         self._failed: list[BaseException] = []
-        self.tracer = Tracer(enabled=trace)
         #: Observability collector (:mod:`repro.obs`).  ``obs`` may be
         #: ``None`` (inert), an :class:`~repro.obs.config.ObsConfig`,
         #: or a ready-made collector; sites guard emission with
-        #: ``if engine.obs.enabled:`` just like the tracer.
+        #: ``if engine.obs.enabled:``.
         self.obs = ObsCollector.attach(obs, clock=lambda: self.now)
-        #: Wall-clock profiler (hoisted from ``obs`` — :meth:`step` is
-        #: the hottest loop in the repo, so the disabled path must cost
-        #: one attribute load and a falsy branch, nothing more).
-        self.prof = self.obs.prof
         #: Progress-watchdog budgets: exceeding either raises
         #: :class:`LivelockError` from :meth:`run` instead of spinning
         #: forever (e.g. a retransmission loop that stops converging).
@@ -143,15 +136,7 @@ class Engine:
             if when < self.now - 1e-18:
                 raise SimulationError("event heap corrupted: time went backwards")
             self.now = when
-            prof = self.prof
-            if prof.enabled:
-                frame = prof.push(prof.handler_key(handle.fn))
-                try:
-                    handle.fn(*handle.args)
-                finally:
-                    prof.pop(frame)
-            else:
-                handle.fn(*handle.args)
+            handle.fn(*handle.args)
             self.events_executed += 1
             if self._failed:
                 raise self._failed[0]

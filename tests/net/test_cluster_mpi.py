@@ -6,6 +6,7 @@ from repro.errors import MpiError
 from repro.hw import cluster_of, xeon_e5345
 from repro.mpi import run_cluster, run_mpi
 from repro.net import FabricParams
+from repro.obs import ObsConfig
 from repro.units import KiB, MiB
 
 TOPO = xeon_e5345()
@@ -104,11 +105,12 @@ def test_per_pair_backend_selection_traced():
         3,
         main,
         bindings=[(0, 0), (0, 1), (1, 0)],
-        trace=True,
+        obs=ObsConfig(spans=True),
     )
     assert r.results[1:] == [5, 5]
-    lmt = {(rec.fields["src"], rec.fields["dst"]): rec.fields["backend"]
-           for rec in r.world.engine.tracer.of_kind("lmt")}
+    # Rank 0 sends both messages, in order: to rank 1, then to rank 2.
+    sends = [s for s in r.obs.find("msg.send") if s.attrs["path"] == "rndv"]
+    lmt = {(0, s.attrs["dst"]): s.attrs["backend"] for s in sends}
     assert lmt[(0, 2)] == "nic+rdma"
     assert (0, 1) in lmt and lmt[(0, 1)] != "nic+rdma"
 

@@ -7,9 +7,11 @@ budget runs out, never a hang); and capability masks / registration
 failures degrade down the backend chains instead of erroring.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro import ClusterSpec, FaultPlan, run_cluster, run_mpi
+from repro import ClusterSpec, FaultPlan, ObsConfig, run_cluster, run_mpi
 from repro.errors import RetryExhaustedError, SimulationError
 from repro.faults import FaultState, LinkFault, LinkWindow
 from repro.hw import xeon_e5345
@@ -171,6 +173,26 @@ def test_spurious_retransmissions_complete_without_double_completion():
     )
     assert _retransmits(r) > 0
     assert sum(n.rx_duplicates for n in r.fabric.nics) > 0
+
+
+def test_fault_and_duplicate_instants_match_their_counters():
+    """Every injected drop/corruption and every swallowed duplicate
+    leaves one obs instant at the site that counted it."""
+    spec = ClusterSpec(
+        node=TOPO, nnodes=2, fabric=SPEC.fabric.scaled(rto_min=1e-6, rto_factor=0.0)
+    )
+    r = run_cluster(
+        spec, 2, _pingpong(4 * KiB, reps=2), bindings=PAIR,
+        faults=FaultPlan(seed=1, drop=0.1, corrupt=0.1),
+        obs=ObsConfig(spans=True),
+    )
+    instants = Counter(s.name for s in r.obs.spans if s.kind == "instant")
+    faults = r.fabric.faults
+    duplicates = sum(n.rx_duplicates for n in r.fabric.nics)
+    assert faults.drops_injected and faults.corruptions_injected and duplicates
+    assert instants["fault.drop"] == faults.drops_injected
+    assert instants["fault.corrupt"] == faults.corruptions_injected
+    assert instants["nic.rx_duplicate"] == duplicates
 
 
 # -------------------------------------------------- degradation chains

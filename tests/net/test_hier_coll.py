@@ -1,10 +1,13 @@
 """Hierarchy-aware collectives: correctness and the hier-vs-flat win."""
 
+import re
+
 import pytest
 
 from repro.hw import cluster_of, xeon_e5345
 from repro.mpi import run_cluster
 from repro.mpi.coll.tuning import CollTuning
+from repro.obs import ObsConfig
 from repro.units import KiB
 
 TOPO = xeon_e5345()
@@ -155,12 +158,18 @@ def test_hier_alltoall_reduces_wire_messages():
     counts = {}
     for label, tuning in (("flat", FLAT), ("hier", HIER)):
         r = run_cluster(
-            SPEC2, nprocs, main, procs_per_node=4, coll_tuning=tuning, trace=True
+            SPEC2, nprocs, main, procs_per_node=4, coll_tuning=tuning,
+            obs=ObsConfig(spans=True),
         )
-        tracer = r.world.engine.tracer
+        spans = r.obs.spans
+        by_id = {s.span_id: s for s in spans}
+        # Each wire span's parent is its NIC attempt, which names the
+        # request kind.
         counts[label] = sum(
-            rec.fields["nbytes"]
-            for rec in tracer.of_kind("nic.tx")
-            if rec.fields["req"] != "ctrl"
+            s.attrs["nbytes"]
+            for s in spans
+            if s.kind == "wire"
+            and re.fullmatch(r"nic\d+\.tx", s.track)
+            and by_id[s.parent_id].attrs["req"] != "ctrl"
         )
     assert counts["hier"] < counts["flat"]

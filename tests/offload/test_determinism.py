@@ -1,9 +1,8 @@
 """Determinism guarantees of the offload paths.
 
-Acceptance criteria: profiling on/off leaves a DSA run's simulated
-timeline byte-identical, and seeded faulted/degraded pairs replay to
-identical ``sim_snapshot()`` dicts (the documented surface — ``wall.*``
-is excluded by namespace).
+Seeded healthy and faulted/degraded DSA pairs replay to identical
+``sim_snapshot()`` dicts (the documented surface — ``wall.*`` is
+excluded by namespace).
 """
 
 from repro import FaultPlan, ObsConfig, modern_server, run_mpi
@@ -29,34 +28,16 @@ def _pingpong(nbytes, reps=2):
     return main
 
 
-def _run(profile=False, seed=None, faults=None):
+def _run(seed=None, faults=None):
     return run_mpi(
         TOPO, 2, _pingpong(4 * MiB), bindings=[0, 1], mode="dsa",
-        obs=ObsConfig(profile=profile), noise=seed, faults=faults,
+        obs=ObsConfig(), noise=seed, faults=faults,
     )
-
-
-def test_profiling_leaves_dsa_timeline_byte_identical():
-    plain = _run(profile=False)
-    profiled = _run(profile=True)
-    assert plain.elapsed == profiled.elapsed
-    assert (
-        plain.world.engine.events_executed
-        == profiled.world.engine.events_executed
-    )
-    assert (
-        plain.obs.metrics.sim_snapshot()
-        == profiled.obs.metrics.sim_snapshot()
-    )
-    # The profiled run did record wall frames from the DSA dispatch
-    # handlers; they live outside the determinism surface.
-    wall = profiled.obs.metrics.snapshot()
-    assert wall["wall.total_seconds"] > 0
 
 
 def test_seeded_dsa_pairs_replay_identically():
-    a = _run(profile=True, seed=11)
-    b = _run(profile=True, seed=11)
+    a = _run(seed=11)
+    b = _run(seed=11)
     assert a.obs.metrics.sim_snapshot() == b.obs.metrics.sim_snapshot()
     assert a.elapsed == b.elapsed
 
@@ -65,8 +46,8 @@ def test_seeded_degraded_pairs_replay_identically():
     """The faulted/degraded path (mask forces dsa -> knem+ioat+async)
     is as deterministic as the healthy one."""
     plan = lambda: FaultPlan(seed=5, masked={0: frozenset({"dsa"})})
-    a = _run(profile=False, seed=3, faults=plan())
-    b = _run(profile=True, seed=3, faults=plan())
+    a = _run(seed=3, faults=plan())
+    b = _run(seed=3, faults=plan())
     assert a.obs.metrics.sim_snapshot() == b.obs.metrics.sim_snapshot()
     assert a.elapsed == b.elapsed
     assert [d["to"] for d in a.world.policy.downgrades] == ["knem+ioat+async"]
