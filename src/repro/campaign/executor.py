@@ -72,10 +72,11 @@ def _faults(config: dict):
     return FaultPlan(seed=config["seed"], drop=config["drop"])
 
 
-def _obs(config: dict, trace_dir: Optional[str]):
+def _obs(key: str, trace_dir: Optional[str]):
     """The trial's observability argument: ``None`` (inert), or one
     :class:`~repro.obs.spans.ObsCollector` recording spans into a
-    Chrome trace per trial under ``trace_dir``."""
+    Chrome trace per trial under ``trace_dir``, named by the trial's
+    hash ``key``."""
     if trace_dir is None:
         return None
     from repro.obs import ObsConfig
@@ -83,7 +84,7 @@ def _obs(config: dict, trace_dir: Optional[str]):
 
     root = Path(trace_dir)
     root.mkdir(parents=True, exist_ok=True)
-    chrome_path = str(root / f"{trial_hash(config)}.trace.json")
+    chrome_path = str(root / f"{key}.trace.json")
     return ObsCollector(config=ObsConfig(spans=True, chrome_path=chrome_path))
 
 
@@ -353,8 +354,13 @@ def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
     ``"failed"``.  Module-level and dict-in/dict-out so it is picklable
     for the worker pool.
     """
+    return _execute(config, trial_hash(config), trace_dir)
+
+
+def _execute(config: dict, key: str, trace_dir: Optional[str]) -> dict:
+    """:func:`run_trial` for a config whose hash ``key`` is known."""
     record = {
-        "hash": trial_hash(config),
+        "hash": key,
         "config": config,
         "seed": config.get("seed"),
         "status": "ok",
@@ -371,7 +377,7 @@ def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
 
             os.kill(os.getpid(), signal.SIGKILL)
         fn = _WORKLOAD_FNS[config["workload"]]
-        metrics = fn(config, _obs(config, trace_dir))
+        metrics = fn(config, _obs(key, trace_dir))
         record["primary"] = metrics.pop("primary")
         record["metrics"] = metrics
     except Exception as exc:  # one broken trial must never kill the run
@@ -466,10 +472,10 @@ class CampaignRun:
         return line
 
 
-def _death_record(config: dict) -> dict:
+def _death_record(config: dict, key: str) -> dict:
     """The failed record for a trial whose pool worker died outright."""
     return {
-        "hash": trial_hash(config),
+        "hash": key,
         "config": config,
         "seed": config.get("seed"),
         "status": "failed",
@@ -480,20 +486,21 @@ def _death_record(config: dict) -> dict:
     }
 
 
-def _pool_run(runner, configs: list[dict], workers: int) -> list[dict]:
+def _pool_run(runner, jobs: list[tuple[dict, str]], workers: int) -> list[dict]:
     """``pool.map`` with worker-death containment.
 
-    A dead worker makes *every* unfinished future raise
+    ``jobs`` are ``(config, hash)`` pairs for ``runner``.  A dead
+    worker makes *every* unfinished future raise
     :class:`BrokenProcessPool` without saying which trial killed it, so
     each suspect is retried alone in a single-worker pool: collateral
     trials succeed there, and a pool that breaks again convicts its
     only occupant, which becomes a ``status: "failed"`` record instead
     of an exception out of :func:`run_campaign`.
     """
-    results: list[Optional[dict]] = [None] * len(configs)
+    results: list[Optional[dict]] = [None] * len(jobs)
     suspects: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        futures = [pool.submit(runner, c) for c in configs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = [pool.submit(runner, *job) for job in jobs]
         for i, future in enumerate(futures):
             try:
                 results[i] = future.result()
@@ -502,9 +509,9 @@ def _pool_run(runner, configs: list[dict], workers: int) -> list[dict]:
     for i in suspects:
         try:
             with ProcessPoolExecutor(max_workers=1) as solo:
-                results[i] = solo.submit(runner, configs[i]).result()
+                results[i] = solo.submit(runner, *jobs[i]).result()
         except BrokenProcessPool:
-            results[i] = _death_record(configs[i])
+            results[i] = _death_record(*jobs[i])
     return results
 
 
@@ -537,12 +544,12 @@ def run_campaign(
         else:
             pending.append((i, trial))
     if pending:
-        configs = [t.config for _, t in pending]
-        runner = partial(run_trial, trace_dir=trace_dir)
-        if workers > 1 and len(configs) > 1:
-            fresh = _pool_run(runner, configs, workers)
+        jobs = [(t.config, t.hash) for _, t in pending]
+        runner = partial(_execute, trace_dir=trace_dir)
+        if workers > 1 and len(jobs) > 1:
+            fresh = _pool_run(runner, jobs, workers)
         else:
-            fresh = [runner(c) for c in configs]
+            fresh = [runner(*job) for job in jobs]
         for (i, trial), record in zip(pending, fresh):
             if cache is not None and record["status"] == "ok":
                 cache.put(trial.hash, record)

@@ -9,6 +9,10 @@ whose SHA-256 is the trial's identity: the executor keys the result
 cache on it, so the same config always reuses the same stored result
 and any axis change produces a new hash.
 
+Hashes are computed once per spec: a :class:`Trial` memoises its hash,
+and a spec expanded again (it is frozen) hands its fresh trials the
+hashes of its first expansion, so resuming a spec costs no hashing.
+
 Replicates differ only in ``seed``; :func:`group_config` strips the
 seed so :mod:`repro.campaign.stats` can aggregate across them.
 """
@@ -18,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 from repro.core.policy import MODES
@@ -107,8 +112,9 @@ class Trial:
 
     config: dict
 
-    @property
+    @cached_property
     def hash(self) -> str:
+        """:func:`trial_hash` of the config, computed once per trial."""
         return trial_hash(self.config)
 
     @property
@@ -274,7 +280,25 @@ class CampaignSpec:
                     )
 
     def trials(self) -> list[Trial]:
-        """Expand the cross-product into deterministic trial order."""
+        """Expand the cross-product into deterministic trial order.
+
+        Every call returns fresh trials with fresh config dicts.  The
+        spec is frozen, so its configs and hashes cannot change: the
+        first call computes them and every call hands out copies.
+        """
+        expansion = self.__dict__.get("_expansion")
+        if expansion is None:
+            expansion = [(c, trial_hash(c)) for c in self._configs()]
+            object.__setattr__(self, "_expansion", expansion)
+        out = []
+        for config, h in expansion:
+            # "pair" is the one mutable value in a config.
+            trial = Trial(config={**config, "pair": list(config["pair"])})
+            trial.__dict__["hash"] = h  # where Trial.hash caches its value
+            out.append(trial)
+        return out
+
+    def _configs(self) -> list[dict]:
         out = []
         # The scheduler axes multiply the product only for the "sched"
         # workload; elsewhere they contribute a single empty variant and
@@ -338,7 +362,7 @@ class CampaignSpec:
                 config["strategy"] = strategy
             if generation is not None:
                 config["machine_generation"] = generation
-            out.append(Trial(config=config))
+            out.append(config)
         return out
 
     def to_dict(self) -> dict:

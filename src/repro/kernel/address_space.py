@@ -4,9 +4,13 @@ Each simulated process owns an :class:`AddressSpace`.  Allocations are
 backed by two things at once:
 
 - a **physical range** from the machine's allocator, which is what the
-  cache/coherence model indexes; and
+  cache/coherence model indexes.  It is reserved when the buffer is
+  allocated, so addresses depend only on the allocation order; and
 - a **NumPy byte array**, so every simulated transfer moves real data —
-  MPI correctness is testable end to end.
+  MPI correctness is testable end to end.  Like a demand-zero page, the
+  array appears, zero-filled, the first time the payload is touched
+  (:attr:`Buffer.data`), so buffers a run never reads or writes (most
+  Nemesis eager cells) cost no host memory.
 
 A :class:`BufferView` is one iovec entry ``(buffer, offset, nbytes)``;
 noncontiguous datatypes and KNEM's "vectorial buffers" are lists of
@@ -29,7 +33,7 @@ __all__ = ["AddressSpace", "Buffer", "BufferView"]
 class Buffer:
     """A contiguous allocation in one address space."""
 
-    __slots__ = ("space", "name", "nbytes", "phys", "data", "shared", "_pinned")
+    __slots__ = ("space", "name", "nbytes", "phys", "_data", "shared", "_pinned")
 
     def __init__(
         self,
@@ -43,9 +47,17 @@ class Buffer:
         self.name = name
         self.nbytes = nbytes
         self.phys = phys
-        self.data = np.zeros(nbytes, dtype=np.uint8)
+        self._data: Optional[np.ndarray] = None
         self.shared = shared
         self._pinned = 0
+
+    @property
+    def data(self) -> np.ndarray:
+        """The payload bytes, zero-filled on first touch."""
+        data = self._data
+        if data is None:
+            data = self._data = np.zeros(self.nbytes, dtype=np.uint8)
+        return data
 
     def __repr__(self) -> str:
         return f"<Buffer {self.name} {self.nbytes}B phys=0x{self.phys:x}>"
@@ -106,7 +118,10 @@ class BufferView:
 
     @property
     def array(self) -> np.ndarray:
-        return self.buffer.data[self.offset : self.offset + self.nbytes]
+        data = self.buffer._data
+        if data is None:
+            data = self.buffer.data
+        return data[self.offset : self.offset + self.nbytes]
 
     def sub(self, offset: int, nbytes: int) -> "BufferView":
         if offset + nbytes > self.nbytes:

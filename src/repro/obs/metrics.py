@@ -227,9 +227,11 @@ class MetricsRegistry:
         cluster = getattr(world, "cluster", None)
         machines = list(cluster.machines) if cluster is not None else [world.machine]
 
-        # PAPI: the exact per-event totals, summed over cores/machines.
+        # PAPI: the exact per-event totals, summed over cores, then
+        # machines.
+        per_machine = [m.papi.totals() for m in machines]
         for event in EVENTS:
-            self.counter(event).set(sum(m.papi.total(event) for m in machines))
+            self.counter(event).set(sum(t[event] for t in per_machine))
 
         engine = world.engine
         self.counter("engine.events_executed").set(engine.events_executed)

@@ -43,7 +43,13 @@ from dataclasses import dataclass, field
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.obs.config import ObsConfig
+from repro.obs.metrics import MetricsRegistry
+
 __all__ = ["Span", "SpanContext", "ObsCollector"]
+
+#: The configuration of a run given no ``obs=`` (frozen, so shared).
+_DEFAULT_CONFIG = ObsConfig()
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,7 @@ class ObsCollector:
     """
 
     def __init__(self, config=None, clock: Optional[Callable[[], float]] = None):
-        from repro.obs.config import ObsConfig
-        from repro.obs.metrics import MetricsRegistry
-
-        self.config = config if config is not None else ObsConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.enabled: bool = bool(self.config.spans)
         self.metrics = MetricsRegistry()

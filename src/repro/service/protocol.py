@@ -108,10 +108,13 @@ def request(host: str, port: int, msg: dict, timeout: Optional[float] = 30.0) ->
         send_msg(wfile, msg)
         reply = recv_msg(rfile)
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        # The file objects hold the descriptor open until they close
+        # too: only then does the peer see EOF.
+        for handle in (wfile, rfile, sock):
+            try:
+                handle.close()
+            except OSError:
+                pass
     if reply is None:
         raise ServiceError(
             f"coordinator at {host}:{port} closed the connection without "

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import abc
 import json
-import os
+import re
 import sqlite3
-import string
 from pathlib import Path
 from typing import Optional
 
@@ -62,12 +61,14 @@ __all__ = [
 #: Backend names :func:`open_store` understands (besides raw paths).
 STORE_KINDS = ("directory", "sqlite", "memory")
 
-_HEX = set(string.hexdigits.lower())
+#: One or more lower-case ASCII hex digits (``[0-9]`` never matches
+#: other scripts' digits, and ``fullmatch`` accepts no trailing newline).
+_HEX_KEY = re.compile("[0-9a-f]+").fullmatch
 
 
 def check_key(key: str) -> str:
     """Validate a store key (hex content hash); returns it unchanged."""
-    if not key or not set(key) <= _HEX:
+    if _HEX_KEY(key) is None:
         raise BenchmarkError(f"store key is not a hex digest: {key!r}")
     return key
 

@@ -118,3 +118,86 @@ def test_spec_to_dict_is_json_ready():
 
 def test_describe_counts_trials():
     assert "12 trials" in _spec().describe()
+
+
+# ------------------------------------------------------------ hash reuse
+_REUSE_SPECS = {
+    "pingpong": dict(pairs=((0, 1), (0, 4))),
+    "sched": dict(workload="sched", sched_policies=("fifo",),
+                  job_mixes=("pair", "trio")),
+    "nhood": dict(workload="nhood", nnodes=(2,),
+                  patterns=("irregular", "stencil2d")),
+    "offload": dict(workload="offload", backends=("default",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_SPECS))
+def test_reexpansion_reuses_hashes_with_fresh_configs(kind):
+    spec = _spec(**_REUSE_SPECS[kind])
+    first, second = spec.trials(), spec.trials()
+    assert len(first) == len(second) > 1
+    for a, b in zip(first, second):
+        assert a.hash == trial_hash(a.config)
+        assert b.hash == trial_hash(b.config)
+        assert a.config == b.config and a is not b
+        assert a.config is not b.config
+        assert a.config["pair"] is not b.config["pair"]
+    # Mutating one expansion's configs leaves the other's (and its
+    # hashes) untouched, and a third expansion starts clean.
+    before = [t.hash for t in second]
+    for t in first:
+        t.config["seed"] += 1000
+        t.config["pair"][0] = 99
+    assert [t.hash for t in second] == before
+    assert [trial_hash(t.config) for t in second] == before
+    assert [t.hash for t in spec.trials()] == before
+    assert all(t.config["pair"][0] != 99 for t in spec.trials())
+
+
+def test_trial_built_directly_hashes_its_config():
+    config = _spec().trials()[0].config
+    trial = Trial(config=dict(config))
+    assert trial.hash == trial_hash(config)
+    assert trial.short == trial.hash[:12]
+    assert Trial(config={**config, "seed": 7}).hash != trial.hash
+
+
+def test_expanded_spec_resume_does_no_hashing(monkeypatch):
+    import repro.campaign.spec as spec_mod
+    from repro.campaign import ResultCache, run_campaign
+    from repro.service.stores import MemoryStore
+
+    spec = _spec(sizes=(4 * KiB,), seeds=(0,), reps=1, noise_sigma=0.0)
+    cache = ResultCache(MemoryStore())
+    cold = run_campaign(spec, cache=cache)
+    assert cold.executed == len(cold.records) == 2
+
+    def no_hashing(config):
+        raise AssertionError("resume recomputed a trial hash")
+
+    monkeypatch.setattr(spec_mod, "trial_hash", no_hashing)
+    warm = run_campaign(spec, cache=cache)
+    assert warm.cache_hits == len(warm.records) == 2
+    assert warm.document()["trials"] == [
+        {**r, "cached": True} for r in cold.records
+    ]
+
+
+def test_cold_run_hashes_each_trial_once(monkeypatch):
+    import repro.campaign.executor as executor_mod
+    import repro.campaign.spec as spec_mod
+    from repro.campaign import ResultCache, run_campaign
+    from repro.service.stores import MemoryStore
+
+    hashed = []
+
+    def counting(config):
+        hashed.append(canonical_json(config))
+        return trial_hash(config)
+
+    monkeypatch.setattr(spec_mod, "trial_hash", counting)
+    monkeypatch.setattr(executor_mod, "trial_hash", counting)
+    spec = _spec(sizes=(4 * KiB,), seeds=(0, 1), reps=1, noise_sigma=0.0)
+    run = run_campaign(spec, cache=ResultCache(MemoryStore()))
+    assert run.executed == 4
+    assert sorted(hashed) == sorted(canonical_json(t.config) for t in run.trials)

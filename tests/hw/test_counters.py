@@ -29,6 +29,20 @@ def test_total_over_cores():
     assert papi.total("SYSCALLS", cores=[1, 3]) == 4
 
 
+def test_totals_equal_total_per_event_bit_for_bit():
+    papi = Papi(3)
+    papi.add(0, "CPU_BUSY", 0.1)
+    papi.add(2, "CPU_BUSY", 0.2)
+    papi.add(1, "CPU_BUSY", 0.3)
+    papi[1].add_stream(4, 2, 1, 1, 0)
+    totals = papi.totals()
+    assert list(totals) == list(EVENTS)
+    for event in EVENTS:
+        assert repr(totals[event]) == repr(papi.total(event))
+    assert totals["CPU_BUSY"] == (0.1 + 0.3) + 0.2  # core order
+    assert totals["SYSCALLS"] == 0.0 and isinstance(totals["SYSCALLS"], float)
+
+
 def test_unknown_event_rejected():
     papi = Papi(1)
     with pytest.raises(HardwareError):

@@ -100,3 +100,41 @@ def test_data_isolation_between_buffers(machine):
     a.data[:] = 1
     assert not b.data.any()
     assert np.sum(a.data) == 64
+
+
+# ------------------------------------------------- first-touch payloads
+def test_fresh_buffer_holds_no_array_until_touched(machine):
+    sp = AddressSpace(machine, pid=0)
+    buf = sp.alloc(3000)
+    shm = alloc_shared(machine, 4096)
+    assert buf._data is None and shm._data is None
+    assert buf.data.tobytes() == bytes(3000)
+    assert buf.data is buf.data  # one array, kept
+    assert shm._data is None  # touching one buffer touches no other
+
+
+def test_writes_through_views_round_trip(machine):
+    sp = AddressSpace(machine, pid=0)
+    buf = sp.alloc(256)
+    buf.view(16, 8).array[:] = np.arange(1, 9, dtype=np.uint8)
+    assert buf.data[16:24].tolist() == list(range(1, 9))
+    assert buf.view(20, 4).array.tolist() == [5, 6, 7, 8]
+    assert not buf.data[:16].any() and not buf.data[24:].any()
+
+
+def test_physical_addresses_are_reserved_at_allocation(machine):
+    # Payload arrays are lazy; physical ranges are not: they are handed
+    # out eagerly and in allocation order, whatever is touched later.
+    sp = AddressSpace(machine, pid=0)
+    bufs = [
+        sp.alloc(100),
+        alloc_shared(machine, 8192),
+        sp.alloc(5000, align=64),
+        sp.alloc(1),
+        alloc_shared(machine, 65536),
+        sp.alloc(3 * PAGE_SIZE + 1),
+    ]
+    assert [b.phys for b in bufs] == [
+        0x1000, 0x2000, 0x4000, 0x6000, 0x7000, 0x17000,
+    ]
+    assert all(b._data is None for b in bufs)

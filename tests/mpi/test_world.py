@@ -1,5 +1,6 @@
 """Tests for the MPI world launcher and rank contexts."""
 
+import numpy as np
 import pytest
 
 from repro.core.policy import LmtConfig
@@ -150,3 +151,49 @@ def test_until_stops_simulation_early():
     r = run_mpi(TOPO, 1, main, until=1.0)
     assert r.elapsed == 1.0
     assert r.results[0] is None  # never completed
+
+
+# ------------------------------------------------- first-touch payloads
+def test_empty_run_materialises_no_eager_cell():
+    def main(ctx):
+        return ctx.alloc(4096).phys
+        yield
+
+    r = run_mpi(TOPO, 2, main)
+    cells = [cell for ep in r.world.endpoints for cell in ep.free_cells._items]
+    assert len(cells) == 16
+    assert all(cell._data is None for cell in cells)
+    # The cells' physical ranges are still reserved, before the ranks'.
+    assert [c.phys for c in cells[:3]] == [0x1000, 0x11000, 0x21000]
+    assert r.results == [0x101000, 0x102000]
+
+
+@pytest.mark.parametrize("nbytes", [4 * KiB, 1 * MiB])
+@pytest.mark.parametrize("mode", ["default", "knem"])
+def test_pingpong_payload_intact(nbytes, mode):
+    """A 4 KiB (eager, through the cells) and a 1 MiB (rendezvous)
+    pingpong deliver every byte, each way."""
+    pattern = (np.arange(nbytes) % 251).astype(np.uint8)
+
+    def main(ctx):
+        comm = ctx.comm
+        buf = ctx.alloc(nbytes)
+        if ctx.rank == 0:
+            buf.data[:] = pattern
+            yield comm.Send(buf, dest=1, tag=0)
+            buf.data[:] = 0
+            yield comm.Recv(buf, source=1, tag=1)
+        else:
+            yield comm.Recv(buf, source=0, tag=0)
+            assert np.array_equal(buf.data, pattern)
+            buf.data[:] = pattern[::-1]
+            yield comm.Send(buf, dest=0, tag=1)
+        return buf.data.tobytes()
+
+    r = run_mpi(TOPO, 2, main, mode=mode)
+    assert r.results == [pattern[::-1].tobytes()] * 2
+    touched = [c for ep in r.world.endpoints for c in ep.free_cells._items
+               if c._data is not None]
+    # Eager messages pass through the receiver's cells; rendezvous
+    # ones leave every cell untouched.
+    assert bool(touched) == (nbytes < TOPO.params.lmt_threshold)

@@ -115,6 +115,17 @@ def test_snapshot_matches_papi_exactly():
     assert snap["engine.events_executed"] > 0
 
 
+def test_cluster_papi_counters_match_per_machine_totals():
+    from repro.hw.counters import EVENTS
+
+    result = run_cluster(SPEC, 2, _pingpong(256 * KiB, reps=2), bindings=PAIR)
+    snap = result.obs.metrics.snapshot()
+    machines = result.world.cluster.machines
+    for event in EVENTS:
+        expected = sum(m.papi.total(event) for m in machines)
+        assert repr(snap[event]) == repr(expected), event
+
+
 def test_metrics_on_by_default_without_spans():
     result = run_mpi(TOPO, 2, _pingpong(256 * KiB), bindings=[0, 4],
                      mode="knem")

@@ -95,8 +95,8 @@ def echo_server():
             if msg is None:
                 break
             send_msg(wfile, {"type": "echo", "got": msg})
-        conn.close()
-        srv.close()
+        for handle in (wfile, rfile, conn, srv):
+            handle.close()
 
     t = threading.Thread(target=serve, daemon=True)
     t.start()
@@ -108,15 +108,34 @@ def test_connect_and_request():
     sock, rfile, wfile = connect("127.0.0.1", port)
     send_msg(wfile, {"type": "ping"})
     assert recv_msg(rfile) == {"type": "echo", "got": {"type": "ping"}}
-    sock.close()
+    # The descriptor stays open until every file object over it closes;
+    # only then does the server read EOF and exit.
+    for handle in (wfile, rfile, sock):
+        handle.close()
     t.join(timeout=5)
+    assert not t.is_alive(), "echo server never saw EOF"
 
 
-def test_request_one_shot():
+def test_request_one_shot(monkeypatch):
+    import repro.service.protocol as protocol
+
+    # Keep request()'s file objects referenced past its return, so the
+    # connection closes only if request() closes them itself.
+    opened = []
+
+    def connect_and_keep(*args, **kwargs):
+        handles = connect(*args, **kwargs)
+        opened.append(handles)
+        return handles
+
+    monkeypatch.setattr(protocol, "connect", connect_and_keep)
     port, t = echo_server()
     reply = request("127.0.0.1", port, {"type": "ping", "v": PROTOCOL_VERSION})
     assert reply["got"]["v"] == PROTOCOL_VERSION
+    _, rfile, wfile = opened[0]
+    assert rfile.closed and wfile.closed
     t.join(timeout=5)
+    assert not t.is_alive(), "echo server never saw EOF"
 
 
 def test_connect_refused():

@@ -1,8 +1,11 @@
 """ResultStore conformance: every backend passes the same suite."""
 
 import json
+import string
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.campaign.cache import ResultCache
 from repro.errors import BenchmarkError
@@ -74,6 +77,28 @@ def test_non_hex_keys_rejected(store):
             store.put(bad, RECORD)
         with pytest.raises(BenchmarkError):
             store.get(bad)
+
+
+def _hex_by_set(key: str) -> bool:
+    """The key test ``check_key`` used to run: non-empty, every
+    character a lower-case hex digit."""
+    return bool(key) and set(key) <= set(string.hexdigits.lower())
+
+
+@given(st.text(alphabet=st.sampled_from("0123456789abcdefABCDEFg \n٣१")) | st.text())
+@example("")
+@example("ABCDEF")
+@example("abc\n")
+@example("\nabc")
+@example("٣")  # ARABIC-INDIC DIGIT THREE: a digit, not a hex digit
+@example("１２")  # fullwidth digits
+@example("deadbeef")
+def test_check_key_accepts_exactly_the_hex_set(key):
+    try:
+        accepted = check_key(key) == key
+    except BenchmarkError:
+        accepted = False
+    assert accepted == _hex_by_set(key)
 
 
 def test_corrupt_record_healed_as_miss(store):
