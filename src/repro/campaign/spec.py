@@ -9,9 +9,11 @@ whose SHA-256 is the trial's identity: the executor keys the result
 cache on it, so the same config always reuses the same stored result
 and any axis change produces a new hash.
 
-Hashes are computed once per spec: a :class:`Trial` memoises its hash,
-and a spec expanded again (it is frozen) hands its fresh trials the
-hashes of its first expansion, so resuming a spec costs no hashing.
+Hashes are computed once per trial: a :class:`Trial` memoises its
+hash, so the executor, supervisor and coordinator can key every cache
+read, store write and queue entry on it without hashing again.  Each
+:meth:`CampaignSpec.trials` call builds fresh trials, which hash once
+each.
 
 Replicates differ only in ``seed``; :func:`group_config` strips the
 seed so :mod:`repro.campaign.stats` can aggregate across them.
@@ -57,9 +59,13 @@ MACHINE_GENERATIONS = ("nehalem-era", "modern")
 _SCHEMA_VERSION = 1
 
 
+#: ``json.dumps`` with these arguments builds an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(config: dict) -> str:
     """The one serialization of a config dict (sorted keys, no spaces)."""
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(config)
 
 
 def trial_hash(config: dict) -> str:
@@ -280,25 +286,7 @@ class CampaignSpec:
                     )
 
     def trials(self) -> list[Trial]:
-        """Expand the cross-product into deterministic trial order.
-
-        Every call returns fresh trials with fresh config dicts.  The
-        spec is frozen, so its configs and hashes cannot change: the
-        first call computes them and every call hands out copies.
-        """
-        expansion = self.__dict__.get("_expansion")
-        if expansion is None:
-            expansion = [(c, trial_hash(c)) for c in self._configs()]
-            object.__setattr__(self, "_expansion", expansion)
-        out = []
-        for config, h in expansion:
-            # "pair" is the one mutable value in a config.
-            trial = Trial(config={**config, "pair": list(config["pair"])})
-            trial.__dict__["hash"] = h  # where Trial.hash caches its value
-            out.append(trial)
-        return out
-
-    def _configs(self) -> list[dict]:
+        """Expand the cross-product into deterministic trial order."""
         out = []
         # The scheduler axes multiply the product only for the "sched"
         # workload; elsewhere they contribute a single empty variant and
@@ -362,7 +350,7 @@ class CampaignSpec:
                 config["strategy"] = strategy
             if generation is not None:
                 config["machine_generation"] = generation
-            out.append(config)
+            out.append(Trial(config=config))
         return out
 
     def to_dict(self) -> dict:

@@ -1,6 +1,10 @@
 """Spec expansion and content-hash stability."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignSpec,
@@ -45,6 +49,25 @@ def test_same_config_same_hash_regardless_of_key_order():
     shuffled = dict(reversed(list(config.items())))
     assert trial_hash(config) == trial_hash(shuffled)
     assert canonical_json(config) == canonical_json(shuffled)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(st.text(), _JSON, max_size=6))
+def test_canonical_json_is_sorted_compact_dumps(config):
+    assert canonical_json(config) == json.dumps(
+        config, sort_keys=True, separators=(",", ":")
+    )
+    assert canonical_json(config) == canonical_json(
+        dict(reversed(list(config.items())))
+    )
 
 
 def test_axis_change_changes_hash():
@@ -120,7 +143,7 @@ def test_describe_counts_trials():
     assert "12 trials" in _spec().describe()
 
 
-# ------------------------------------------------------------ hash reuse
+# ------------------------------------------------------------- hash memo
 _REUSE_SPECS = {
     "pingpong": dict(pairs=((0, 1), (0, 4))),
     "sched": dict(workload="sched", sched_policies=("fifo",),
@@ -132,7 +155,7 @@ _REUSE_SPECS = {
 
 
 @pytest.mark.parametrize("kind", sorted(_REUSE_SPECS))
-def test_reexpansion_reuses_hashes_with_fresh_configs(kind):
+def test_reexpansion_gives_fresh_configs_and_correct_hashes(kind):
     spec = _spec(**_REUSE_SPECS[kind])
     first, second = spec.trials(), spec.trials()
     assert len(first) == len(second) > 1
@@ -162,28 +185,7 @@ def test_trial_built_directly_hashes_its_config():
     assert Trial(config={**config, "seed": 7}).hash != trial.hash
 
 
-def test_expanded_spec_resume_does_no_hashing(monkeypatch):
-    import repro.campaign.spec as spec_mod
-    from repro.campaign import ResultCache, run_campaign
-    from repro.service.stores import MemoryStore
-
-    spec = _spec(sizes=(4 * KiB,), seeds=(0,), reps=1, noise_sigma=0.0)
-    cache = ResultCache(MemoryStore())
-    cold = run_campaign(spec, cache=cache)
-    assert cold.executed == len(cold.records) == 2
-
-    def no_hashing(config):
-        raise AssertionError("resume recomputed a trial hash")
-
-    monkeypatch.setattr(spec_mod, "trial_hash", no_hashing)
-    warm = run_campaign(spec, cache=cache)
-    assert warm.cache_hits == len(warm.records) == 2
-    assert warm.document()["trials"] == [
-        {**r, "cached": True} for r in cold.records
-    ]
-
-
-def test_cold_run_hashes_each_trial_once(monkeypatch):
+def test_each_pass_hashes_each_trial_once(monkeypatch):
     import repro.campaign.executor as executor_mod
     import repro.campaign.spec as spec_mod
     from repro.campaign import ResultCache, run_campaign
@@ -198,6 +200,11 @@ def test_cold_run_hashes_each_trial_once(monkeypatch):
     monkeypatch.setattr(spec_mod, "trial_hash", counting)
     monkeypatch.setattr(executor_mod, "trial_hash", counting)
     spec = _spec(sizes=(4 * KiB,), seeds=(0, 1), reps=1, noise_sigma=0.0)
-    run = run_campaign(spec, cache=ResultCache(MemoryStore()))
-    assert run.executed == 4
-    assert sorted(hashed) == sorted(canonical_json(t.config) for t in run.trials)
+    cache = ResultCache(MemoryStore())
+    cold = run_campaign(spec, cache=cache)
+    assert cold.executed == 4
+    assert sorted(hashed) == sorted(canonical_json(t.config) for t in cold.trials)
+    hashed.clear()
+    warm = run_campaign(spec, cache=cache)
+    assert warm.cache_hits == 4
+    assert sorted(hashed) == sorted(canonical_json(t.config) for t in warm.trials)
