@@ -10,9 +10,7 @@ Examples::
     repro-bench --list
     repro-bench trace --mode knem-ioat --size 1M --out trace.json
     repro-bench campaign run --backends default,knem --sizes 64K,1M --seeds 3
-    repro-bench campaign run --supervise --workers 4
     repro-bench campaign compare --baseline BENCH_campaign.json
-    repro-bench campaign chaos --seed 0 --kill-prob 0.3
     repro-bench sched --out BENCH_sched.json
     repro-bench nhood --out BENCH_nhood.json
     repro-bench offload --out BENCH_offload.json
@@ -225,7 +223,7 @@ def _run_sched(argv: list[str]) -> int:
     return 0 if ok else 1
 
 
-def _add_spec_axes(p: argparse.ArgumentParser, chaos: bool = False) -> None:
+def _add_spec_axes(p: argparse.ArgumentParser) -> None:
     """Register the campaign-spec axis arguments on ``p``.
 
     Shared between ``campaign`` and ``service submit`` so a spec typed
@@ -267,21 +265,19 @@ def _add_spec_axes(p: argparse.ArgumentParser, chaos: bool = False) -> None:
         default="direct,node-aware",
         help="comma list of exchange strategies (nhood workload only)",
     )
-    # The chaos harness runs the whole campaign TWICE (undisturbed +
-    # killed), so its default axes are a compact 4-trial spec.
     p.add_argument(
         "--machines",
-        default="xeon_e5345" if chaos else "xeon_e5345,xeon_x5460",
+        default="xeon_e5345,xeon_x5460",
         help="comma list of machine presets",
     )
     p.add_argument(
         "--backends",
-        default="default,knem" if chaos else "default,knem,knem-ioat",
+        default="default,knem,knem-ioat",
         help="comma list of LMT modes",
     )
     p.add_argument(
         "--sizes",
-        default="64K" if chaos else "64K,256K,1M",
+        default="64K,256K,1M",
         help="comma list of message sizes",
     )
     p.add_argument(
@@ -296,7 +292,7 @@ def _add_spec_axes(p: argparse.ArgumentParser, chaos: bool = False) -> None:
     p.add_argument(
         "--seeds",
         type=int,
-        default=2 if chaos else 3,
+        default=3,
         help="number of seeded replicates per config (seeds 0..N-1)",
     )
     p.add_argument(
@@ -310,23 +306,22 @@ def _add_spec_axes(p: argparse.ArgumentParser, chaos: bool = False) -> None:
     )
 
 
-def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
+def _campaign_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-bench campaign",
         description="Run declarative experiment campaigns over the "
         "simulated testbed: axis cross-products, a multiprocessing "
         "worker pool, a content-addressed result cache (re-runs are "
-        "100%% cache hits), a baseline regression gate, and a "
-        "crash-tolerant supervised fleet with a chaos self-check.",
+        "100%% cache hits) and a baseline regression gate.  For "
+        "crash-tolerant, multi-client runs use `repro-bench service`.",
     )
     p.add_argument(
         "action",
-        choices=["run", "resume", "compare", "report", "chaos"],
-        help="run/resume a campaign, gate against a baseline, "
-        "pretty-print a saved campaign JSON, or run the chaos "
-        "harness (seeded worker kills + byte-exact recovery check)",
+        choices=["run", "resume", "compare", "report"],
+        help="run/resume a campaign, gate against a baseline, or "
+        "pretty-print a saved campaign JSON",
     )
-    _add_spec_axes(p, chaos=chaos)
+    _add_spec_axes(p)
     p.add_argument(
         "--workers",
         type=int,
@@ -361,67 +356,18 @@ def _campaign_parser(chaos: bool = False) -> argparse.ArgumentParser:
         default=0.05,
         help="relative median drift allowed by the gate (default 0.05)",
     )
-    fleet = p.add_argument_group(
-        "fleet", "supervised mode (run/resume --supervise, chaos)"
-    )
-    fleet.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run/resume through the crash-tolerant supervised fleet "
-        "(durable lease journal, heartbeats, retry budgets)",
-    )
-    fleet.add_argument(
-        "--state-dir",
-        metavar="DIR",
-        default="results/fleet",
-        help="lease journal / fleet state directory (default: results/fleet)",
-    )
-    fleet.add_argument(
+    p.add_argument(
         "--fleet",
         action="store_true",
         help="report: read the live fleet telemetry (status.json in "
-        "--state-dir) written by a running/finished supervised campaign",
+        "--state-dir) written by a running or finished coordinator",
     )
-    fleet.add_argument(
-        "--retry-budget",
-        type=int,
-        default=3,
-        help="deterministic failures before a trial is quarantined",
-    )
-    fleet.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        help="per-trial wall-clock watchdog budget in seconds",
-    )
-    fleet.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        help="max heartbeat age before a worker is presumed wedged",
-    )
-    fleet.add_argument(
-        "--backoff-base",
-        type=float,
-        default=0.05,
-        help="first retry backoff in seconds (doubles per failure)",
-    )
-    fleet.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="chaos plan seed (chaos action)",
-    )
-    fleet.add_argument(
-        "--kill-prob",
-        type=float,
-        default=0.3,
-        help="per-(trial, attempt) worker-kill probability (chaos)",
-    )
-    fleet.add_argument(
-        "--kill-points",
-        default="mid-trial,store-write,journal-append",
-        help="comma list of chaos kill points",
+    p.add_argument(
+        "--state-dir",
+        metavar="DIR",
+        default="results/service",
+        help="coordinator state directory for report --fleet "
+        "(default: results/service)",
     )
     return p
 
@@ -475,7 +421,7 @@ def _print_campaign_doc(doc: dict) -> None:
 
 
 def _run_campaign_cli(argv: list[str]) -> int:
-    args = _campaign_parser(chaos=bool(argv) and argv[0] == "chaos").parse_args(argv)
+    args = _campaign_parser().parse_args(argv)
     import json
 
     from repro.bench.store import atomic_write_json
@@ -490,7 +436,7 @@ def _run_campaign_cli(argv: list[str]) -> int:
             if status is None:
                 print(
                     f"no readable status.json in {args.state_dir!r} — is "
-                    "a supervised campaign running (or finished) there?",
+                    "a coordinator running (or finished) there?",
                     file=sys.stderr,
                 )
                 return 2
@@ -516,46 +462,6 @@ def _run_campaign_cli(argv: list[str]) -> int:
 
     spec = _campaign_spec(args)
 
-    if args.action == "chaos":
-        from repro.campaign import ChaosPlan, run_chaos_check
-
-        plan = ChaosPlan(
-            seed=args.seed,
-            kill_prob=args.kill_prob,
-            points=tuple(_csv(args.kill_points)),
-        )
-        print(spec.describe(), file=sys.stderr)
-        print(
-            f"chaos plan: seed={plan.seed} kill_prob={plan.kill_prob:g} "
-            f"points={','.join(plan.points)} "
-            f"(kills stop after attempt {plan.max_kill_attempts})",
-            file=sys.stderr,
-        )
-        report = run_chaos_check(
-            spec, plan,
-            state_dir=args.state_dir,
-            workers=max(2, args.workers),
-            retry_budget=args.retry_budget,
-            lease_ttl=args.lease_ttl,
-            heartbeat_timeout=args.heartbeat_timeout,
-            backoff_base=args.backoff_base,
-        )
-        print(report.describe())
-        if args.out:
-            atomic_write_json(args.out, report.chaos_doc)
-            print(f"saved recovered document to {args.out}", file=sys.stderr)
-        print(f"journal: {report.journal_path}", file=sys.stderr)
-        if not report.ok:
-            print(
-                "chaos harness FAILED its own invariant: the run must "
-                "kill at least one worker mid-trial, requeue its lease "
-                "from the journal, and still produce a document "
-                "byte-identical to the undisturbed run",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
     cache = None if args.no_cache else ResultCache(args.results_dir)
     print(spec.describe(), file=sys.stderr)
     if args.action == "resume":
@@ -564,39 +470,14 @@ def _run_campaign_cli(argv: list[str]) -> int:
             f"resuming: {cached}/{len(spec.trials())} trials already cached",
             file=sys.stderr,
         )
-    if args.supervise:
-        from repro.campaign import run_supervised
-
-        if cache is None:
-            print(
-                "campaign --supervise needs the result cache "
-                "(drop --no-cache): the store is the crash-consistency "
-                "substrate",
-                file=sys.stderr,
-            )
-            return 2
-        run = run_supervised(
-            spec, cache,
-            state_dir=args.state_dir,
-            workers=max(1, args.workers),
-            retry_budget=args.retry_budget,
-            lease_ttl=args.lease_ttl,
-            heartbeat_timeout=args.heartbeat_timeout,
-            backoff_base=args.backoff_base,
-        )
-        for name in sorted(run.fleet or ()):
-            if name.startswith("campaign.") and ".worker." not in name:
-                print(f"{name} = {run.fleet[name]:g}", file=sys.stderr)
-    else:
-        run = run_campaign(spec, cache=cache, workers=args.workers)
+    run = run_campaign(spec, cache=cache, workers=args.workers)
     doc = run.document()
     if args.out:
         atomic_write_json(args.out, doc)
         print(f"saved campaign document to {args.out}", file=sys.stderr)
     for record in run.failures:
-        quarantined = " [quarantined]" if record["hash"] in run.quarantined else ""
         print(
-            f"FAILED{quarantined} {record['hash'][:12]} "
+            f"FAILED {record['hash'][:12]} "
             f"{record['config']['workload']} seed={record['seed']}: "
             f"{record['error']}",
             file=sys.stderr,
@@ -739,7 +620,7 @@ SUBCOMMANDS = {
     "trace": (_run_trace, "Perfetto/Chrome trace export of a pingpong"),
     "campaign": (
         _run_campaign_cli,
-        "cached parallel sweeps, regression gate, chaos-tested fleet",
+        "cached parallel sweeps, regression gate",
     ),
     "sched": (_run_sched, "multi-tenant scheduling interference demo"),
     "nhood": (_run_nhood, "node-aware neighborhood collective demo"),

@@ -8,38 +8,28 @@ scripts:
 * :mod:`~repro.campaign.spec` — axes -> trials, each with a canonical
   config and a stable content hash;
 * :mod:`~repro.campaign.executor` — multiprocessing pool, per-trial
-  watchdog timeouts, crash containment;
+  watchdog timeouts, worker-death containment (one-shot local runs);
 * :mod:`~repro.campaign.cache` — content-addressed result store with
   atomic writes (re-running a campaign is 100 % cache hits);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
 * :mod:`~repro.campaign.queue` — durable JSONL lease journal whose
-  replay rebuilds exact queue state after any kill point;
-* :mod:`~repro.campaign.supervisor` — heartbeat-leased worker
-  processes with death detection, requeue, retry budgets and
-  quarantine;
-* :mod:`~repro.campaign.chaos` — seeded worker-kill injection plus the
-  self-check that recovery is byte-exact;
-* :mod:`~repro.campaign.telemetry` — live supervised-fleet status:
-  atomic ``status.json`` + Prometheus text exposition rewritten while
-  the queue drains.
+  replay rebuilds exact queue state after a crash;
+* :mod:`~repro.campaign.telemetry` — live fleet status: atomic
+  ``status.json`` + Prometheus text exposition rewritten while the
+  queues drain.
 
-CLI: ``repro-bench campaign run|resume|compare|report|chaos``
-(``--supervise`` routes run/resume through the crash-tolerant fleet;
-``report --fleet`` reads the telemetry files).
+The queue and the telemetry serve :mod:`repro.service`, whose
+coordinator is the crash-tolerant, multi-client execution path (lease
+requeue on agent death, retry budgets, quarantine).
+
+CLI: ``repro-bench campaign run|resume|compare|report``
+(``report --fleet`` reads the coordinator's telemetry files).
 """
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.chaos import (
-    KILL_POINTS,
-    ChaosPlan,
-    ChaosReport,
-    ChaosState,
-    run_chaos_check,
-)
 from repro.campaign.executor import CampaignRun, run_campaign, run_trial
 from repro.campaign.queue import Lease, LeaseQueue
-from repro.campaign.supervisor import FleetConfig, run_supervised
 from repro.campaign.spec import (
     MACHINES,
     WORKLOADS,
@@ -75,15 +65,8 @@ __all__ = [
     "run_trial",
     "run_campaign",
     "CampaignRun",
-    "run_supervised",
-    "FleetConfig",
     "LeaseQueue",
     "Lease",
-    "ChaosPlan",
-    "ChaosState",
-    "ChaosReport",
-    "run_chaos_check",
-    "KILL_POINTS",
     "aggregate",
     "compare_campaigns",
     "CampaignComparison",

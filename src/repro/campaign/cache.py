@@ -6,14 +6,13 @@ serving layer generalized the backing into the
 :class:`repro.service.stores.ResultStore` interface (directory, sqlite,
 in-memory), and :class:`ResultCache` became the facade the campaign
 stack talks to: it owns the read-side hit/miss accounting and delegates
-storage, corruption healing and tmp-sweeping to whichever backend it
-fronts.
+storage and corruption healing to whichever backend it fronts.
 
 Directory stores keep the original crash story — writes go through
 :func:`repro.bench.store.atomic_write_json` (tmp + fsync + rename), so
 an interrupted campaign leaves at worst a stray ``.tmp`` file, never a
 torn record.  The sqlite store gets the same property from WAL
-journaling, plus wholesale rebuild (journal replay re-runs the lost
+journaling, plus wholesale rebuild (the next run re-executes the lost
 trials) if the database file itself is destroyed.
 
 Only successful trials are stored; failures always re-run, which is
@@ -95,7 +94,7 @@ class ResultCache:
         return root
 
     def path(self, key: str) -> Path:
-        """Record path for directory backings (chaos harness hook)."""
+        """Record path for directory backings."""
         if not hasattr(self.store, "path"):
             raise BenchmarkError(
                 f"cache backing is {self.store.kind!r}: records have no paths"
@@ -119,14 +118,6 @@ class ResultCache:
 
     def put(self, key: str, record: dict) -> None:
         self.store.put(key, record)
-
-    def sweep_tmp(self) -> int:
-        """Delete stale partial-write litter (backend-specific).
-
-        Called by the supervised fleet on startup; a no-op for backends
-        whose writes leave no litter (sqlite, memory).
-        """
-        return self.store.sweep_tmp()
 
     def keys(self) -> list[str]:
         return self.store.keys()

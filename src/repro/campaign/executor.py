@@ -27,6 +27,7 @@ or serially in-process (``workers <= 1``).  Either way:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -37,11 +38,42 @@ from typing import Callable, Optional, Sequence
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, Trial, trial_hash
 from repro.campaign.stats import aggregate
-from repro.errors import TrialQuarantined
 
-__all__ = ["run_trial", "run_campaign", "CampaignRun", "DOCUMENT_VERSION"]
+__all__ = [
+    "run_trial",
+    "run_campaign",
+    "CampaignRun",
+    "DOCUMENT_VERSION",
+    "POOL_KILL_ENV",
+    "pool_kill_armed",
+]
 
 DOCUMENT_VERSION = 1
+
+#: Env var arming the worker kill hook: a comma list of trial-hash
+#: prefixes; a worker process whose trial matches SIGKILLs itself
+#: before executing.  Only honoured inside a child process (never the
+#: caller), which is what lets tests and the CI smoke crash pool
+#: workers and coordinator agents without touching the orchestrator.
+POOL_KILL_ENV = "REPRO_CHAOS_KILL"
+
+
+def pool_kill_armed(config: dict) -> bool:
+    """Worker kill hook: should this child die before this trial?
+
+    Reads :data:`POOL_KILL_ENV` (hash prefixes) and fires only when
+    running inside a :mod:`multiprocessing` child — the orchestrating
+    process never self-kills, no matter what the env says.
+    """
+    prefixes = os.environ.get(POOL_KILL_ENV, "")
+    if not prefixes:
+        return False
+    import multiprocessing
+
+    if multiprocessing.parent_process() is None:
+        return False
+    h = trial_hash(config)
+    return any(h.startswith(p) for p in prefixes.split(",") if p)
 
 
 # --------------------------------------------------------------- workloads
@@ -369,10 +401,7 @@ def _execute(config: dict, key: str, trace_dir: Optional[str]) -> dict:
         "error": None,
     }
     try:
-        from repro.campaign.chaos import pool_kill_armed
-
-        if pool_kill_armed(config):  # chaos harness: die before the trial
-            import os
+        if pool_kill_armed(config):  # injected worker death
             import signal
 
             os.kill(os.getpid(), signal.SIGKILL)
@@ -393,15 +422,10 @@ class CampaignRun:
     spec: CampaignSpec
     trials: list[Trial]
     records: list[dict]
-    #: Trial hashes poisoned out by the supervised fleet (a trial that
+    #: Trial hashes poisoned out by the coordinator (a trial that
     #: failed deterministically ``retry_budget`` times); always empty
-    #: for plain (unsupervised) runs.
+    #: for :func:`run_campaign` runs.
     quarantined: list = field(default_factory=list)
-    #: Fleet telemetry snapshot (leases, requeues, worker deaths) from
-    #: a supervised run.  Deliberately NOT part of :meth:`document` —
-    #: the document must be a pure function of the spec, so recovered
-    #: and undisturbed runs compare byte-identical.
-    fleet: Optional[dict] = None
 
     @property
     def executed(self) -> int:
@@ -451,12 +475,6 @@ class CampaignRun:
             "aggregates": aggregate(self.records),
             "trials": self.records,
         }
-
-    def raise_for_quarantine(self) -> None:
-        """Raise :class:`repro.errors.TrialQuarantined` if any trial
-        exhausted its retry budget (strict-mode callers)."""
-        if self.quarantined:
-            raise TrialQuarantined(self.quarantined)
 
     def describe(self) -> str:
         total = len(self.records)

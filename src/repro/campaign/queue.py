@@ -1,39 +1,35 @@
 """Durable, crash-consistent lease queue for campaign trials.
 
-The fleet's single source of truth is an append-only JSONL *journal*:
-one event per line, each line written with a single ``O_APPEND``
-``write(2)`` plus ``fsync``, so concurrent writers (the supervisor and
-its workers) never interleave bytes and a SIGKILL between two events
-loses at most the event that had not been written yet.  Queue state is
-never stored — it is *replayed* from the journal, so recovery after
-any kill point is exact: rebuild the per-trial state machine, complete
-trials whose result already landed in the content-addressed store,
-requeue the leases that died in flight.
+Each coordinator submission's single source of truth is an append-only
+JSONL *journal*: one event per line, each line written with a single
+``O_APPEND`` ``write(2)`` plus ``fsync``, so a SIGKILL between two
+events loses at most the event that had not been written yet.  Queue
+state is never stored — it is *replayed* from the journal by
+rebuilding the per-trial state machine.
 
 Per-trial state machine (replayed by :func:`apply_event`)::
 
             lease                 complete
     pending ------> leased ----------------> done        (terminal)
        ^              |  fail (budget left)
-       |<-------------+  requeue (worker death / deadline)
+       |<-------------+  requeue (agent death / deadline)
        |              |
        |              |  fail (budget exhausted)
        |              +-----------------> quarantined    (terminal)
 
 Terminal states win: once a trial is ``done`` or ``quarantined`` no
-later event moves it, so duplicated or stale events — a worker's
-``complete`` landing after the supervisor already reconciled the trial
-from the store, a requeue racing a completion — replay idempotently.
-Unparseable lines (the torn tail of a killed append, injected by the
-chaos harness) are counted and skipped, and the tail is newline-healed
-before the next append so one torn fragment can never swallow a later
-event.
+later event moves it, so duplicated or stale events — a dedup
+completion landing twice, a requeue racing a completion — replay
+idempotently.  Unparseable lines (the torn tail of a killed append)
+are counted and skipped, and the tail is newline-healed before the
+next append so one torn fragment can never swallow a later event.
 
 Failures consume the per-trial retry budget with exponential backoff
 (``not_before`` is recorded in the event, so replay restores the exact
-schedule); kills and expired leases requeue for free — a trial that
-*fails deterministically* quarantines after exactly ``retry_budget``
-attempts, while one that merely kept being killed always drains.
+schedule); agent deaths and expired leases requeue for free — a trial
+that *fails deterministically* quarantines after exactly
+``retry_budget`` attempts, while one that merely kept being killed
+always drains.
 """
 
 from __future__ import annotations
@@ -41,9 +37,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import CampaignError, LeaseExpired
 
@@ -55,14 +51,11 @@ __all__ = [
     "append_event",
     "apply_event",
     "replay_lines",
-    "journal_counters",
 ]
 
 #: Event kinds the replay understands; unknown kinds are ignored so
 #: the format can grow without breaking old journals.
-EVENT_KINDS = (
-    "begin", "lease", "complete", "fail", "requeue", "quarantine", "chaos",
-)
+EVENT_KINDS = ("begin", "lease", "complete", "fail", "requeue", "quarantine")
 
 #: Trial statuses a replayed state machine may be in.
 STATUSES = ("pending", "leased", "done", "quarantined")
@@ -74,8 +67,8 @@ def append_event(path: str | Path, event: dict) -> None:
     The whole line (JSON + newline) goes through one ``os.write`` on an
     ``O_APPEND`` descriptor, then ``fsync`` — concurrent appenders
     cannot interleave, and a crash either persists the full line or
-    none of it (the chaos harness injects the "half a line" case the
-    replay must also survive).
+    none of it (a torn "half a line" from a dying writer is the case
+    the replay must also survive).
     """
     line = json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
@@ -133,7 +126,7 @@ def apply_event(states: dict[str, TrialState], event: dict) -> None:
     """
     kind = event.get("ev")
     h = event.get("hash")
-    if kind in (None, "begin", "chaos") or not isinstance(h, str):
+    if kind in (None, "begin") or not isinstance(h, str):
         return
     state = states.setdefault(h, TrialState())
     if state.status in ("done", "quarantined"):
@@ -165,14 +158,14 @@ def apply_event(states: dict[str, TrialState], event: dict) -> None:
 def replay_lines(lines) -> tuple[dict[str, TrialState], dict]:
     """Replay journal lines into states + counters.
 
-    Unparseable lines (torn appends, injected garbage) are skipped and
+    Unparseable lines (torn appends, garbage) are skipped and
     counted; the replayed state is exactly what the event sequence
     minus the lost lines implies — which the state machine makes safe,
     because every lost non-terminal event only causes an idempotent
     re-lease/re-run.
     """
     states: dict[str, TrialState] = {}
-    counters = {"events": 0, "torn_lines": 0, "chaos_kills": 0}
+    counters = {"events": 0, "torn_lines": 0}
     for raw in lines:
         raw = raw.strip()
         if not raw:
@@ -186,20 +179,8 @@ def replay_lines(lines) -> tuple[dict[str, TrialState], dict]:
             counters["torn_lines"] += 1
             continue
         counters["events"] += 1
-        if event.get("ev") == "chaos":
-            counters["chaos_kills"] += 1
         apply_event(states, event)
     return states, counters
-
-
-def journal_counters(path: str | Path) -> dict:
-    """Replay counters of a journal file (empty counters if absent)."""
-    path = Path(path)
-    if not path.exists():
-        return {"events": 0, "torn_lines": 0, "chaos_kills": 0}
-    with open(path) as fh:
-        _, counters = replay_lines(fh)
-    return counters
 
 
 class LeaseQueue:
@@ -239,7 +220,7 @@ class LeaseQueue:
                 self.order.append(h)
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
-        self.counters = {"events": 0, "torn_lines": 0, "chaos_kills": 0}
+        self.counters = {"events": 0, "torn_lines": 0}
         self.states: dict[str, TrialState] = {}
         if self.path.exists():
             with open(self.path) as fh:
@@ -337,19 +318,8 @@ class LeaseQueue:
             raise LeaseExpired(lease.trial, lease.worker, lease.attempt)
         return state
 
-    def note_complete(self, lease: Lease) -> None:
-        """Mark done *without* journaling (the worker already did).
-
-        Workers append their own ``complete`` event right after the
-        store write — that append is the durable one; the supervisor
-        only folds the outcome into its in-memory state.
-        """
-        state = self._live_state(lease)
-        state.status = "done"
-        state.token = None
-
     def complete(self, lease: Lease) -> None:
-        """Journal + mark a completion (single-writer callers)."""
+        """Journal + mark a completion."""
         state = self._live_state(lease)
         self._append({
             "ev": "complete", "hash": lease.trial, "worker": lease.worker,
@@ -359,10 +329,10 @@ class LeaseQueue:
         state.token = None
 
     def complete_external(self, trial: str, reason: str) -> None:
-        """Reconcile a trial whose result landed but whose worker died.
+        """Complete a trial whose result landed without a lease here
+        (the coordinator's cross-submission dedup).
 
-        Idempotent: a duplicate ``complete`` (the worker's own append
-        made it after all) replays inert.
+        Idempotent: a duplicate ``complete`` replays inert.
         """
         state = self.states[trial]
         self._append({"ev": "complete", "hash": trial, "reason": reason})
@@ -425,40 +395,6 @@ class LeaseQueue:
             self.requeue(lease, reason="deadline")
             expired.append(h)
         return expired
-
-    def recover(self, has_result: Callable[[str], bool]) -> dict:
-        """Post-replay reconciliation: the recovery scan's second half.
-
-        * a *leased* trial whose result is already in the store was
-          killed between the store write and its ``complete`` append —
-          complete it from the store;
-        * a *leased* trial with no stored result died mid-trial —
-          requeue it;
-        * a *done* trial with no stored result hit the (now closed)
-          torn-store window — requeue it so it re-runs.
-        """
-        actions = {"completed": 0, "requeued": 0}
-        for h in self.order:
-            state = self.states[h]
-            if state.status == "leased":
-                if has_result(h):
-                    self.complete_external(h, reason="recovered-from-store")
-                    actions["completed"] += 1
-                else:
-                    self.requeue(
-                        Lease(h, state.worker or "?", state.attempts,
-                              state.token or 0, 0.0),
-                        reason="recovered",
-                    )
-                    actions["requeued"] += 1
-            elif state.status == "done" and not has_result(h):
-                state.status = "pending"
-                state.token = None
-                self._append({
-                    "ev": "requeue", "hash": h, "reason": "store-missing",
-                })
-                actions["requeued"] += 1
-        return actions
 
     # ----------------------------------------------------------- inspection
     def _with_status(self, status: str) -> list[str]:

@@ -10,8 +10,8 @@ cache on it, so the same config always reuses the same stored result
 and any axis change produces a new hash.
 
 Hashes are computed once per trial: a :class:`Trial` memoises its
-hash, so the executor, supervisor and coordinator can key every cache
-read, store write and queue entry on it without hashing again.  Each
+hash, so the executor and the coordinator can key every cache read,
+store write and queue entry on it without hashing again.  Each
 :meth:`CampaignSpec.trials` call builds fresh trials, which hash once
 each.
 

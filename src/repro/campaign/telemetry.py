@@ -1,14 +1,16 @@
 """Live fleet telemetry: status.json + Prometheus text exposition.
 
-While a supervised campaign drains, the operator's only window into
-the fleet used to be the journal (append-only, replay-to-read).  This
-module gives the supervisor a *push* surface: every ``interval``
-seconds it rewrites two files in the campaign's state directory —
+While a coordinator's submissions drain, the operator's only window
+into the fleet would otherwise be the journals (append-only,
+replay-to-read).  This module gives the coordinator a *push* surface:
+every ``interval`` seconds it rewrites two files in its state
+directory —
 
-* ``status.json`` — an atomic point-in-time document: queue depths,
-  every ``campaign.*`` counter, per-trial wall-latency quantiles
-  (p50/p95/p99 out of the ``wall.trial.seconds`` log2 histogram),
-  journal fsync latency, and the result-store hit/miss/heal counters;
+* ``status.json`` — an atomic point-in-time document: queue depths
+  summed over every submission, every counter, per-trial
+  wall-latency quantiles (p50/p95/p99 out of the
+  ``wall.trial.seconds`` log2 histogram), journal fsync latency, and
+  the result-store hit/miss/heal counters;
 * ``metrics.prom`` — the same registry in Prometheus text exposition
   (``repro_`` prefix, dots sanitized to underscores, histograms as
   cumulative ``le`` buckets with ``_sum``/``_count``), for scrapers
@@ -17,16 +19,15 @@ seconds it rewrites two files in the campaign's state directory —
 Both files go through the atomic tmp+fsync+rename writers in
 :mod:`repro.bench.store`, so a reader — ``repro-bench campaign report
 --fleet``, a dashboard, ``watch cat`` — never sees a torn document no
-matter when the supervisor is killed.  The writer itself is
-crash-inert: telemetry files are pure output, never read back by
-recovery.
+matter when the coordinator is killed.  The writer itself is
+crash-inert: telemetry files are pure output, never read back.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.bench.store import atomic_write_json, atomic_write_text
 
@@ -100,10 +101,11 @@ def histogram_summary(hist) -> dict:
 
 
 class FleetTelemetry:
-    """The supervisor's periodic status writer.
+    """The coordinator's periodic status writer.
 
     Owns no state of its own beyond the rewrite clock: every tick reads
-    the live registry/queue/cache and rewrites both files, so a missed
+    the live registry, the queues ``queues()`` returns (one per
+    submission) and the cache, and rewrites both files, so a missed
     tick costs staleness, never correctness.  ``interval`` bounds the
     write rate (two fsync'd renames per tick) — at the default 0.5 s
     the cost is invisible next to trial execution.
@@ -112,7 +114,7 @@ class FleetTelemetry:
     def __init__(
         self,
         metrics,
-        queue=None,
+        queues: Optional[Callable[[], Iterable]] = None,
         cache=None,
         out_dir: str | Path = ".",
         name: str = "campaign",
@@ -120,7 +122,7 @@ class FleetTelemetry:
         clock=time.time,
     ) -> None:
         self.metrics = metrics
-        self.queue = queue
+        self.queues = queues
         self.cache = cache
         self.out_dir = Path(out_dir)
         self.name = name
@@ -132,23 +134,36 @@ class FleetTelemetry:
         self.writes = 0
 
     # ---------------------------------------------------------- gauges
+    def _queue_totals(self) -> Optional[dict]:
+        """Depths and journal counters summed over every queue, or
+        ``None`` without a ``queues`` source."""
+        if self.queues is None:
+            return None
+        queues = list(self.queues())
+        return {
+            "pending": sum(len(q.pending) for q in queues),
+            "leased": sum(len(q.leased) for q in queues),
+            "done": sum(len(q.done) for q in queues),
+            "quarantined": sum(len(q.quarantined) for q in queues),
+            "journal_events": sum(q.counters["events"] for q in queues),
+            "torn_lines": sum(q.counters["torn_lines"] for q in queues),
+            "retry_budget_consumed": sum(
+                s.fails for q in queues for s in q.states.values()
+            ),
+        }
+
     def refresh(self) -> None:
         """Mirror queue depths, retry-budget consumption, and store
         counters into the registry (so one snapshot carries it all)."""
         m = self.metrics
-        if self.queue is not None:
-            m.gauge("campaign.queue.pending").set(len(self.queue.pending))
-            m.gauge("campaign.queue.leased").set(len(self.queue.leased))
-            m.gauge("campaign.queue.done").set(len(self.queue.done))
-            m.gauge("campaign.queue.quarantined").set(
-                len(self.queue.quarantined)
-            )
+        totals = self._queue_totals()
+        if totals is not None:
+            for key in ("pending", "leased", "done", "quarantined"):
+                m.gauge(f"campaign.queue.{key}").set(totals[key])
             m.gauge("campaign.retry_budget_consumed").set(
-                sum(s.fails for s in self.queue.states.values())
+                totals["retry_budget_consumed"]
             )
-            m.gauge("campaign.journal.torn_lines").set(
-                self.queue.counters.get("torn_lines", 0)
-            )
+            m.gauge("campaign.journal.torn_lines").set(totals["torn_lines"])
         if self.cache is not None:
             m.gauge("campaign.cache.hits").set(self.cache.hits)
             m.gauge("campaign.cache.misses").set(self.cache.misses)
@@ -163,8 +178,8 @@ class FleetTelemetry:
     # ----------------------------------------------------------- ticks
     def maybe_write(self) -> bool:
         """Rewrite both files if ``interval`` elapsed; returns whether
-        a write happened.  The first call always writes (a supervised
-        run should become observable immediately)."""
+        a write happened.  The first call always writes (a fleet
+        should become observable immediately)."""
         now = self.clock()
         if self._last_write is not None and now - self._last_write < self.interval:
             return False
@@ -184,6 +199,7 @@ class FleetTelemetry:
 
     def status_doc(self, now: Optional[float] = None) -> dict:
         now = self.clock() if now is None else now
+        totals = self._queue_totals()
         snap = self.metrics.snapshot()
         counters = {
             k: v
@@ -197,14 +213,9 @@ class FleetTelemetry:
             "updated_unix": now,
             "counters": counters,
         }
-        if self.queue is not None:
+        if totals is not None:
             doc["queue"] = {
-                "pending": len(self.queue.pending),
-                "leased": len(self.queue.leased),
-                "done": len(self.queue.done),
-                "quarantined": len(self.queue.quarantined),
-                "journal_events": self.queue.counters.get("events", 0),
-                "torn_lines": self.queue.counters.get("torn_lines", 0),
+                k: v for k, v in totals.items() if k != "retry_budget_consumed"
             }
         if self.cache is not None:
             served = self.cache.hits + self.cache.misses

@@ -30,7 +30,6 @@ __all__ = [
     "BenchmarkError",
     "CampaignError",
     "LeaseExpired",
-    "TrialQuarantined",
     "ServiceError",
 ]
 
@@ -151,7 +150,7 @@ class BenchmarkError(ReproError):
 
 
 class CampaignError(ReproError):
-    """Errors from the campaign fleet (lease queue, supervisor, chaos)."""
+    """Errors from the campaign layer (lease queue, coordinator)."""
 
 
 class LeaseExpired(CampaignError):
@@ -160,7 +159,7 @@ class LeaseExpired(CampaignError):
     Raised by :class:`repro.campaign.queue.LeaseQueue` when a
     completion or failure report arrives for a lease that was requeued
     (worker presumed dead, deadline passed) and possibly re-granted.
-    The supervisor treats it as a stale message, never a fatal error:
+    The coordinator treats it as a stale message, never a fatal error:
     the result store is content-addressed, so a late completion is
     harmless.
     """
@@ -172,24 +171,6 @@ class LeaseExpired(CampaignError):
         super().__init__(
             f"lease on trial {trial[:12]} attempt {attempt} by worker "
             f"{worker} has expired or been superseded"
-        )
-
-
-class TrialQuarantined(CampaignError):
-    """Trials exhausted their retry budget with deterministic failures.
-
-    Carries the quarantined trial hashes; raised by
-    :meth:`repro.campaign.executor.CampaignRun.raise_for_quarantine`
-    so strict callers can turn a poisoned sweep into a hard error
-    while the fleet itself keeps draining the healthy trials.
-    """
-
-    def __init__(self, trials: list[str]):
-        self.trials = list(trials)
-        short = ", ".join(t[:12] for t in self.trials)
-        super().__init__(
-            f"{len(self.trials)} trial(s) quarantined after exhausting "
-            f"their retry budget: {short}"
         )
 
 

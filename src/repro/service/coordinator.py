@@ -21,12 +21,17 @@ in flight for one submission is never leased again for another (the
 ``skip`` set); and a landing report completes the same hash in every
 other submission's queue (``dedup`` completions).
 
-Failure semantics are the supervisor's: an agent that dies (socket EOF,
-process exit, lease deadline) requeues its trials for free; a trial
-that *reports* failure consumes the per-submission retry budget and
-quarantines after ``retry_budget`` attempts.  Local agents that died to
-the ``REPRO_CHAOS_KILL`` hook are respawned with the hook defused, so
-injected kills prove recovery without livelocking the fleet.
+This is the crash-tolerant execution path (one-shot local runs use
+:func:`~repro.campaign.executor.run_campaign`'s process pool).  An
+agent that dies (socket EOF, process exit, lease deadline) requeues its
+trials for free; a trial that *reports* failure consumes the
+per-submission retry budget and quarantines after ``retry_budget``
+attempts.  Local agents that died to the ``REPRO_CHAOS_KILL`` hook are
+respawned with the hook defused, so injected kills prove recovery
+without livelocking the fleet.  Every submission gets a fresh journal
+directory: a coordinator restarted on a used state dir never replays a
+journal it did not write, so a resubmitted spec is served from the
+store and re-runs whatever the store lacks.
 
 The finished document (``fetch``) is assembled through
 :class:`~repro.campaign.executor.CampaignRun`, so it is byte-identical
@@ -36,7 +41,6 @@ to the same spec run via serial ``campaign run``.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import socket
 import threading
 import time
@@ -45,9 +49,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.chaos import POOL_KILL_ENV
 from repro.campaign.executor import CampaignRun
-from repro.campaign.queue import Lease, LeaseQueue
+from repro.campaign.queue import LeaseQueue
 from repro.campaign.spec import CampaignSpec, Trial
 from repro.campaign.telemetry import FleetTelemetry
 from repro.errors import LeaseExpired, ServiceError
@@ -114,54 +117,6 @@ class Submission:
         }
 
 
-class _QueueView:
-    """Aggregate all submissions' queues for :class:`FleetTelemetry`.
-
-    The telemetry writer was built for one supervised queue; this
-    adapter presents the fleet's union — combined depth lists, merged
-    per-trial states (for retry-budget consumption), summed journal
-    counters — so ``status.json`` keeps its shape with N clients.
-    """
-
-    def __init__(self, coordinator: "Coordinator") -> None:
-        self._co = coordinator
-
-    def _queues(self):
-        return [s.queue for s in self._co._submissions.values()]
-
-    @property
-    def pending(self):
-        return [h for q in self._queues() for h in q.pending]
-
-    @property
-    def leased(self):
-        return [h for q in self._queues() for h in q.leased]
-
-    @property
-    def done(self):
-        return [h for q in self._queues() for h in q.done]
-
-    @property
-    def quarantined(self):
-        return [h for q in self._queues() for h in q.quarantined]
-
-    @property
-    def states(self):
-        merged = {}
-        for i, q in enumerate(self._queues()):
-            for h, s in q.states.items():
-                merged[f"{i}:{h}"] = s
-        return merged
-
-    @property
-    def counters(self):
-        totals = {"events": 0, "torn_lines": 0, "chaos_kills": 0}
-        for q in self._queues():
-            for k in totals:
-                totals[k] += q.counters.get(k, 0)
-        return totals
-
-
 class Coordinator:
     """The serving daemon.  ``start()`` it, ``stop()`` it; everything
     in between arrives over the socket."""
@@ -202,7 +157,7 @@ class Coordinator:
         self.metrics = MetricsRegistry()
         self.telemetry = FleetTelemetry(
             self.metrics,
-            queue=_QueueView(self),
+            queues=lambda: [s.queue for s in self._submissions.values()],
             cache=self.cache,
             out_dir=self.state_dir,
             name=name,
@@ -498,10 +453,18 @@ class Coordinator:
         with self._lock:
             if self._stopping:
                 raise ServiceError("coordinator is shutting down")
-            self._sub_seq += 1
-            sub_id = f"sub{self._sub_seq}"
-            sub_dir = self.state_dir / "subs" / sub_id
-            sub_dir.mkdir(parents=True, exist_ok=True)
+            # Number past any submission an earlier coordinator left
+            # in this state dir: its journal's ``done`` trials need
+            # not be in this store, so replaying it could hang us.
+            while True:
+                self._sub_seq += 1
+                sub_id = f"sub{self._sub_seq}"
+                sub_dir = self.state_dir / "subs" / sub_id
+                try:
+                    sub_dir.mkdir(parents=True)
+                    break
+                except FileExistsError:
+                    pass
             # Store scan first: every hash already in the shared store
             # is a fleet-wide dedup hit, served without a lease ever
             # existing; only the rest enters the durable queue.

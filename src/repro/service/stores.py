@@ -6,15 +6,14 @@ concurrent clients off one shared store, so the backing becomes an
 interface — :class:`ResultStore` — with three implementations:
 
 * :class:`DirectoryStore` — the original layout (one atomic JSON file
-  per trial hash), still the default and still what the chaos harness
-  tears mid-write;
+  per trial hash), still the default;
 * :class:`SqliteStore` — one connection, WAL journal mode, the content
   hash as primary key.  WAL gives concurrent readers/writers across
   the fleet's processes one file instead of one file *per record*, and
   a truncated/corrupt database file is detected, moved aside and the
-  schema rebuilt empty — the lease journal's recovery scan then
-  requeues every trial whose result went missing, so the store heals
-  by *re-deriving* its contents, never by trusting damaged bytes;
+  schema rebuilt empty — the next resume or resubmission then misses
+  on, and re-runs, every trial whose result went missing, so the store
+  heals by *re-deriving* its contents, never by trusting damaged bytes;
 * :class:`MemoryStore` — records held as serialized JSON text in a
   dict; process-local, for tests and cacheless one-shots.
 
@@ -95,8 +94,7 @@ class ResultStore(abc.ABC):
     * :attr:`url` is a string from which :func:`open_store` rebuilds
       an equivalent handle (worker processes use it);
     * :attr:`shared` says whether two processes opening :attr:`url`
-      see the same records — the supervised fleet refuses stores where
-      that is false.
+      see the same records.
     """
 
     #: Backend name ("directory" / "sqlite" / "memory").

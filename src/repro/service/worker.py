@@ -23,8 +23,7 @@ import os
 import time
 from typing import Optional
 
-from repro.campaign.chaos import POOL_KILL_ENV
-from repro.campaign.executor import run_trial
+from repro.campaign.executor import POOL_KILL_ENV, run_trial
 from repro.errors import ServiceError
 from repro.service.protocol import connect, recv_msg, send_msg
 

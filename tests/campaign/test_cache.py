@@ -53,9 +53,9 @@ def test_interrupted_writer_leaves_previous_version_intact(tmp_path):
 
 
 def test_torn_record_at_final_path_self_heals(tmp_path):
-    """The chaos harness's store-write kill point: a worker died leaving
-    half a record at the *final* path.  The next reader must treat it
-    as a miss, delete it, and a fresh put must land cleanly."""
+    """A writer died leaving half a record at the *final* path.  The
+    next reader must treat it as a miss, delete it, and a fresh put
+    must land cleanly."""
     cache = ResultCache(tmp_path)
     full = json.dumps(RECORD)
     cache.path(KEY).write_text(full[: len(full) // 2])
@@ -70,10 +70,10 @@ def test_sweep_tmp_clears_stale_writers(tmp_path):
     cache.put(KEY, RECORD)
     (tmp_path / "aa11.tmp").write_text('{"half": ')
     (tmp_path / "bb22.tmp").write_text("")
-    assert cache.sweep_tmp() == 2
+    assert cache.store.sweep_tmp() == 2
     assert list(tmp_path.glob("*.tmp")) == []
     assert cache.get(KEY) == RECORD  # real records untouched
-    assert cache.sweep_tmp() == 0
+    assert cache.store.sweep_tmp() == 0
 
 
 def test_bad_keys_rejected(tmp_path):

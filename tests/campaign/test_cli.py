@@ -44,33 +44,6 @@ def test_run_then_resume_hits_cache_fully(tmp_path, capsys):
     assert doc2["aggregates"] == doc["aggregates"]
 
 
-def test_supervised_run_matches_plain_document(tmp_path, capsys):
-    plain_out = tmp_path / "plain.json"
-    assert _run(tmp_path / "a", "run", "--out", str(plain_out)) == 0
-    capsys.readouterr()
-    fleet_out = tmp_path / "fleet.json"
-    assert _run(
-        tmp_path / "b", "run", "--supervise",
-        "--state-dir", str(tmp_path / "b" / "state"),
-        "--backoff-base", "0.01",
-        "--out", str(fleet_out),
-    ) == 0
-    err = capsys.readouterr().err
-    assert "campaign.leases = 6" in err
-    # The fleet is plumbing: the documents are identical.
-    assert json.loads(fleet_out.read_text()) == json.loads(
-        plain_out.read_text()
-    )
-
-
-def test_supervise_rejects_no_cache(tmp_path, capsys):
-    assert main([
-        "campaign", "run", *AXES, "--no-cache",
-        "--supervise", "--state-dir", str(tmp_path / "state"),
-    ]) == 2
-    assert "crash-consistency substrate" in capsys.readouterr().err
-
-
 def test_compare_gate_exits_nonzero_on_drift(tmp_path, capsys):
     baseline = tmp_path / "base.json"
     assert _run(tmp_path, "run", "--out", str(baseline)) == 0

@@ -84,7 +84,7 @@ def test_pool_worker_death_is_contained_to_one_trial(tmp_path, monkeypatch):
     """A SIGKILLed pool worker (OOM, segfault) must cost one trial, not
     the campaign: the broken pool is detected, survivors re-verify in
     isolation, and the dead trial gets a failed record."""
-    from repro.campaign.chaos import POOL_KILL_ENV
+    from repro.campaign.executor import POOL_KILL_ENV
 
     trials = SPEC.trials()
     victim = trials[1]
@@ -107,7 +107,7 @@ def test_pool_worker_death_is_contained_to_one_trial(tmp_path, monkeypatch):
 
 def test_pool_kill_env_never_fires_in_the_orchestrator(monkeypatch):
     """The kill hook only bites inside multiprocessing children."""
-    from repro.campaign.chaos import POOL_KILL_ENV, pool_kill_armed
+    from repro.campaign.executor import POOL_KILL_ENV, pool_kill_armed
 
     config = SPEC.trials()[0].config
     monkeypatch.setenv(POOL_KILL_ENV, SPEC.trials()[0].hash[:12])

@@ -1,10 +1,10 @@
 """Property tests: any journal replays, consistently, to legal states.
 
-The journal is the fleet's only source of truth, and workers die at
+The journal is a submission's only source of truth, and writers die at
 arbitrary points — so the replay must be *total* (no event sequence,
 however mangled, may raise) and the states it produces must respect
 the lease state machine's invariants.  hypothesis generates the
-adversarial interleavings a finite chaos plan never would.
+adversarial interleavings a hand-written kill test never would.
 """
 
 import json
@@ -20,7 +20,7 @@ events = st.fixed_dictionaries(
     {
         "ev": st.sampled_from(
             ["begin", "lease", "complete", "fail", "requeue",
-             "quarantine", "chaos", "unknown-kind"]
+             "quarantine", "unknown-kind"]
         ),
         "hash": st.sampled_from(HASHES + ["ff" * 8]),
     },

@@ -5,10 +5,8 @@ import json
 import pytest
 
 from repro.campaign.queue import (
-    Lease,
     LeaseQueue,
     append_event,
-    journal_counters,
     replay_lines,
 )
 from repro.errors import CampaignError, LeaseExpired
@@ -143,34 +141,10 @@ def test_foreign_hashes_replay_inert(tmp_path):
     assert q.pending == HASHES
 
 
-def test_recover_completes_from_store_and_requeues_the_rest(tmp_path):
-    q = make_queue(tmp_path)
-    stored = q.lease("w0", now=0.0, ttl=60.0)       # store write landed
-    lost = q.lease("w1", now=0.0, ttl=60.0)         # died mid-trial
-    done_gone = q.lease("w2", now=0.0, ttl=60.0)    # done but store torn
-    q.complete(done_gone)
-
-    recovered = make_queue(tmp_path)
-    actions = recovered.recover(lambda h: h == stored.trial)
-    assert actions == {"completed": 1, "requeued": 2}
-    assert recovered.done == [stored.trial]
-    assert sorted(recovered.pending) == sorted([lost.trial, done_gone.trial])
-
-
-def test_journal_counters_counts_chaos_kills(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    assert journal_counters(path)["events"] == 0  # absent file is empty
-    append_event(path, {"ev": "chaos", "hash": HASHES[0], "attempt": 1,
-                        "point": "mid-trial"})
-    append_event(path, {"ev": "begin", "name": "x", "trials": 3})
-    counters = journal_counters(path)
-    assert counters["chaos_kills"] == 1 and counters["events"] == 2
-
-
 def test_append_event_writes_one_durable_line(tmp_path):
     path = tmp_path / "journal.jsonl"
     append_event(path, {"ev": "begin", "name": "x"})
-    append_event(path, {"ev": "chaos", "point": "spawn"})
+    append_event(path, {"ev": "requeue", "hash": HASHES[0]})
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["ev"] for line in lines)

@@ -1,18 +1,18 @@
 """Live fleet telemetry: status.json, Prometheus exposition, reporting."""
 
-import json
-
+from repro.bench.cli import main
 from repro.campaign import (
     CampaignSpec,
     ResultCache,
     format_status,
     load_status,
     prometheus_lines,
-    run_supervised,
 )
 from repro.campaign.queue import LeaseQueue
 from repro.campaign.telemetry import FleetTelemetry, histogram_summary
 from repro.obs import MetricsRegistry
+from repro.service.client import ServiceClient
+from repro.service.coordinator import Coordinator
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -22,7 +22,19 @@ SPEC = CampaignSpec(
     seeds=(0,),
 )
 
-FAST = dict(backoff_base=0.01, retry_budget=2)
+FAST = dict(
+    local_workers=2, backoff_base=0.01, retry_budget=2,
+    telemetry_interval=0.1, name="tele",
+)
+
+
+def _serve(results, state):
+    """Run SPEC to completion on a coordinator; stop() flushes the
+    final telemetry."""
+    with Coordinator(results, state, **FAST) as co:
+        reply = ServiceClient(co.endpoint).submit(SPEC)
+        co.wait_settled(reply["sub"])
+    return reply
 
 
 def _telemetry(tmp_path, clock, **kwargs):
@@ -69,7 +81,8 @@ def test_queue_and_cache_blocks_mirror_live_state(tmp_path):
     cache = ResultCache(tmp_path / "results")
     cache.get("a" * 8)  # miss
     tele = FleetTelemetry(
-        metrics, queue=queue, cache=cache, out_dir=tmp_path, clock=lambda: 5.0
+        metrics, queues=lambda: [queue], cache=cache, out_dir=tmp_path,
+        clock=lambda: 5.0,
     )
     tele.write()
     doc = load_status(tmp_path)
@@ -125,13 +138,10 @@ def test_histogram_summary_quantiles():
 
 
 # ------------------------------------------------------- fleet end-to-end
-def test_supervised_run_streams_telemetry_files(tmp_path):
+def test_coordinator_streams_telemetry_files(tmp_path, capsys):
     state = tmp_path / "state"
-    run = run_supervised(
-        SPEC, cache=ResultCache(tmp_path / "results"),
-        state_dir=state, workers=2, **FAST,
-    )
-    assert run.executed == 1
+    reply = _serve(tmp_path / "results", state)
+    assert reply["pending"] == 1
     doc = load_status(state)
     assert doc is not None
     assert doc["name"] == "tele"
@@ -141,26 +151,23 @@ def test_supervised_run_streams_telemetry_files(tmp_path):
     assert doc["cache"]["misses"] == 1  # first run: nothing cached
     prom = (state / "metrics.prom").read_text()
     assert "repro_campaign_queue_done 1" in prom
-    # The human rendering covers every block without raising.
+    # The human rendering covers every block without raising...
     text = format_status(doc)
     assert "fleet 'tele'" in text and "wall.trial.seconds" in text
+    # ...and is what `campaign report --fleet` prints.
+    assert main(["campaign", "report", "--fleet", "--state-dir", str(state)]) == 0
+    assert "fleet 'tele'" in capsys.readouterr().out
 
 
 def test_resume_telemetry_shows_full_cache_hits(tmp_path):
-    """Satellite: the ResultCache hit/miss counters surface through the
-    final telemetry flush — a resumed fleet reports 100% hits."""
-    run_supervised(
-        SPEC, cache=ResultCache(tmp_path / "results"),
-        state_dir=tmp_path / "s1", workers=2, **FAST,
-    )
-    # A real resume is a fresh process: new ResultCache object (fresh
-    # counters) over the same store directory.
-    cache = ResultCache(tmp_path / "results")
-    again = run_supervised(
-        SPEC, cache=cache, state_dir=tmp_path / "s2", workers=2, **FAST,
-    )
-    assert again.executed == 0 and again.cache_hits == 1
-    doc = load_status(tmp_path / "s2")
+    """The ResultCache hit/miss counters surface through the final
+    telemetry flush — a restarted coordinator reports 100% hits."""
+    _serve(tmp_path / "results", tmp_path / "state")
+    # A real restart is a fresh process: new ResultCache object (fresh
+    # counters) over the same store directory and state dir.
+    reply = _serve(tmp_path / "results", tmp_path / "state")
+    assert reply["hits"] == 1 and reply["pending"] == 0
+    doc = load_status(tmp_path / "state")
     assert doc["cache"]["hits"] == 1
     assert doc["cache"]["misses"] == 0
     assert doc["cache"]["hit_rate"] == 1.0

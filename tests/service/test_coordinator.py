@@ -6,6 +6,7 @@ writer (agents report records over the wire), so the memory backing
 exercises exactly the code paths a fleet-shared store does.
 """
 
+import threading
 import time
 
 import pytest
@@ -14,7 +15,9 @@ from repro.campaign import CampaignSpec, canonical_json, run_campaign
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
+from repro.service.protocol import connect, recv_msg, send_msg
 from repro.service.stores import MemoryStore, SqliteStore
+from repro.service.worker import agent_loop
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -244,3 +247,77 @@ def test_telemetry_files_written(co):
     assert (state / "metrics.prom").exists()
     prom = (state / "metrics.prom").read_text()
     assert "service_submits" in prom.replace(".", "_") or "service" in prom
+
+
+def test_deterministic_failure_quarantines_after_exact_budget(tmp_path):
+    """A trial that always fails (its event budget cannot finish one
+    round trip) is leased exactly ``retry_budget`` times, then lands in
+    the document as quarantined."""
+    doomed = CampaignSpec(
+        name="svc", backends=("default",), sizes=(64 * KiB,), seeds=(0,),
+        max_events=10,
+    )
+    with Coordinator(MemoryStore(), tmp_path / "state", **FAST) as co:
+        client = client_for(co)
+        reply = client.submit(doomed)
+        co.wait_settled(reply["sub"])
+        doc = client.fetch(reply["sub"])
+        assert len(co.dispatch_log) == FAST["retry_budget"] == 2
+        assert co.metrics.counter("service.quarantines").value == 1
+    assert doc["summary"]["quarantined"] == 1
+    assert doc["summary"]["failures"] == 1
+    assert doc["quarantined"] == [doomed.trials()[0].hash]
+    assert "LivelockError" in doc["trials"][0]["error"]
+
+
+def test_silent_agent_lease_requeues_after_ttl(tmp_path):
+    """A client that attaches, takes one trial and never reports holds
+    its lease only until ``lease_ttl``; a fresh agent then settles the
+    submission with the serial document."""
+    co = Coordinator(
+        MemoryStore(), tmp_path / "state",
+        **{**FAST, "local_workers": 0, "lease_ttl": 0.3},
+    ).start()
+    sock, rfile, wfile = connect(co.host, co.port)
+    try:
+        reply = client_for(co).submit(SPEC)
+        send_msg(wfile, {"type": "attach", "agent": "silent"})
+        worker = recv_msg(rfile)["worker"]
+        send_msg(wfile, {"type": "next", "worker": worker})
+        assert recv_msg(rfile)["type"] == "trial"  # ...and never reports
+        deadline = time.time() + 10
+        while co.metrics.counter("service.requeues").value < 1:
+            assert time.time() < deadline, "lease never expired"
+            time.sleep(0.05)
+        ran = []
+        agent = threading.Thread(
+            target=lambda: ran.append(agent_loop(co.host, co.port, "fresh"))
+        )
+        agent.start()
+        co.wait_settled(reply["sub"], timeout=120)
+        doc = client_for(co).fetch(reply["sub"])
+        co.stop()
+        agent.join(timeout=30)
+        assert ran == [4]
+    finally:
+        sock.close()
+        co.stop()
+    assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
+
+
+def test_restarted_coordinator_never_replays_old_journals(tmp_path):
+    """A second coordinator on a used state dir must not adopt the
+    first one's journal: its trials are ``done`` there but absent from
+    the new (empty) store, so replaying it would never settle."""
+    state = tmp_path / "state"
+    docs = []
+    for _ in range(2):
+        with Coordinator(MemoryStore(), state, **FAST) as co:
+            reply = client_for(co).submit(SPEC)
+            assert reply["pending"] == 4
+            co.wait_settled(reply["sub"], timeout=30)
+            docs.append(client_for(co).fetch(reply["sub"]))
+    assert sorted(p.name for p in (state / "subs").iterdir()) == [
+        "sub1", "sub2",
+    ]
+    assert canonical_json(docs[0]) == canonical_json(docs[1])

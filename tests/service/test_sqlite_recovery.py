@@ -1,25 +1,20 @@
-"""Satellite 2: a torn sqlite store rebuilds and journal replay refills it.
+"""A torn sqlite store rebuilds empty and the next run refills it.
 
-The store is the crash-consistency substrate; the lease journal is the
-recovery log.  When the database file itself is destroyed, the store
-side-steps sqlite's unrecoverable-file problem by moving the wreck
-aside and starting empty — and the journal's ``done``-with-no-result
-reconciliation requeues exactly the trials whose contents were lost,
-so a resumed campaign re-derives them and lands on the same document.
+When the database file itself is destroyed, the store side-steps
+sqlite's unrecoverable-file problem by moving the wreck aside and
+starting empty.  Every lost record is then simply a miss: a resumed
+pool campaign, or a resubmission to a restarted coordinator, re-runs
+exactly those trials and lands on the same document.
 """
-
-import json
-
-import pytest
 
 from repro.campaign import (
     CampaignSpec,
     ResultCache,
     canonical_json,
     run_campaign,
-    run_supervised,
 )
-from repro.errors import BenchmarkError
+from repro.service.client import ServiceClient
+from repro.service.coordinator import Coordinator
 from repro.service.stores import SqliteStore
 from repro.units import KiB
 
@@ -30,7 +25,10 @@ SPEC = CampaignSpec(
     seeds=(0, 1),
 )
 
-FAST = dict(backoff_base=0.01, retry_budget=2)
+FAST = dict(
+    local_workers=2, backoff_base=0.01, retry_budget=2,
+    telemetry_interval=0.1,
+)
 
 
 def test_truncated_db_rebuilds_and_serves(tmp_path):
@@ -65,18 +63,16 @@ def test_rebuild_mid_connection(tmp_path):
     store.close()
 
 
-def test_supervised_campaign_recovers_from_torn_sqlite_store(tmp_path):
-    """End to end: run → destroy the DB → resume → byte-identical doc.
+def test_pool_campaign_recovers_from_torn_sqlite_store(tmp_path):
+    """End to end: pool run → destroy the DB → resume → same document.
 
-    The resume sees every trial ``done`` in the journal but missing
-    from the rebuilt (empty) store, requeues them all, and re-derives
-    the exact same campaign document.
+    The rebuilt (empty) store misses on every trial, so the resume
+    re-executes them all and re-derives the exact same document.
     """
     db = tmp_path / "results.db"
-    state = tmp_path / "state"
 
     cache = ResultCache(SqliteStore(db))
-    first = run_supervised(SPEC, cache=cache, state_dir=state, workers=2, **FAST)
+    first = run_campaign(SPEC, cache=cache, workers=2)
     cache.close()
     assert first.executed == len(first.records)
 
@@ -84,18 +80,9 @@ def test_supervised_campaign_recovers_from_torn_sqlite_store(tmp_path):
 
     store = SqliteStore(db)
     cache = ResultCache(store)
-    resumed = run_supervised(
-        SPEC, cache=cache, state_dir=state, workers=2, **FAST
-    )
+    resumed = run_campaign(SPEC, cache=cache, workers=2)
     assert store.rebuilt >= 1
-    # Journal replay requeued the lost trials (store-missing events).
-    requeues = [
-        json.loads(line)
-        for line in (state / "journal.jsonl").read_text().splitlines()
-        if json.loads(line).get("ev") == "requeue"
-        and json.loads(line).get("reason") == "store-missing"
-    ]
-    assert len(requeues) == len(first.records)
+    assert resumed.executed == len(first.records)
     assert canonical_json(resumed.document()) == canonical_json(
         first.document()
     )
@@ -104,31 +91,28 @@ def test_supervised_campaign_recovers_from_torn_sqlite_store(tmp_path):
     cache.close()
 
 
+def _serve(db, state) -> tuple[dict, dict]:
+    with Coordinator(SqliteStore(db), state, **FAST) as co:
+        client = ServiceClient(co.endpoint)
+        reply = client.submit(SPEC)
+        co.wait_settled(reply["sub"], timeout=60)
+        return reply, client.fetch(reply["sub"])
+
+
 def test_recovered_store_matches_plain_campaign(tmp_path):
-    """The recovery detour is invisible in the document."""
+    """A coordinator restarted on the same state dir over a torn store
+    re-runs every lost trial; the recovery detour is invisible in the
+    document."""
     db = tmp_path / "results.db"
     state = tmp_path / "state"
-    cache = ResultCache(SqliteStore(db))
-    run_supervised(SPEC, cache=cache, state_dir=state, workers=2, **FAST)
-    cache.close()
+    _serve(db, state)
     db.write_bytes(b"\xff" * 32)
 
-    cache = ResultCache(SqliteStore(db))
-    resumed = run_supervised(
-        SPEC, cache=cache, state_dir=state, workers=2, **FAST
-    )
-    cache.close()
-    assert canonical_json(resumed.document()) == canonical_json(
+    reply, doc = _serve(db, state)
+    assert reply["hits"] == 0 and reply["pending"] == 4
+    assert canonical_json(doc) == canonical_json(
         run_campaign(SPEC).document()
     )
-
-
-def test_memory_store_rejected_for_supervised_runs(tmp_path):
-    from repro.errors import CampaignError
-    from repro.service.stores import MemoryStore
-
-    with pytest.raises(CampaignError, match="process-local"):
-        run_supervised(
-            SPEC, cache=ResultCache(MemoryStore()),
-            state_dir=tmp_path / "state", workers=1, **FAST,
-        )
+    store = SqliteStore(db)
+    assert store.keys() == sorted(t.hash for t in SPEC.trials())
+    store.close()

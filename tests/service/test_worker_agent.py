@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignSpec, canonical_json, run_campaign
-from repro.campaign.chaos import POOL_KILL_ENV
+from repro.campaign.executor import POOL_KILL_ENV
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import connect, recv_msg, send_msg
