@@ -353,6 +353,8 @@ class Coordinator:
                     msg = recv_msg(rfile)
                 except ServiceError:
                     break  # garbage on the wire: drop the connection
+                except OSError:
+                    break  # peer reset (e.g. a killed agent): treat as EOF
                 if msg is None:
                     break
                 if msg["type"] == "attach":

@@ -44,6 +44,20 @@ def test_run_then_resume_hits_cache_fully(tmp_path, capsys):
     assert doc2["aggregates"] == doc["aggregates"]
 
 
+def test_pool_run_matches_plain_document(tmp_path, capsys):
+    plain_out = tmp_path / "plain.json"
+    assert _run(tmp_path / "a", "run", "--out", str(plain_out)) == 0
+    capsys.readouterr()
+    pool_out = tmp_path / "pool.json"
+    assert _run(
+        tmp_path / "b", "run", "--workers", "2", "--out", str(pool_out),
+    ) == 0
+    # The pool is plumbing: the documents are identical.
+    assert json.loads(pool_out.read_text()) == json.loads(
+        plain_out.read_text()
+    )
+
+
 def test_compare_gate_exits_nonzero_on_drift(tmp_path, capsys):
     baseline = tmp_path / "base.json"
     assert _run(tmp_path, "run", "--out", str(baseline)) == 0

@@ -97,6 +97,42 @@ def test_resubmit_is_all_store_hits(co):
     )
 
 
+def test_two_local_agents_lease_each_trial_once(co):
+    """Without faults the fleet is pure plumbing: every trial is leased
+    exactly once, nothing dies or requeues, and the document is
+    byte-identical to a serial run."""
+    client = client_for(co)
+    reply = client.submit(SPEC)
+    co.wait_settled(reply["sub"])
+    doc = client.fetch(reply["sub"])
+    hashes = sorted(h for (_w, _s, h) in co.dispatch_log)
+    assert hashes == sorted(t.hash for t in SPEC.trials())
+    assert co.metrics.counter("service.leases").value == 4
+    assert co.metrics.counter("service.requeues").value == 0
+    assert co.metrics.counter("service.agent_deaths").value == 0
+    assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
+
+
+def test_restarted_coordinator_on_shared_store_is_all_store_hits(tmp_path):
+    """A second coordinator over the first one's store (fresh state
+    dir) serves the same submission from the store alone."""
+    store = MemoryStore()
+    docs = []
+    for state in ("s1", "s2"):
+        with Coordinator(store, tmp_path / state, **FAST) as co:
+            client = client_for(co)
+            reply = client.submit(SPEC)
+            co.wait_settled(reply["sub"], timeout=30)
+            docs.append(client.fetch(reply["sub"]))
+    assert reply["hits"] == reply["trials"] == 4
+    assert co.dispatch_log == []
+    assert docs[1]["summary"]["executed"] == 0
+    assert all(t["cached"] for t in docs[1]["trials"])
+    assert [t["metrics"] for t in docs[1]["trials"]] == [
+        t["metrics"] for t in docs[0]["trials"]
+    ]
+
+
 def test_prepopulated_store_settles_instantly(tmp_path):
     store = MemoryStore()
     for record in run_campaign(SPEC).records:

@@ -123,6 +123,51 @@ def test_chaos_killed_local_agents_requeue_and_recover(tmp_path, monkeypatch):
     assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
 
 
+def test_agent_killed_mid_trial_recovers_byte_identical(tmp_path, monkeypatch):
+    """One injected death on one trial: the lone local agent dies with
+    that trial leased, the lease is requeued, and the respawned agent
+    runs it again — exactly one death, one requeue, one re-dispatch."""
+    doomed = SPEC.trials()[0].hash
+    monkeypatch.setenv(POOL_KILL_ENV, doomed)
+    with Coordinator(
+        MemoryStore(), tmp_path / "state", local_workers=1, **FAST
+    ) as co:
+        client = ServiceClient(co.endpoint)
+        reply = client.submit(SPEC)
+        co.wait_settled(reply["sub"], timeout=120)
+        assert co.metrics.counter("service.local_agent_deaths").value == 1
+        assert co.metrics.counter("service.requeues").value == 1
+        assert co.metrics.counter("service.agent_spawns").value == 2
+        runs = [h for (_w, _s, h) in co.dispatch_log]
+        assert runs.count(doomed) == 2
+        assert len(runs) == len(SPEC.trials()) + 1
+        doc = client.fetch(reply["sub"])
+    assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
+
+
+def test_local_agent_killed_before_first_lease_is_respawned(tmp_path):
+    """A local agent that dies before it ever holds a lease is
+    respawned by the tick loop; the new incarnation drains the
+    submission and the document matches a serial run."""
+    with Coordinator(
+        MemoryStore(), tmp_path / "state", local_workers=1, **FAST
+    ) as co:
+        (first,) = co._local_procs
+        first.kill()
+        deadline = time.time() + 30
+        while co.metrics.counter("service.agent_spawns").value < 2:
+            assert time.time() < deadline, "dead agent never respawned"
+            time.sleep(0.05)
+        assert co.metrics.counter("service.local_agent_deaths").value == 1
+        client = ServiceClient(co.endpoint)
+        reply = client.submit(SPEC)
+        co.wait_settled(reply["sub"], timeout=120)
+        assert co.metrics.counter("service.requeues").value == 0
+        assert len(co.dispatch_log) == len(SPEC.trials())
+        doc = client.fetch(reply["sub"])
+    assert canonical_json(doc) == canonical_json(run_campaign(SPEC).document())
+
+
 def test_agent_survives_idle_then_serves_late_submission(tmp_path):
     """An agent attached before any work exists must idle-poll, then
     pick up a submission that arrives later."""
