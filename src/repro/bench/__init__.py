@@ -8,19 +8,18 @@ Every evaluation artifact of the paper has a generator here:
 - Table 2: L2 cache-miss counts;
 - Sec. 3.5 thresholds and the ablation sweeps.
 
-``python -m repro.bench --figure 4`` regenerates any of them from the
+``repro-bench --figure 4`` regenerates any of them from the
 command line; the ``benchmarks/`` directory wires them into
 pytest-benchmark.
 """
 
-from repro.bench.imb import (
-    AlltoallResult,
-    PingPongResult,
-    imb_alltoall,
-    imb_pingpong,
-)
-from repro.bench.harness import Series, Sweep, sweep_sizes
-from repro.bench.reporting import format_series_table, format_table
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.bench.imb": ("AlltoallResult", "PingPongResult", "imb_alltoall", "imb_pingpong"),
+    "repro.bench.harness": ("Series", "Sweep", "sweep_sizes"),
+    "repro.bench.reporting": ("format_series_table", "format_table"),
+})
 
 __all__ = [
     "PingPongResult",

@@ -27,30 +27,30 @@ CLI: ``repro-bench campaign run|resume|compare|report``
 (``report --fleet`` reads the coordinator's telemetry files).
 """
 
-from repro.campaign.cache import ResultCache
-from repro.campaign.executor import CampaignRun, run_campaign, run_trial
-from repro.campaign.queue import Lease, LeaseQueue
-from repro.campaign.spec import (
-    MACHINES,
-    WORKLOADS,
-    CampaignSpec,
-    Trial,
-    canonical_json,
-    group_config,
-    group_label,
-    trial_hash,
-)
-from repro.campaign.stats import (
-    CampaignComparison,
-    aggregate,
-    compare_campaigns,
-)
-from repro.campaign.telemetry import (
-    FleetTelemetry,
-    format_status,
-    load_status,
-    prometheus_lines,
-)
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.campaign.cache": ("ResultCache",),
+    "repro.campaign.executor": ("CampaignRun", "run_campaign", "run_trial"),
+    "repro.campaign.queue": ("Lease", "LeaseQueue"),
+    "repro.campaign.spec": (
+        "MACHINES",
+        "WORKLOADS",
+        "CampaignSpec",
+        "Trial",
+        "canonical_json",
+        "group_config",
+        "group_label",
+        "trial_hash",
+    ),
+    "repro.campaign.stats": ("CampaignComparison", "aggregate", "compare_campaigns"),
+    "repro.campaign.telemetry": (
+        "FleetTelemetry",
+        "format_status",
+        "load_status",
+        "prometheus_lines",
+    ),
+})
 
 __all__ = [
     "CampaignSpec",

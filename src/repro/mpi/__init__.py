@@ -15,12 +15,17 @@ Every MPI call is a generator: simulated processes ``yield`` them
 (``yield comm.Send(buf, dest=1)``), and the engine trampolines.
 """
 
-from repro.mpi.cluster import ClusterRunResult, ClusterWorld, run_cluster
+from repro import _lazy_exports
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.datatypes import Contiguous, Datatype, Indexed, Vector, as_views
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.mpi.world import MpiRunResult, RankContext, run_mpi
+
+# The cluster world pulls in the internode fabric (repro.net).
+_lazy_exports(__name__, {
+    "repro.mpi.cluster": ("ClusterRunResult", "ClusterWorld", "run_cluster"),
+})
 
 __all__ = [
     "ANY_SOURCE",

@@ -15,24 +15,26 @@ Each collective wraps its large-message phase in the world's
 threshold (Secs. 4.4 and 6 of the paper).
 """
 
-from repro.mpi.coll.allgather import (
-    allgather,
-    allgather_recursive_doubling,
-    allgather_ring,
-)
-from repro.mpi.coll.alltoall import alltoall, alltoall_bruck, alltoallv
-from repro.mpi.coll.barrier import barrier
-from repro.mpi.coll.bcast import bcast, bcast_binomial, bcast_scatter_allgather
-from repro.mpi.coll.gather import gather, scatter
-from repro.mpi.coll.reduce import (
-    allreduce,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    reduce,
-)
-from repro.mpi.coll.reduce import reduce_scatter_block
-from repro.mpi.coll.tuning import CollTuning
-from repro.mpi.coll.vector import allgatherv, gatherv, scatterv
+from repro import _lazy_exports
+
+# Lazy, so that importing one module of the package (the world imports
+# ``tuning``) does not load every collective.
+_lazy_exports(__name__, {
+    "repro.mpi.coll.allgather": ("allgather", "allgather_recursive_doubling", "allgather_ring"),
+    "repro.mpi.coll.alltoall": ("alltoall", "alltoall_bruck", "alltoallv"),
+    "repro.mpi.coll.barrier": ("barrier",),
+    "repro.mpi.coll.bcast": ("bcast", "bcast_binomial", "bcast_scatter_allgather"),
+    "repro.mpi.coll.gather": ("gather", "scatter"),
+    "repro.mpi.coll.reduce": (
+        "allreduce",
+        "allreduce_rabenseifner",
+        "allreduce_recursive_doubling",
+        "reduce",
+        "reduce_scatter_block",
+    ),
+    "repro.mpi.coll.tuning": ("CollTuning",),
+    "repro.mpi.coll.vector": ("allgatherv", "gatherv", "scatterv"),
+})
 
 __all__ = [
     "allgather",

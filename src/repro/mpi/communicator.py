@@ -24,12 +24,12 @@ from repro.mpi.nemesis import (
     CtsPacket,
     DonePacket,
     EagerPacket,
+    NetEagerPacket,
     RtsPacket,
     SelfPacket,
 )
 from repro.mpi.request import Request
 from repro.mpi.status import Status
-from repro.net.protocol import NetEagerPacket, send_eager
 
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
@@ -143,6 +143,8 @@ class Communicator:
         elif not world.same_node(self.world_rank, dest_world):
             # Internode: the wire protocol's eager/rendezvous switch.
             if not force_rndv and nbytes <= world.policy.net_eager_max:
+                from repro.net.protocol import send_eager
+
                 yield from send_eager(self, views, nbytes, dest_world, tag)
             else:
                 yield from self._send_rndv(views, nbytes, dest_world, tag)

@@ -18,10 +18,10 @@ they do not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import MpiError
-from repro.kernel.address_space import Buffer, alloc_shared
+from repro.kernel.address_space import Buffer, BufferView, alloc_shared
 from repro.sim.events import Event
 from repro.sim.resources import Channel, FifoLock
 
@@ -95,7 +95,24 @@ class SelfPacket:
     span: Any = None
 
 
-from repro.net.protocol import NetEagerPacket
+@dataclass
+class NetEagerPacket:
+    """Small internode message staged in the receiver NIC's bounce pool.
+
+    Matches like an :class:`EagerPacket`; the receive path copies out of
+    ``staged`` and calls ``release`` to return the bounce buffer to the
+    preposted pool (see :mod:`repro.net.protocol`).
+    """
+
+    src: int
+    tag: int
+    nbytes: int
+    staged: Optional[BufferView] = None
+    release: Optional[Callable[[], None]] = None
+    cid: int = 0
+    #: Observability parent (the sender's ``msg.send`` span).
+    span: Any = None
+
 
 _MATCHABLE = (EagerPacket, RtsPacket, SelfPacket, NetEagerPacket)
 

@@ -23,12 +23,16 @@ hardware model —
 ``repro.mpi.cluster.run_cluster`` builds on all of it.
 """
 
-from repro.net.cluster import Cluster
-from repro.net.fabric import ClusterSpec, Fabric, FabricParams
-from repro.net.lmt import NicRdmaLmt, NicStagedLmt
-from repro.net.nic import NetDescriptor, Nic, NicRequest
-from repro.net.protocol import NetEagerPacket
-from repro.net.switch import Switch
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.net.cluster": ("Cluster",),
+    "repro.net.fabric": ("ClusterSpec", "Fabric", "FabricParams"),
+    "repro.net.lmt": ("NicRdmaLmt", "NicStagedLmt"),
+    "repro.net.nic": ("NetDescriptor", "Nic", "NicRequest"),
+    "repro.net.protocol": ("NetEagerPacket",),
+    "repro.net.switch": ("Switch",),
+})
 
 __all__ = [
     "Cluster",

@@ -12,40 +12,20 @@ finite bounce pools are exactly what the rendezvous path (see
 
 This module is deliberately ignorant of :mod:`repro.mpi` internals: it
 takes a communicator duck-typed (``world``, ``world_rank``, ``core``,
-``cid``, ``_sw_overhead``) so the import direction stays
-``mpi -> net``.
+``cid``, ``_sw_overhead``).  Its packet type lives with the other
+Nemesis packets in :mod:`repro.mpi.nemesis`, so the intranode stack
+loads this module only when a message first crosses the wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 from repro.errors import RegistrationError
 from repro.kernel.address_space import BufferView
 from repro.kernel.copy import cpu_copy
+from repro.mpi.nemesis import NetEagerPacket
 from repro.net.nic import NicRequest
 
 __all__ = ["NetEagerPacket", "send_eager"]
-
-
-@dataclass
-class NetEagerPacket:
-    """Small internode message staged in the receiver NIC's bounce pool.
-
-    Matches like an :class:`repro.mpi.nemesis.EagerPacket`; the receive
-    path copies out of ``staged`` and calls ``release`` to return the
-    bounce buffer to the preposted pool.
-    """
-
-    src: int
-    tag: int
-    nbytes: int
-    staged: Optional[BufferView] = None
-    release: Optional[Callable[[], None]] = None
-    cid: int = 0
-    #: Observability parent (the sender's ``msg.send`` span).
-    span: object = None
 
 
 def send_eager(comm, views: list[BufferView], nbytes: int, dest_world: int, tag: int):

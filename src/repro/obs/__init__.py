@@ -15,6 +15,7 @@ Enable with ``run_mpi(..., obs=ObsConfig(spans=True))`` or the
 ``repro.bench.cli trace`` subcommand.
 """
 
+from repro import _lazy_exports
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import (
     WALL_PREFIX,
@@ -25,13 +26,17 @@ from repro.obs.metrics import (
 )
 from repro.obs.phases import STRUCTURAL_KINDS, WORK_KINDS, phase_breakdown
 from repro.obs.spans import ObsCollector, Span, SpanContext
-from repro.obs.export import (
-    chrome_trace,
-    jsonl_lines,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
+
+# Every engine loads the collector; only trace writers need the exporters.
+_lazy_exports(__name__, {
+    "repro.obs.export": (
+        "chrome_trace",
+        "jsonl_lines",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_jsonl",
+    ),
+})
 
 __all__ = [
     "ObsConfig",

@@ -10,7 +10,13 @@ message size x backend x machine generation and re-derives DMAmin per
 generation (``repro-bench offload`` -> ``BENCH_offload.json``).
 """
 
-from repro.offload.bench import format_offload_doc, run_offload_bench
-from repro.offload.dsa_lmt import DsaLmt
+from repro import _lazy_exports
+
+# Lazy: the LMT policy loads ``dsa_lmt`` on every construction, and the
+# sweep in ``offload.bench`` would drag the benchmark layer in with it.
+_lazy_exports(__name__, {
+    "repro.offload.bench": ("format_offload_doc", "run_offload_bench"),
+    "repro.offload.dsa_lmt": ("DsaLmt",),
+})
 
 __all__ = ["DsaLmt", "run_offload_bench", "format_offload_doc"]

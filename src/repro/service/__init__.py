@@ -10,11 +10,12 @@ pluggable :class:`~repro.service.stores.ResultStore`.
 Import structure: the store backends load eagerly (``repro.campaign.cache``
 fronts them, so they must not import campaign code), while the
 coordinator/client/worker — which *do* import campaign code — resolve
-lazily through ``__getattr__`` to keep the cycle broken.
+lazily on first access to keep the cycle broken.
 """
 
 from __future__ import annotations
 
+from repro import _lazy_exports
 from repro.service.stores import (
     DirectoryStore,
     MemoryStore,
@@ -34,18 +35,8 @@ __all__ = [
     "agent_loop",
 ]
 
-_LAZY = {
-    "Coordinator": ("repro.service.coordinator", "Coordinator"),
-    "ServiceClient": ("repro.service.client", "ServiceClient"),
-    "agent_loop": ("repro.service.worker", "agent_loop"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+_lazy_exports(__name__, {
+    "repro.service.coordinator": ("Coordinator",),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.worker": ("agent_loop",),
+})

@@ -170,15 +170,21 @@ class Engine:
             max_events = self.max_events
         if max_sim_time is None:
             max_sim_time = self.max_sim_time
-        stop_at = inf if until is None else until
         event_budget = inf if max_events is None else max_events
         time_budget = inf if max_sim_time is None else max_sim_time
         heap = self._heap
         step = self.step
         while heap:
-            if heap[0][0] > stop_at:
-                self.now = until
-                return self.now
+            if until is not None:
+                # Drop cancelled heads first: step() skips them and runs
+                # the next live callback, whatever its time.
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)
+                if not heap:
+                    break
+                if heap[0][0] > until:
+                    self.now = until
+                    return self.now
             step()
             if self.events_executed > event_budget or self.now > time_budget:
                 raise LivelockError(

@@ -57,6 +57,17 @@ def test_run_until_stops_clock():
     assert eng.now == 2.0
 
 
+def test_run_until_skips_cancelled_head_without_overshooting():
+    eng = Engine()
+    seen = []
+    eng.schedule(1.0, seen.append, "cancelled").cancel()
+    eng.schedule(5.0, seen.append, "late")
+    assert eng.run(until=2.0) == 2.0
+    assert seen == []
+    assert eng.run() == 5.0
+    assert seen == ["late"]
+
+
 def test_call_soon_defers_until_current_callback_ends():
     eng = Engine()
     seen = []

@@ -1,0 +1,132 @@
+"""Import layering: an entry point loads only the layers it runs.
+
+Package ``__init__`` files resolve other layers' names lazily, and the
+intranode stack (``sim``, ``hw``, ``kernel``, ``core``, ``mpi``) loads
+nothing from the internode fabric, the fault injector, the campaign
+queue, the serving layer or the exporters until a caller uses them.
+The subprocess checks start from a clean ``sys.modules``.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The ``repro`` modules loaded by ``code`` in a fresh interpreter."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+#: Never loaded by an intranode run (exact name, or name + ".").
+NOT_INTRANODE = (
+    "repro.net",
+    "repro.mpi.cluster",
+    "repro.faults",
+    "repro.obs.export",
+    "repro.campaign.queue",
+    "repro.campaign.telemetry",
+    "repro.bench.store",
+    "repro.service",
+    "repro.sched",
+    "repro.nhood",
+    "repro.offload.bench",
+)
+
+NAS_KERNELS = ("bt", "cg", "ep", "ft", "is_", "lu", "mg", "sp")
+
+
+def test_alltoall_run_loads_only_the_intranode_stack():
+    loaded = _loaded_after(
+        "import repro\n"
+        "import repro.bench.imb as imb\n"
+        "import repro.bench.nas\n"
+        "import repro.campaign\n"
+        "from repro.core.policy import LmtConfig\n"
+        "from repro.hw.presets import xeon_e5345\n"
+        "imb.imb_alltoall(xeon_e5345(), 32 * 1024, mode='knem-ioat', repetitions=1)\n"
+    )
+    assert "repro.mpi.coll.alltoall" in loaded  # the probe did run
+    stray = [
+        m for m in loaded
+        if any(m == p or m.startswith(p + ".") for p in NOT_INTRANODE)
+        or m in {f"repro.bench.nas.{k}" for k in NAS_KERNELS}
+    ]
+    assert stray == []
+
+
+def test_cli_help_loads_only_the_cli():
+    loaded = _loaded_after(
+        "import repro.bench.cli\n"
+        "try:\n"
+        "    repro.bench.cli.main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+    )
+    assert loaded == ["repro", "repro.bench", "repro.bench.cli"]
+
+
+def test_submodule_import_does_not_shadow_a_lazy_export():
+    # ``repro.mpi.coll.alltoall`` names both a module and a function;
+    # loading the module first must leave the function exported.
+    loaded = _loaded_after(
+        "import repro.mpi.coll.alltoall\n"
+        "from repro.mpi.coll import alltoall\n"
+        "from repro.mpi.coll import gather\n"
+        "assert callable(alltoall) and alltoall.__name__ == 'alltoall'\n"
+        "assert callable(gather) and gather.__name__ == 'gather'\n"
+    )
+    assert "repro.mpi.coll.gather" in loaded
+
+
+def _packages() -> list[str]:
+    names = ["repro"]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg:
+            names.append(info.name)
+    return names
+
+
+@pytest.mark.parametrize("name", _packages())
+def test_package_exports_resolve(name):
+    package = importlib.import_module(name)
+    for attr in getattr(package, "__all__", ()):
+        value = getattr(package, attr)
+        assert attr in dir(package), f"{name}.{attr} missing from dir()"
+        assert getattr(package, attr) is value, f"{name}.{attr} changed between reads"
+        if attr != "__version__":
+            assert not isinstance(value, ModuleType), f"{name}.{attr} is a module"
+    with pytest.raises(AttributeError, match=name.replace(".", r"\.")):
+        getattr(package, "no_such_name")
+
+
+def test_benchmarks_is_one_dict():
+    import repro.bench.nas as nas
+
+    assert nas.BENCHMARKS is nas.BENCHMARKS
+    assert list(nas.BENCHMARKS) == [
+        "bt.B.4", "cg.B.8", "ep.B.4", "ft.B.8", "is.B.8", "lu.B.8", "mg.B.8", "sp.B.8",
+    ]
+    assert nas.get_spec("cg") is nas.BENCHMARKS["cg.B.8"]
