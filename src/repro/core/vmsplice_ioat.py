@@ -18,10 +18,13 @@ work.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.lmt import LmtBackend, TransferSide
 from repro.core.shm import _IovecWriter
 from repro.core.vmsplice import VmspliceLmt
 from repro.hw.dma import DmaRequest
+from repro.kernel.address_space import copy_payload
 from repro.units import ceil_div
 
 __all__ = ["VmspliceIoatLmt"]
@@ -66,10 +69,7 @@ class VmspliceIoatLmt(LmtBackend):
                 while off < sv.nbytes:
                     dv = dst_views[di]
                     n = min(sv.nbytes - off, dv.nbytes - doff)
-
-                    def move(dv=dv, doff=doff, sv=sv, off=off, n=n):
-                        dv.sub(doff, n).array[:] = sv.sub(off, n).array
-
+                    move = partial(copy_payload, dv.sub(doff, n), sv.sub(off, n))
                     segments.append(
                         (sv.phys + off, dv.phys + doff, n, move)
                     )

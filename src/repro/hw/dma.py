@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from repro.errors import HardwareError
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Channel
-from repro.units import CACHE_LINE, PAGE_SIZE, ceil_div
+from repro.units import CACHE_LINE, PAGE_SIZE
 
 __all__ = ["DmaDescriptor", "DmaRequest", "DmaEngine"]
 
@@ -37,7 +37,8 @@ class DmaDescriptor:
     src_phys: int
     dst_phys: int
     nbytes: int
-    #: Moves the real payload bytes when the simulated copy completes.
+    #: Moves the real payload bytes when the simulated copy completes
+    #: (``copy_payload``: copying untouched memory moves no bytes).
     execute: Optional[Callable[[], None]] = None
 
 
@@ -142,16 +143,15 @@ class DmaEngine:
     # ------------------------------------------------------------ work
     def _run(self, queue: Channel, chan: int):
         line = CACHE_LINE
+        line_span = self.machine.line_span
         coherence = self.machine.coherence
         memory = self.machine.memory
         obs = self.engine.obs
         while True:
             request: DmaRequest = yield queue.get()
             for desc in request.descriptors:
-                src_l0 = desc.src_phys // line
-                src_l1 = src_l0 + ceil_div(desc.nbytes, line)
-                dst_l0 = desc.dst_phys // line
-                dst_l1 = dst_l0 + ceil_div(desc.nbytes, line)
+                src_l0, src_l1 = line_span(desc.src_phys, desc.nbytes)
+                dst_l0, dst_l1 = line_span(desc.dst_phys, desc.nbytes)
                 flushed = coherence.dma_read(src_l0, src_l1)
                 coherence.dma_write(dst_l0, dst_l1)
                 memory.charge_writebacks(flushed * line)

@@ -44,7 +44,8 @@ class DsaDescriptor:
     src_phys: int
     dst_phys: int
     nbytes: int
-    #: Moves the real payload bytes when the simulated copy completes.
+    #: Moves the real payload bytes when the simulated copy completes
+    #: (``copy_payload``: copying untouched memory moves no bytes).
     execute: Optional[Callable[[], None]] = None
 
 
@@ -163,16 +164,15 @@ class DsaEngine:
     # ------------------------------------------------------------ work
     def _run(self, queue: Channel, socket: int, eng: int):
         line = CACHE_LINE
+        line_span = self.machine.line_span
         coherence = self.machine.coherence
         memory = self.machine.memory
         obs = self.engine.obs
         while True:
             request: DsaRequest = yield queue.get()
             for desc in request.descriptors:
-                src_l0 = desc.src_phys // line
-                src_l1 = src_l0 + ceil_div(desc.nbytes, line)
-                dst_l0 = desc.dst_phys // line
-                dst_l1 = dst_l0 + ceil_div(desc.nbytes, line)
+                src_l0, src_l1 = line_span(desc.src_phys, desc.nbytes)
+                dst_l0, dst_l1 = line_span(desc.dst_phys, desc.nbytes)
                 flushed = coherence.dma_read(src_l0, src_l1)
                 coherence.dma_write(dst_l0, dst_l1)
                 memory.charge_writebacks(flushed * line)

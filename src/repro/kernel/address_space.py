@@ -8,9 +8,15 @@ backed by two things at once:
   allocated, so addresses depend only on the allocation order; and
 - a **NumPy byte array**, so every simulated transfer moves real data —
   MPI correctness is testable end to end.  Like a demand-zero page, the
-  array appears, zero-filled, the first time the payload is touched
-  (:attr:`Buffer.data`), so buffers a run never reads or writes (most
-  Nemesis eager cells) cost no host memory.
+  array appears, zero-filled, the first time the payload is read or
+  written (:attr:`Buffer.data`), so buffers a run never reads or writes
+  (most Nemesis eager cells) cost no host memory.
+
+Every payload move goes through :func:`copy_payload`.  Untouched memory
+reads as zeros, so copying it moves no bytes: an untouched destination
+stays untouched, a touched one has the range zero-filled.  A run whose
+application never writes its buffers (the IMB and NAS workloads only
+time their scans) therefore allocates no payload array at all.
 
 A :class:`BufferView` is one iovec entry ``(buffer, offset, nbytes)``;
 noncontiguous datatypes and KNEM's "vectorial buffers" are lists of
@@ -27,7 +33,7 @@ import numpy as np
 from repro.errors import BadAddressError, KernelError
 from repro.units import PAGE_SIZE, ceil_div
 
-__all__ = ["AddressSpace", "Buffer", "BufferView"]
+__all__ = ["AddressSpace", "Buffer", "BufferView", "copy_payload"]
 
 
 class Buffer:
@@ -133,6 +139,25 @@ class BufferView:
         first = self.phys // PAGE_SIZE
         last = ceil_div(self.phys + max(self.nbytes, 1), PAGE_SIZE)
         return last - first
+
+
+def copy_payload(dst: BufferView, src: BufferView) -> None:
+    """Move ``src``'s bytes into ``dst`` (equal lengths), as
+    ``dst.array[:] = src.array`` would, without materialising an
+    untouched source: its bytes are zeros, so an untouched destination
+    is left as it is and a touched one is zero-filled."""
+    n = dst.nbytes
+    if src.nbytes != n:
+        raise ValueError(f"copy of {src!r} into {dst!r}: lengths differ")
+    src_data = src.buffer._data
+    if src_data is None:
+        dst_data = dst.buffer._data
+        if dst_data is not None:
+            dst_data[dst.offset : dst.offset + n] = 0
+        return
+    dst.buffer.data[dst.offset : dst.offset + n] = src_data[
+        src.offset : src.offset + n
+    ]
 
 
 def total_bytes(views: Iterable[BufferView]) -> int:

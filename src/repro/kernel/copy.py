@@ -10,7 +10,8 @@ it:
 3. converts the hit/miss breakdowns into CPU time, DRAM-bus bytes and
    FSB bytes, waits for all three resources concurrently (memory-level
    parallelism: the copy loop overlaps outstanding misses),
-4. moves the real payload bytes.
+4. moves the real payload bytes (:func:`copy_payload`: a copy of
+   untouched, all-zero memory moves none).
 
 :func:`stream_access` is the computation-side sibling: it models an
 application phase scanning a working set (no data copied, optional
@@ -21,10 +22,11 @@ paper's IS mechanism.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Sequence
 
 from repro.errors import KernelError
-from repro.kernel.address_space import BufferView
+from repro.kernel.address_space import BufferView, copy_payload
 from repro.sim.events import AllOf
 from repro.units import CACHE_LINE, KiB
 
@@ -143,12 +145,9 @@ def cpu_copy(
         d0, d1 = machine.line_span(dv.phys, dv.nbytes)
         src_bd = machine.coherence.read(core, s0, s1)
         dst_bd = machine.coherence.write(core, d0, d1)
-
-        def move(dv=dv, sv=sv):
-            dv.array[:] = sv.array
-
         yield from _charge_chunk(
-            machine, core, dv.nbytes, (src_bd, dst_bd), move,
+            machine, core, dv.nbytes, (src_bd, dst_bd),
+            partial(copy_payload, dv, sv),
             parent=parent, span_kind="copy", span_name="cpu.copy",
         )
         machine.papi[core].add("BYTES_COPIED", dv.nbytes)

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.errors import CookieError, KnemError
 from repro.hw.dma import DmaRequest
-from repro.kernel.address_space import BufferView, total_bytes
+from repro.kernel.address_space import BufferView, copy_payload, total_bytes
 from repro.kernel.copy import cpu_copy, iter_lockstep
 from repro.kernel.regcache import RegistrationCache
 from repro.kernel.syscall import syscall
@@ -255,10 +256,9 @@ class KnemDevice:
         for dv, sv in iter_lockstep(
             list(dst_views), cookie.views, machine.params.dma_max_desc_bytes
         ):
-            def move(dv=dv, sv=sv):
-                dv.array[:] = sv.array
-
-            segments.append((sv.phys, dv.phys, dv.nbytes, move))
+            segments.append(
+                (sv.phys, dv.phys, dv.nbytes, partial(copy_payload, dv, sv))
+            )
         descriptors = machine.dma.build_descriptors(segments)
         request = DmaRequest(
             descriptors,

@@ -9,10 +9,11 @@ paper's KNEM 0.5 did not have — the ablation benchmark quantifies what
 it would have bought on the pingpong workloads.
 
 The cache is keyed by buffer identity and byte range, holds a bounded
-number of entries, and evicts LRU (unpinning the victim).  It must be
-invalidated when a buffer is freed/remapped; the simulation's buffers
-are immortal, so the eviction path is exercised by capacity pressure
-in tests.
+number of entries, and evicts LRU.  Eviction only drops the victim's
+registration: no unpin is modelled or charged, so a later transfer of
+that range misses and pins it again.  It must be invalidated when a
+buffer is freed/remapped; the simulation's buffers are immortal, so
+the eviction path is exercised by capacity pressure in tests.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ for needing no pinned memory at all.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.lmt import LmtBackend, TransferSide
+from repro.kernel.address_space import copy_payload
 from repro.kernel.copy import cpu_copy, iter_lockstep
 from repro.net.nic import NetDescriptor, NicRequest
 from repro.sim.resources import Channel
@@ -54,9 +57,7 @@ class NicRdmaLmt(LmtBackend):
             descriptors.append(
                 NetDescriptor(
                     nbytes=src.nbytes,
-                    execute=(lambda d=dst, s=src: d.array.__setitem__(
-                        slice(None), s.array
-                    )),
+                    execute=partial(copy_payload, dst, src),
                     src_phys=src.phys,
                     dst_phys=dst.phys,
                 )

@@ -39,11 +39,11 @@ from itertools import count
 from typing import Callable, Optional
 
 from repro.errors import HardwareError, RegistrationError, RetryExhaustedError
-from repro.kernel.address_space import BufferView, alloc_shared
+from repro.kernel.address_space import BufferView, alloc_shared, copy_payload
 from repro.kernel.regcache import RegistrationCache
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Channel
-from repro.units import CACHE_LINE, ceil_div
+from repro.units import CACHE_LINE
 
 __all__ = ["NetDescriptor", "NicRequest", "EagerRdmaSlot", "Nic"]
 
@@ -340,8 +340,7 @@ class Nic:
             for desc in request.descriptors:
                 if desc.src_phys >= 0:
                     # The NIC DMA-reads user memory: dirty lines flush.
-                    l0 = desc.src_phys // line
-                    l1 = l0 + ceil_div(desc.nbytes, line)
+                    l0, l1 = machine.line_span(desc.src_phys, desc.nbytes)
                     flushed = machine.coherence.dma_read(l0, l1)
                     machine.memory.charge_writebacks(flushed * line)
                 wire_span = None
@@ -422,7 +421,6 @@ class Nic:
 
     def _rx_run(self):
         machine = self.machine
-        line = CACHE_LINE
         obs = self.engine.obs
         while True:
             request, desc, corrupt, attempt = yield self._rx_queue.get()
@@ -435,8 +433,7 @@ class Nic:
                 request.rx_corrupt = False
             if desc.dst_phys >= 0:
                 # RDMA write into user memory: cached copies invalidate.
-                l0 = desc.dst_phys // line
-                l1 = l0 + ceil_div(desc.nbytes, line)
+                l0, l1 = machine.line_span(desc.dst_phys, desc.nbytes)
                 machine.coherence.dma_write(l0, l1)
             rx_span = None
             if obs.enabled:
@@ -518,7 +515,7 @@ class Nic:
             view = bounce.view(0, request.payload_nbytes)
             l0, l1 = self.machine.line_span(view.phys, view.nbytes)
             self.machine.coherence.dma_write(l0, l1)
-            view.array[:] = request.tx_stage.array
+            copy_payload(view, request.tx_stage)
             request.rx_view = view
             request.rx_release = lambda b=bounce: self.rx_bounce.put(b)
             if request.tx_release is not None:

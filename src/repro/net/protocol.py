@@ -19,8 +19,10 @@ loads this module only when a message first crosses the wire.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import RegistrationError
-from repro.kernel.address_space import BufferView
+from repro.kernel.address_space import BufferView, copy_payload
 from repro.kernel.copy import cpu_copy
 from repro.mpi.nemesis import NetEagerPacket
 from repro.net.nic import NicRequest
@@ -137,8 +139,7 @@ def _send_eager_rdma(comm, nic, views: list[BufferView], nbytes: int,
         src=comm.world_rank, tag=tag, nbytes=nbytes, cid=comm.cid, span=msg_span
     )
 
-    def deposit() -> None:
-        landing.array[:] = stage.array
+    deposit = partial(copy_payload, landing, stage)
 
     def on_delivered(request: NicRequest) -> None:
         pkt.staged = landing

@@ -21,9 +21,12 @@ the tenancy tests pin down.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.lmt import LmtBackend, TransferSide, busy_poll_wait
 from repro.errors import LmtError
 from repro.hw.dsa import DsaRequest
+from repro.kernel.address_space import copy_payload
 from repro.kernel.copy import iter_lockstep
 
 __all__ = ["DsaLmt"]
@@ -78,10 +81,9 @@ class DsaLmt(LmtBackend):
         for dv, sv in iter_lockstep(
             list(side.views), cookie.views, machine.params.dsa_max_desc_bytes
         ):
-            def move(dv=dv, sv=sv):
-                dv.array[:] = sv.array
-
-            segments.append((sv.phys, dv.phys, dv.nbytes, move))
+            segments.append(
+                (sv.phys, dv.phys, dv.nbytes, partial(copy_payload, dv, sv))
+            )
         request = DsaRequest(
             dsa.build_descriptors(segments),
             done=side.engine.event("dsa-lmt"),

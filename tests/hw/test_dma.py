@@ -7,7 +7,7 @@ from repro.errors import HardwareError
 from repro.hw import Machine, xeon_e5345
 from repro.hw.dma import DmaRequest
 from repro.sim import Engine
-from repro.units import KiB, PAGE_SIZE
+from repro.units import CACHE_LINE, KiB, PAGE_SIZE
 
 
 @pytest.fixture()
@@ -151,3 +151,26 @@ def test_empty_request_rejected(machine):
     eng, m = machine
     with pytest.raises(HardwareError):
         m.dma.submit(DmaRequest([], done=eng.event()))
+
+
+def test_misaligned_descriptor_covers_every_line_it_touches(machine):
+    """A 64-byte descriptor starting mid-line spans two lines on each
+    side: both source lines flush, both destination lines invalidate."""
+    eng, m = machine
+    base = m.alloc_phys(2 * PAGE_SIZE)
+    src, dst = base + 32, base + PAGE_SIZE + 32
+    s0, s1 = m.line_span(src, 64)
+    d0, d1 = m.line_span(dst, 64)
+    assert (s1 - s0, d1 - d0) == (2, 2)
+    m.coherence.write(0, s0, s1)
+    m.coherence.write(0, d0, d1)
+    req = DmaRequest(m.dma.build_descriptors([(src, dst, 64, None)]), done=eng.event())
+
+    def proc():
+        m.dma.submit(req)
+        yield req.done
+
+    eng.run_processes([proc])
+    assert m.caches[0].peek(s0, s1) == [(s0, s1, False)]
+    assert m.memory.background_bytes == 2 * CACHE_LINE
+    assert m.caches[0].peek(d0, d1) == []

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import BadAddressError, KernelError
-from repro.kernel.address_space import AddressSpace, alloc_shared, total_bytes
+from repro.kernel.address_space import (
+    AddressSpace,
+    alloc_shared,
+    copy_payload,
+    total_bytes,
+)
 from repro.units import PAGE_SIZE
 
 
@@ -138,3 +143,77 @@ def test_physical_addresses_are_reserved_at_allocation(machine):
         0x1000, 0x2000, 0x4000, 0x6000, 0x7000, 0x17000,
     ]
     assert all(b._data is None for b in bufs)
+
+
+# ------------------------------------------------------- copy_payload
+def _bytes_of(buf):
+    """The buffer's payload as the program would read it, without
+    materialising it."""
+    return bytes(buf.nbytes) if buf._data is None else buf._data.tobytes()
+
+
+def _fill(buf, seed):
+    buf.data[:] = np.random.default_rng(seed).integers(0, 256, buf.nbytes)
+
+
+def _reference(dst_bytes, src_bytes, doff, soff, n):
+    """``dst.array[:] = src.array`` on materialised copies."""
+    dst = np.frombuffer(dst_bytes, dtype=np.uint8).copy()
+    src = np.frombuffer(src_bytes, dtype=np.uint8)
+    dst[doff : doff + n] = src[soff : soff + n]
+    return dst.tobytes()
+
+
+@pytest.mark.parametrize("src_state", ["untouched", "written"])
+@pytest.mark.parametrize("dst_state", ["untouched", "written", "a5"])
+@pytest.mark.parametrize("soff,doff,n", [(0, 0, 300), (7, 13, 123), (299, 0, 1)])
+def test_copy_payload_matches_numpy_assignment(
+    machine, src_state, dst_state, soff, doff, n
+):
+    sp = AddressSpace(machine, pid=0)
+    src, dst = sp.alloc(300), sp.alloc(300)
+    if src_state == "written":
+        _fill(src, 1)
+    if dst_state == "written":
+        _fill(dst, 2)
+    elif dst_state == "a5":
+        dst.data[:] = 0xA5
+    expected = _reference(_bytes_of(dst), _bytes_of(src), doff, soff, n)
+    copy_payload(dst.view(doff, n), src.view(soff, n))
+    assert _bytes_of(dst) == expected
+    # Only a written source materialises the destination; the source
+    # itself is never materialised.
+    assert (src._data is None) == (src_state == "untouched")
+    assert (dst._data is None) == (
+        src_state == "untouched" and dst_state == "untouched"
+    )
+
+
+@pytest.mark.parametrize("state", ["untouched", "written"])
+@pytest.mark.parametrize("soff,doff", [(0, 10), (10, 0), (5, 5)])
+def test_overlapping_views_in_one_buffer(machine, state, soff, doff):
+    sp = AddressSpace(machine, pid=0)
+    buf = sp.alloc(64)
+    if state == "written":
+        _fill(buf, 3)
+    before = _bytes_of(buf)
+    expected = _reference(before, before, doff, soff, 40)
+    copy_payload(buf.view(doff, 40), buf.view(soff, 40))
+    assert _bytes_of(buf) == expected
+    assert (buf._data is None) == (state == "untouched")
+
+
+@pytest.mark.parametrize("src_state", ["untouched", "written"])
+@pytest.mark.parametrize("dst_state", ["untouched", "written"])
+def test_copy_payload_rejects_unequal_lengths(machine, src_state, dst_state):
+    sp = AddressSpace(machine, pid=0)
+    src, dst = sp.alloc(64), sp.alloc(64)
+    for buf, state in ((src, src_state), (dst, dst_state)):
+        if state == "written":
+            buf.data[:] = 1
+    before = _bytes_of(dst)
+    with pytest.raises(ValueError):
+        copy_payload(dst.view(0, 32), src.view(0, 16))
+    with pytest.raises(ValueError):
+        copy_payload(dst.view(0, 16), src.view(0, 32))
+    assert _bytes_of(dst) == before

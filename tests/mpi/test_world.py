@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.policy import LmtConfig
 from repro.errors import MpiError
-from repro.hw import xeon_e5345
+from repro.hw import modern_server, xeon_e5345
 from repro.mpi import run_mpi
 from repro.mpi.world import MpiWorld
 from repro.units import KiB, MiB
@@ -197,3 +197,51 @@ def test_pingpong_payload_intact(nbytes, mode):
     # Eager messages pass through the receiver's cells; rendezvous
     # ones leave every cell untouched.
     assert bool(touched) == (nbytes < TOPO.params.lmt_threshold)
+
+
+def _payload_arrays(world):
+    """Names of the buffers that hold a payload array: every rank's
+    allocations, its eager cells and the copy rings' cells."""
+    bufs = [b for space in world.spaces for b in space.buffers]
+    bufs += [c for ep in world.endpoints for c in ep.free_cells._items]
+    bufs += [c for ring in world._rings.values() for c in ring.cells]
+    return [b.name for b in bufs if b._data is not None]
+
+
+@pytest.mark.parametrize("mode", ["default", "knem-ioat"])
+def test_untouched_alltoall_materialises_no_payload(mode):
+    """Copies of never-written memory move no bytes, so a run that only
+    times its buffers allocates no payload array anywhere."""
+    block = 128 * KiB
+
+    def main(ctx):
+        comm = ctx.comm
+        send = ctx.alloc(block * comm.size)
+        recv = ctx.alloc(block * comm.size)
+        yield ctx.touch(send, write=True)
+        yield comm.Alltoall(send, recv)
+        yield ctx.touch(recv)
+
+    r = run_mpi(TOPO, 8, main, mode=mode)
+    assert len(r.world.spaces[0].buffers) == 2
+    assert _payload_arrays(r.world) == []
+
+
+@pytest.mark.parametrize("nbytes", [4 * KiB, 1 * MiB])
+# vmsplice-ioat and dsa cover the two other offloaded copy paths.
+@pytest.mark.parametrize("mode", ["default", "knem-ioat", "vmsplice-ioat", "dsa"])
+def test_untouched_pingpong_materialises_no_payload(mode, nbytes):
+    topo = modern_server() if mode == "dsa" else TOPO
+
+    def main(ctx):
+        comm = ctx.comm
+        buf = ctx.alloc(nbytes)
+        peer = 1 - ctx.rank
+        for tag in range(2):
+            if ctx.rank == tag:
+                yield comm.Send(buf, dest=peer, tag=tag)
+            else:
+                yield comm.Recv(buf, source=peer, tag=tag)
+
+    r = run_mpi(topo, 2, main, mode=mode)
+    assert _payload_arrays(r.world) == []

@@ -6,7 +6,7 @@ from repro.errors import HardwareError
 from repro.hw import cluster_of, xeon_e5345
 from repro.net import Cluster, FabricParams, NicRequest
 from repro.sim import Engine
-from repro.units import GiB, KiB
+from repro.units import GiB, KiB, PAGE_SIZE
 
 TOPO = xeon_e5345()
 
@@ -154,3 +154,26 @@ def test_incast_two_senders_one_port(contention):
     else:
         assert elapsed > 1.6 * single
     assert cluster.nic(2).bytes_rx == 2 * nbytes
+
+
+def test_misaligned_descriptor_covers_every_line_it_touches():
+    """A 64-byte RDMA write starting mid-line spans two lines on each
+    node: both source lines flush, both destination lines invalidate."""
+    engine, cluster = _cluster()
+    src_m, dst_m = cluster.machine(0), cluster.machine(1)
+    src = src_m.alloc_phys(PAGE_SIZE) + 32
+    dst = dst_m.alloc_phys(PAGE_SIZE) + 32
+    s0, s1 = src_m.line_span(src, 64)
+    d0, d1 = dst_m.line_span(dst, 64)
+    assert (s1 - s0, d1 - d0) == (2, 2)
+    src_m.coherence.write(0, s0, s1)
+    dst_m.coherence.write(0, d0, d1)
+    nic = cluster.nic(0)
+    nic.submit(NicRequest(
+        dst_node=1,
+        descriptors=nic.build_descriptors([(src, dst, 64, None)]),
+        done=engine.event("t"),
+    ))
+    engine.run()
+    assert src_m.caches[0].peek(s0, s1) == [(s0, s1, False)]
+    assert dst_m.caches[0].peek(d0, d1) == []

@@ -185,3 +185,29 @@ def test_copies_bypass_the_cache(machine):
     cache = m.coherence.cache_of(0)
     lo, hi = m.line_span(dst, nbytes)
     assert cache.resident_lines(lo, hi) == 0
+
+
+def test_misaligned_descriptor_covers_every_line_it_touches(machine):
+    """A 64-byte descriptor starting mid-line spans two lines on each
+    side: both source lines flush, both destination lines invalidate."""
+    eng, m = machine
+    base = m.alloc_phys(2 * PAGE_SIZE)
+    src, dst = base + 32, base + PAGE_SIZE + 32
+    s0, s1 = m.line_span(src, 64)
+    d0, d1 = m.line_span(dst, 64)
+    m.coherence.write(0, s0, s1)
+    m.coherence.write(0, d0, d1)
+    req = DsaRequest(
+        m.dsa.build_descriptors([(src, dst, 64, None)]),
+        done=eng.event("dsa"),
+        submitter_core=0,
+    )
+
+    def proc():
+        m.dsa.submit(req)
+        yield req.done
+
+    eng.run_processes([proc])
+    cache = m.coherence.cache_of(0)
+    assert cache.peek(s0, s1) == [(s0, s1, False)]
+    assert cache.resident_lines(d0, d1) == 0
