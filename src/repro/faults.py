@@ -33,11 +33,12 @@ reliability machinery arms, but no simulated timing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LinkFault", "LinkWindow", "FaultPlan", "FaultState", "CAPABILITIES"]
 
@@ -177,6 +178,8 @@ class FaultState:
         key = (src, dst)
         rng = self._rngs.get(key)
         if rng is None:
+            import numpy as np
+
             rng = np.random.default_rng([self.plan.seed, src, dst])
             self._rngs[key] = rng
         return rng

@@ -16,7 +16,8 @@ Every payload move goes through :func:`copy_payload`.  Untouched memory
 reads as zeros, so copying it moves no bytes: an untouched destination
 stays untouched, a touched one has the range zero-filled.  A run whose
 application never writes its buffers (the IMB and NAS workloads only
-time their scans) therefore allocates no payload array at all.
+time their scans) therefore allocates no payload array at all — and,
+since NumPy itself is imported on the first touch, never loads it.
 
 A :class:`BufferView` is one iovec entry ``(buffer, offset, nbytes)``;
 noncontiguous datatypes and KNEM's "vectorial buffers" are lists of
@@ -26,12 +27,13 @@ always, receive buffers when I/OAT is used — Sec. 3.3).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import BadAddressError, KernelError
 from repro.units import PAGE_SIZE, ceil_div
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["AddressSpace", "Buffer", "BufferView", "copy_payload"]
 
@@ -62,6 +64,8 @@ class Buffer:
         """The payload bytes, zero-filled on first touch."""
         data = self._data
         if data is None:
+            import numpy as np
+
             data = self._data = np.zeros(self.nbytes, dtype=np.uint8)
         return data
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.kernel.copy import cpu_copy
 from repro.mpi.coll.gather import _blocks, gather, scatter
-from repro.mpi.coll.reduce import _scratch, allreduce, reduce
+from repro.mpi.coll.reduce import _itemsize, _scratch, allreduce, reduce
 from repro.mpi.datatypes import as_views
 
 __all__ = [
@@ -149,10 +149,11 @@ def allreduce_hier(comm, sendbuf, recvbuf, op=None, dtype=None):
     """Hierarchical allreduce.  Each payload byte crosses the fabric
     once per node (in each direction) instead of once per rank.
 
-    Regular layouts (same member count on every node, divisible
-    payload) use the Rabenseifner-style decomposition: node-local
-    reduce-scatter, then every member runs a cross-node allreduce of
-    *its* slice with its same-index peers, then a node-local allgather.
+    Regular layouts (same member count on every node, a payload that
+    divides into whole-element slices) use the Rabenseifner-style
+    decomposition: node-local reduce-scatter, then every member runs a
+    cross-node allreduce of *its* slice with its same-index peers, then
+    a node-local allgather.
     Both the combine work and the intranode traffic spread over all
     members instead of serializing at the leader, and the slices of all
     members share the node's NIC link concurrently.  Irregular layouts
@@ -167,6 +168,7 @@ def allreduce_hier(comm, sendbuf, recvbuf, op=None, dtype=None):
         and all(len(members) == m for members in groups.members)
         and nbytes % m == 0
         and nbytes // m > 0
+        and (nbytes // m) % _itemsize(dtype) == 0
     )
     if not regular:
         yield from _allreduce_leader(comm, groups, sendbuf, recvbuf, op, dtype)

@@ -11,14 +11,25 @@ Reduction operates on real bytes: ``dtype`` reinterprets the byte
 buffers (default ``uint8``) and ``op`` combines NumPy arrays in place
 (default wrap-around addition).  The arithmetic is *timed* as two
 streaming passes (read the incoming buffer, read-modify-write the
-accumulator) through the simulated caches.
+accumulator) through the simulated caches.  Vectors split only on
+element boundaries; a byte count that is not a whole number of
+``dtype`` elements raises :class:`~repro.errors.MpiError` before any
+message moves.
+
+The built-in addition is demand-zero, like
+:func:`~repro.kernel.address_space.copy_payload`: when no buffer under
+either operand was ever read or written, both hold zeros, and 0 + 0 is
+bitwise 0 in every integer and float dtype, so the step runs its two
+timed passes and then allocates nothing (NumPy is imported only when a
+step does combine data).  The rule is limited to the built-in op: a
+user ``op`` need not map zeros to zero, so it always sees materialised,
+zero-filled operands, and so does any step with a touched operand
+(float ``-0.0 + 0.0`` is ``+0.0``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.errors import MpiError
 from repro.kernel.copy import cpu_copy, stream_access
@@ -41,8 +52,32 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _default_op(acc: np.ndarray, incoming: np.ndarray) -> None:
+def _default_op(acc, incoming) -> None:
     acc += incoming  # wrap-around add on the chosen dtype
+
+
+def _itemsize(dtype) -> int:
+    """Bytes per element of ``dtype`` (``None`` is the default ``uint8``)."""
+    if dtype is None:
+        return 1
+    import numpy as np
+
+    return np.dtype(dtype).itemsize
+
+
+def _check_elements(nbytes: int, dtype, what: str = "reduction") -> int:
+    """``dtype``'s itemsize; raises unless ``nbytes`` is a whole number
+    of elements."""
+    itemsize = _itemsize(dtype)
+    if nbytes % itemsize:
+        raise MpiError(
+            f"{what} of {nbytes}B is not a whole number of {itemsize}B elements"
+        )
+    return itemsize
+
+
+def _untouched(views) -> bool:
+    return all(v.buffer._data is None for v in views)
 
 
 def _combine(comm, dst_views, src_views, op, dtype):
@@ -52,6 +87,12 @@ def _combine(comm, dst_views, src_views, op, dtype):
     # Timing: stream the incoming data, then read-modify-write ours.
     yield from stream_access(machine, core, src_views, write=False, intensity=1.0)
     yield from stream_access(machine, core, dst_views, write=True, intensity=1.0)
+    if op is _default_op and _untouched(src_views) and _untouched(dst_views):
+        return  # zeros plus zeros: the accumulator already holds the sum
+    import numpy as np
+
+    if dtype is None:
+        dtype = np.uint8
     # Real data: concatenate, combine, scatter back.
     src = np.concatenate([v.array for v in src_views]).view(dtype)
     acc = np.concatenate([v.array for v in dst_views]).view(dtype)
@@ -87,11 +128,13 @@ def reduce(
     ``recvbuf`` is required at the root; other ranks may pass None.
     """
     op = op or _default_op
-    dtype = dtype or np.uint8
     p = comm.size
     rank = comm.rank
+    if rank == root and recvbuf is None:
+        raise MpiError("root must supply a receive buffer to Reduce")
     send_views = as_views(sendbuf)
     nbytes = sum(v.nbytes for v in send_views)
+    _check_elements(nbytes, dtype)
 
     # Every rank accumulates into a scratch (cached per communicator).
     acc = _scratch(comm, "_reduce_acc", nbytes)
@@ -114,8 +157,6 @@ def reduce(
         mask <<= 1
 
     if rank == root:
-        if recvbuf is None:
-            raise MpiError("root must supply a receive buffer to Reduce")
         recv_views = as_views(recvbuf)
         yield from cpu_copy(
             comm.machine, comm.core, recv_views, [acc.view(0, nbytes)]
@@ -133,7 +174,10 @@ def allreduce(comm, sendbuf, recvbuf, op=None, dtype=None):
         if hier_applicable(comm):
             return allreduce_hier(comm, sendbuf, recvbuf, op, dtype)
     if _is_pow2(comm.size) and comm.size > 1:
-        if nbytes >= tuning.allreduce_rabenseifner_min and nbytes >= comm.size:
+        if (
+            nbytes >= tuning.allreduce_rabenseifner_min
+            and nbytes // _itemsize(dtype) >= comm.size
+        ):
             return allreduce_rabenseifner(comm, sendbuf, recvbuf, op, dtype)
         return allreduce_recursive_doubling(comm, sendbuf, recvbuf, op, dtype)
     return _allreduce_reduce_bcast(comm, sendbuf, recvbuf, op, dtype)
@@ -152,7 +196,6 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, op=None, dtype=None):
     full vector with partner rank XOR 2^k.  Power-of-two ranks only.
     Generator."""
     op = op or _default_op
-    dtype = dtype or np.uint8
     p = comm.size
     rank = comm.rank
     if not _is_pow2(p):
@@ -160,6 +203,7 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, op=None, dtype=None):
     send_views = as_views(sendbuf)
     recv_views = as_views(recvbuf)
     nbytes = sum(v.nbytes for v in send_views)
+    _check_elements(nbytes, dtype)
 
     yield from cpu_copy(comm.machine, comm.core, recv_views, send_views)
     if p == 1:
@@ -184,7 +228,6 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, op=None, dtype=None):
     per round — the long-vector winner.  Power-of-two ranks, contiguous
     buffers.  Generator."""
     op = op or _default_op
-    dtype = dtype or np.uint8
     p = comm.size
     rank = comm.rank
     if not _is_pow2(p):
@@ -196,19 +239,20 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, op=None, dtype=None):
         return
     recv = recv_views[0]
     nbytes = recv.nbytes
+    itemsize = _check_elements(nbytes, dtype)
 
     yield from cpu_copy(comm.machine, comm.core, recv_views, send_views)
     if p == 1:
         return
     tmp = _scratch(comm, "_rab_tmp", nbytes)
+    # Blocks split the vector on element boundaries.
+    base, extra = divmod(nbytes // itemsize, p)
 
     def chunk(lo_block: int, count: int, of=None):
-        base = nbytes // p
-        extra = nbytes % p
         lo = lo_block * base + min(lo_block, extra)
         hi_block = lo_block + count
         hi = hi_block * base + min(hi_block, extra)
-        return (of or recv).sub(lo, hi - lo)
+        return (of or recv).sub(lo * itemsize, (hi - lo) * itemsize)
 
     # --- reduce-scatter by recursive halving --------------------------
     lo, count = 0, p  # my active block range
@@ -272,7 +316,6 @@ def reduce_scatter_block(comm, sendbuf, recvbuf, op=None, dtype=None):
     scatter.  Generator.
     """
     op = op or _default_op
-    dtype = dtype or np.uint8
     p = comm.size
     rank = comm.rank
     send_views = as_views(sendbuf)
@@ -281,6 +324,7 @@ def reduce_scatter_block(comm, sendbuf, recvbuf, op=None, dtype=None):
     if total % p:
         raise MpiError(f"reduce_scatter payload of {total}B not divisible by {p}")
     block = total // p
+    _check_elements(block, dtype, what="reduce_scatter block")
     if sum(v.nbytes for v in recv_views) < block:
         raise MpiError("reduce_scatter receive buffer smaller than one block")
 

@@ -20,7 +20,7 @@ noise=NoiseModel(seed=1, sigma=0.02))``.
 
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
 from repro.errors import SimulationError
 
@@ -36,10 +36,8 @@ class NoiseModel:
     def __init__(self, seed: int = 0, sigma: float = 0.02) -> None:
         if sigma < 0 or sigma > 0.5:
             raise SimulationError(f"noise sigma out of range [0, 0.5]: {sigma}")
-        self.seed = seed
         self.sigma = sigma
-        self._rng = np.random.default_rng(seed)
-        self.samples_drawn = 0
+        self.reseed(seed)
 
     def factor(self) -> float:
         """One jitter multiplier, centred on 1.0."""
@@ -54,6 +52,8 @@ class NoiseModel:
 
     def reseed(self, seed: int) -> None:
         """Restart the stream (a fresh 'run' of the same experiment)."""
+        import numpy as np
+
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.samples_drawn = 0
@@ -71,7 +71,7 @@ class NoiseModel:
         """
         if noise is None or isinstance(noise, cls):
             return noise
-        if isinstance(noise, (int, np.integer)) and not isinstance(noise, bool):
+        if isinstance(noise, numbers.Integral) and not isinstance(noise, bool):
             return cls(
                 seed=int(noise),
                 sigma=cls.DEFAULT_SIGMA if sigma is None else sigma,

@@ -4,6 +4,7 @@ directly (bypassing size-based selection)."""
 import numpy as np
 import pytest
 
+from repro.errors import MpiError
 from repro.hw import xeon_e5345
 from repro.mpi import run_mpi
 from repro.mpi.coll.allgather import allgather_recursive_doubling, allgather_ring
@@ -12,6 +13,8 @@ from repro.mpi.coll.bcast import bcast_binomial, bcast_scatter_allgather
 from repro.mpi.coll.reduce import (
     allreduce_rabenseifner,
     allreduce_recursive_doubling,
+    reduce,
+    reduce_scatter_block,
 )
 from repro.mpi.coll.tuning import CollTuning
 from repro.units import KiB
@@ -149,6 +152,161 @@ def test_allreduce_selection_non_pow2_falls_back():
 
     r = run_mpi(TOPO, 5, main)
     assert r.results == [5] * 5
+
+
+# ------------------------------------------------ demand-zero reduce --
+# (nprocs, nbytes) covering Rabenseifner, recursive doubling and the
+# reduce + bcast fallback.
+REDUCE_SHAPES = [(8, 1024 * KiB), (8, 1 * KiB), (6, 64 * KiB)]
+
+
+@pytest.mark.parametrize("nprocs,nbytes", REDUCE_SHAPES)
+def test_untouched_allreduce_materialises_no_payload(nprocs, nbytes):
+    """Buffers that were only ``touch``ed hold zeros, and the built-in
+    add of zeros is zero: no step may allocate a payload array."""
+
+    def main(ctx):
+        send, recv = ctx.alloc(nbytes), ctx.alloc(nbytes)
+        yield ctx.touch(send, write=True)
+        yield ctx.comm.Allreduce(send, recv)
+
+    r = run_mpi(TOPO, nprocs, main)
+    buffers = [b for space in r.world.spaces for b in space.buffers]
+    assert len(buffers) > 2 * nprocs  # the algorithm's scratch is counted too
+    assert all(b._data is None for b in buffers)
+
+
+def test_untouched_reduce_scatter_block_materialises_no_payload():
+    def main(ctx):
+        send, recv = ctx.alloc(64 * KiB), ctx.alloc(8 * KiB)
+        yield ctx.comm.Reduce_scatter_block(send, recv)
+
+    r = run_mpi(TOPO, 8, main)
+    assert all(b._data is None for space in r.world.spaces for b in space.buffers)
+
+
+@pytest.mark.parametrize("nprocs,nbytes", REDUCE_SHAPES)
+def test_one_written_operand_among_untouched_sums_exactly(nprocs, nbytes):
+    writer = 3
+    pattern = (np.arange(nbytes) % 253 + 1).astype(np.uint8)
+
+    def main(ctx):
+        send, recv = ctx.alloc(nbytes), ctx.alloc(nbytes)
+        if ctx.rank == writer:
+            send.data[:] = pattern
+        else:
+            yield ctx.touch(send, write=True)
+        yield ctx.comm.Allreduce(send, recv)
+        return recv.data.copy()
+
+    r = run_mpi(TOPO, nprocs, main)
+    for got in r.results:
+        assert np.array_equal(got, pattern)
+
+
+def test_user_op_sees_zero_filled_operands():
+    """A user op need not map zeros to zero, so it runs on untouched
+    buffers too, with operands that read as zeros."""
+    calls = []
+
+    def op_set(acc, incoming):
+        calls.append((acc.any(), incoming.any()))
+        acc[:] = 5
+
+    def main(ctx):
+        send, recv = ctx.alloc(64), ctx.alloc(64)
+        yield allreduce_recursive_doubling(ctx.comm, send, recv, op=op_set)
+        return recv.data.copy()
+
+    r = run_mpi(TOPO, 2, main)
+    assert calls == [(False, False)] * 2
+    for got in r.results:
+        assert np.array_equal(got, np.full(64, 5, dtype=np.uint8))
+
+
+def test_negative_zero_accumulator_keeps_numpy_semantics():
+    """-0.0 + 0.0 is +0.0: a touched accumulator combined with an
+    untouched source must still be combined, not left as it is."""
+    n = 16
+    expected = (np.full(n, -0.0) + np.zeros(n)).view(np.uint64)
+
+    def main(ctx):
+        send, recv = ctx.alloc(8 * n), ctx.alloc(8 * n)
+        if ctx.rank == 0:
+            send.data.view(np.float64)[:] = -0.0
+        yield allreduce_recursive_doubling(ctx.comm, send, recv, dtype=np.float64)
+        return recv.data.view(np.uint64).copy()
+
+    r = run_mpi(TOPO, 2, main)
+    assert not np.signbit(expected.view(np.float64)).any()
+    for got in r.results:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("ndoubles,nprocs", [(300, 8), (513, 4)])
+def test_float64_allreduce_splits_on_element_boundaries(ndoubles, nprocs):
+    """Both sizes take Rabenseifner (>= 2 KiB), whose blocks must not
+    cut a double in half."""
+
+    def values(rank):
+        return np.arange(ndoubles, dtype=np.float64) * 0.5 + rank
+
+    def main(ctx):
+        send, recv = ctx.alloc(8 * ndoubles), ctx.alloc(8 * ndoubles)
+        send.data.view(np.float64)[:] = values(ctx.rank)
+        yield ctx.comm.Allreduce(send, recv, dtype=np.float64)
+        return recv.data.view(np.float64).copy()
+
+    r = run_mpi(TOPO, nprocs, main)
+    expected = sum(values(k) for k in range(nprocs))
+    for got in r.results:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("written", [False, True])
+def test_partial_element_byte_count_raises_before_any_message(written):
+    def main(ctx):
+        send, recv = ctx.alloc(100), ctx.alloc(100)
+        if written:
+            send.data[:] = 1
+        try:
+            yield from allreduce_recursive_doubling(
+                ctx.comm, send, recv, dtype=np.float64
+            )
+        except MpiError as exc:
+            return str(exc), ctx.now
+
+    r = run_mpi(TOPO, 4, main)
+    for msg, now in r.results:
+        assert "100B" in msg and "8B" in msg
+        assert now == 0.0
+    assert sum(ep.eager_received + ep.rndv_received for ep in r.world.endpoints) == 0
+
+
+def test_reduce_scatter_block_rejects_partial_element_blocks():
+    def main(ctx):
+        send, recv = ctx.alloc(48), ctx.alloc(12)  # 12 B blocks of float64
+        try:
+            yield from reduce_scatter_block(ctx.comm, send, recv, dtype=np.float64)
+        except MpiError as exc:
+            return str(exc)
+
+    r = run_mpi(TOPO, 4, main)
+    assert all("12B" in msg and "8B" in msg for msg in r.results)
+
+
+def test_reduce_rejects_missing_root_recvbuf_before_receiving():
+    def main(ctx):
+        send = ctx.alloc(256)
+        try:
+            yield from reduce(ctx.comm, send, None, root=0)
+        except MpiError as exc:
+            return str(exc), ctx.now
+
+    r = run_mpi(TOPO, 4, main)
+    msg, now = r.results[0]
+    assert "receive buffer" in msg and now == 0.0
+    assert r.results[1:] == [None] * 3
 
 
 # ------------------------------------------------------------ bruck --

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.hw import cluster_of, xeon_e5345
@@ -79,6 +80,25 @@ def test_hier_allreduce_irregular_layout_falls_back_correctly():
     )
     total = sum(range(1, 5))
     assert all((lo, hi) == (total, total) for _t, lo, hi in r.results)
+
+
+@pytest.mark.parametrize("ndoubles", [256, 250])
+def test_hier_allreduce_float64_slices_whole_elements(ndoubles):
+    """250 doubles over 4 members is 500 B a slice, which would cut a
+    double in half: that layout takes the leader fallback instead."""
+
+    def values(rank):
+        return np.arange(ndoubles, dtype=np.float64) * 0.25 + rank
+
+    def main(ctx):
+        send, recv = ctx.alloc(8 * ndoubles), ctx.alloc(8 * ndoubles)
+        send.data.view(np.float64)[:] = values(ctx.rank)
+        yield ctx.comm.Allreduce(send, recv, dtype=np.float64)
+        return recv.data.view(np.float64).copy()
+
+    r = run_cluster(SPEC2, 8, main, procs_per_node=4, coll_tuning=HIER)
+    expected = sum(values(k) for k in range(8))
+    assert all(np.array_equal(got, expected) for got in r.results)
 
 
 @pytest.mark.parametrize("root", [0, 5])

@@ -4,7 +4,9 @@ Package ``__init__`` files resolve other layers' names lazily, and the
 intranode stack (``sim``, ``hw``, ``kernel``, ``core``, ``mpi``) loads
 nothing from the internode fabric, the fault injector, the campaign
 queue, the serving layer or the exporters until a caller uses them.
-The subprocess checks start from a clean ``sys.modules``.
+NumPy loads only when a payload byte is touched, a noise stream is
+seeded or a fault substream is drawn.  The subprocess checks start
+from a clean ``sys.modules``.
 """
 
 import importlib
@@ -23,12 +25,12 @@ import repro
 SRC = Path(repro.__file__).resolve().parent.parent
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The ``repro`` modules loaded by ``code`` in a fresh interpreter."""
+def _loaded_after(code: str, package: str = "repro") -> list[str]:
+    """The ``package`` modules loaded by ``code`` in a fresh interpreter."""
     probe = code + (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'repro' or m.startswith('repro.'))))\n"
+        f" if m == {package!r} or m.startswith({package!r} + '.'))))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -75,6 +77,86 @@ def test_alltoall_run_loads_only_the_intranode_stack():
         or m in {f"repro.bench.nas.{k}" for k in NAS_KERNELS}
     ]
     assert stray == []
+
+
+def _numpy_loaded_after(code: str) -> bool:
+    return "numpy" in _loaded_after(code, "numpy")
+
+
+def test_untouched_pingpong_never_imports_numpy():
+    assert not _numpy_loaded_after(
+        "import repro.bench.imb as imb\n"
+        "from repro.hw.presets import xeon_e5345\n"
+        "r = imb.imb_pingpong(xeon_e5345(), 256 * 1024, mode='knem', repetitions=1)\n"
+        "assert r.one_way_seconds > 0\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["knem-ioat", "default"])
+def test_untouched_alltoall_never_imports_numpy(mode):
+    assert not _numpy_loaded_after(
+        "import repro.bench.imb as imb\n"
+        "from repro.hw.presets import xeon_e5345\n"
+        f"imb.imb_alltoall(xeon_e5345(), 32 * 1024, mode={mode!r}, repetitions=1)\n"
+    )
+
+
+def test_nas_is_run_never_imports_numpy():
+    # IS loads the reduction module (through the hierarchical
+    # collectives) but never combines payload bytes.
+    loaded = _loaded_after(
+        "import repro.bench.nas as nas\n"
+        "from repro.hw.presets import xeon_e5345\n"
+        "nas.run_nas(nas.get_spec('is', 'A'), xeon_e5345(), mode='knem-ioat',"
+        " iterations=1)\n"
+        "import sys\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert "repro.mpi.coll.reduce" in loaded
+
+
+def test_noise_run_imports_numpy():
+    assert _numpy_loaded_after(
+        "from repro.hw.presets import xeon_e5345\n"
+        "from repro.mpi import run_mpi\n"
+        "from repro.sim.noise import NoiseModel\n"
+        "def main(ctx):\n"
+        "    yield ctx.compute(1e-6)\n"
+        "run_mpi(xeon_e5345(), 2, main, noise=NoiseModel(seed=1))\n"
+    )
+
+
+@pytest.mark.parametrize("drop", [0.1, 0.0])
+def test_fault_run_imports_numpy_only_when_it_draws(drop):
+    loaded = _numpy_loaded_after(
+        "from repro import ClusterSpec, FaultPlan, run_cluster\n"
+        "from repro.hw.presets import xeon_e5345\n"
+        "def main(ctx):\n"
+        "    buf = ctx.alloc(64 * 1024)\n"
+        "    if ctx.rank == 0:\n"
+        "        yield ctx.comm.Send(buf, dest=1)\n"
+        "    else:\n"
+        "        yield ctx.comm.Recv(buf, source=0)\n"
+        "r = run_cluster(ClusterSpec(node=xeon_e5345(), nnodes=2), 2, main,\n"
+        "                bindings=[(0, 0), (1, 0)],\n"
+        f"                faults=FaultPlan(seed=3, drop={drop}))\n"
+        f"assert bool(r.fabric.faults._rngs) == {drop > 0}  # substreams drawn\n"
+    )
+    assert loaded == (drop > 0)
+
+
+def test_noise_coerce_takes_numpy_integers_but_not_bools():
+    import numpy as np
+
+    from repro.errors import SimulationError
+    from repro.sim.noise import NoiseModel
+
+    model = NoiseModel.coerce(np.int64(3))
+    assert isinstance(model, NoiseModel) and model.seed == 3
+    assert model.factor() == NoiseModel(seed=3).factor()
+    for bad in (True, np.bool_(True), 3.0):
+        with pytest.raises(SimulationError):
+            NoiseModel.coerce(bad)
 
 
 def test_cli_help_loads_only_the_cli():
