@@ -28,8 +28,6 @@ or serially in-process (``workers <= 1``).  Either way:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -515,6 +513,10 @@ def _pool_run(runner, jobs: list[tuple[dict, str]], workers: int) -> list[dict]:
     only occupant, which becomes a ``status: "failed"`` record instead
     of an exception out of :func:`run_campaign`.
     """
+    # Imported here: a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     results: list[Optional[dict]] = [None] * len(jobs)
     suspects: list[int] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

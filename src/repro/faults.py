@@ -33,12 +33,10 @@ reliability machinery arms, but no simulated timing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.sim.rng import Pcg64Stream, check_seed
 
 __all__ = ["LinkFault", "LinkWindow", "FaultPlan", "FaultState", "CAPABILITIES"]
 
@@ -119,6 +117,7 @@ class FaultPlan:
     reg_failures: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_seed("FaultPlan.seed", self.seed)
         _check_prob("FaultPlan.drop", self.drop)
         _check_prob("FaultPlan.corrupt", self.corrupt)
         for node, caps in self.masked.items():
@@ -165,7 +164,7 @@ class FaultState:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._rngs: dict[tuple[int, int], np.random.Generator] = {}
+        self._rngs: dict[tuple[int, int], Pcg64Stream] = {}
         self._reg_left = dict(plan.reg_failures)
         # Injection counters (diagnostics / reporting).
         self.drops_injected = 0
@@ -174,14 +173,11 @@ class FaultState:
         self.reg_failures_injected = 0
 
     # ------------------------------------------------------------- wire
-    def _rng(self, src: int, dst: int) -> np.random.Generator:
+    def _rng(self, src: int, dst: int) -> Pcg64Stream:
         key = (src, dst)
         rng = self._rngs.get(key)
         if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng([self.plan.seed, src, dst])
-            self._rngs[key] = rng
+            rng = self._rngs[key] = Pcg64Stream([self.plan.seed, src, dst])
         return rng
 
     def link_up(self, src: int, dst: int, now: float) -> bool:

@@ -18,7 +18,7 @@ from repro.errors import MpiError
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.knem import KnemDevice
 from repro.mpi.coll.tuning import CollTuning
-from repro.mpi.world import MpiRunResult, MpiWorld, RankContext
+from repro.mpi.world import MpiRunResult, MpiWorld, RankContext, check_drained
 from repro.net.cluster import Cluster
 from repro.net.fabric import ClusterSpec
 from repro.sim.engine import Engine
@@ -216,6 +216,8 @@ def run_cluster(
     ]
     engine.run(until=until)
     engine.obs.finalize(world)
+    if until is None:
+        check_drained(world)
     return ClusterRunResult(
         results=[p.result for p in processes],
         elapsed=engine.now,

@@ -250,3 +250,11 @@ class Endpoint:
     @property
     def pending_posted(self) -> int:
         return len(self._posted)
+
+    def unmatched_counts(self) -> dict[tuple[int, int], int]:
+        """(source, tag) -> number of queued packets no receive matched."""
+        counts: dict[tuple[int, int], int] = {}
+        for pkt in self._unexpected:
+            key = (pkt.src, pkt.tag)
+            counts[key] = counts.get(key, 0) + 1
+        return counts

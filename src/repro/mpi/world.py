@@ -293,6 +293,24 @@ class RankContext:
         )
 
 
+def check_drained(world: MpiWorld) -> None:
+    """Raise :class:`MpiError` when a finished run left sent messages
+    unmatched: some receive was lost, even if every rank returned."""
+    leftovers = [
+        f"rank {ep.rank} holds "
+        + ", ".join(
+            f"{n} from source {src} tag {tag}"
+            for (src, tag), n in ep.unmatched_counts().items()
+        )
+        for ep in world.endpoints
+        if ep.pending_unexpected
+    ]
+    if leftovers:
+        raise MpiError(
+            "run ended with sent messages never received: " + "; ".join(leftovers)
+        )
+
+
 @dataclass
 class MpiRunResult:
     """Outcome of one :func:`run_mpi` call."""
@@ -393,6 +411,8 @@ def run_mpi(
     ]
     engine.run(until=until)
     engine.obs.finalize(world)
+    if until is None:
+        check_drained(world)
     return MpiRunResult(
         results=[p.result for p in processes],
         elapsed=engine.now,

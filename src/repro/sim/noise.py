@@ -6,7 +6,9 @@ effects.  The simulator is deterministic by default, which makes its
 insensitive rows sit at exactly 0 %.  A :class:`NoiseModel` reintroduces
 controlled variability: multiplicative lognormal jitter on compute
 phases and scheduling latencies, drawn from a seeded generator so any
-"noisy" experiment is still exactly reproducible.
+"noisy" experiment is still exactly reproducible.  The generator is
+:class:`repro.sim.rng.Pcg64Stream`, which draws numpy's
+``default_rng(seed)`` stream bit for bit without importing numpy.
 
 The same model also covers the NIC's wire and service times: a fabric
 built with ``noise`` (see :class:`repro.net.fabric.Fabric`, or
@@ -44,18 +46,23 @@ class NoiseModel:
         if self.sigma == 0:
             return 1.0
         self.samples_drawn += 1
-        return float(self._rng.lognormal(mean=0.0, sigma=self.sigma))
+        return self._rng.lognormal(self.sigma)
 
     def jitter(self, duration: float) -> float:
         """Apply jitter to a duration."""
         return duration * self.factor()
 
     def reseed(self, seed: int) -> None:
-        """Restart the stream (a fresh 'run' of the same experiment)."""
-        import numpy as np
+        """Restart the stream (a fresh 'run' of the same experiment).
 
+        ``seed`` must be a non-negative integer (numpy integers pass,
+        ``bool`` does not), else :class:`SimulationError`.
+        """
+        # Imported here: every run loads this module, few draw noise.
+        from repro.sim.rng import Pcg64Stream, check_seed
+
+        self._rng = Pcg64Stream(check_seed("NoiseModel.seed", seed))
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self.samples_drawn = 0
 
     @classmethod

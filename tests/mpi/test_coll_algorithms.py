@@ -296,17 +296,23 @@ def test_reduce_scatter_block_rejects_partial_element_blocks():
 
 
 def test_reduce_rejects_missing_root_recvbuf_before_receiving():
+    caught = []
+
     def main(ctx):
         send = ctx.alloc(256)
         try:
             yield from reduce(ctx.comm, send, None, root=0)
         except MpiError as exc:
-            return str(exc), ctx.now
+            caught.append((ctx.rank, str(exc), ctx.now))
 
-    r = run_mpi(TOPO, 4, main)
-    msg, now = r.results[0]
-    assert "receive buffer" in msg and now == 0.0
-    assert r.results[1:] == [None] * 3
+    # The root gives up before receiving, so its children's partial
+    # results are left unmatched at the root and the run says so.
+    with pytest.raises(MpiError, match="never received") as err:
+        run_mpi(TOPO, 4, main)
+    assert "rank 0 holds 1 from source 1 tag" in str(err.value)
+    assert "1 from source 2 tag" in str(err.value)
+    [(rank, msg, now)] = caught
+    assert rank == 0 and "receive buffer" in msg and now == 0.0
 
 
 # ------------------------------------------------------------ bruck --

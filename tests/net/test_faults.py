@@ -68,6 +68,22 @@ def test_plan_validates_probabilities_and_capabilities():
         FaultPlan(masked={0: frozenset({"infiniband"})})
 
 
+@pytest.mark.parametrize("bad", [-2, 3.0, True])
+def test_bad_seed_rejected_when_the_plan_is_built(bad):
+    with pytest.raises(SimulationError, match="FaultPlan.seed"):
+        FaultPlan(seed=bad, drop=0.5)
+
+
+def test_numpy_integer_seed_draws_like_the_plain_int():
+    import numpy as np
+
+    a = FaultState(FaultPlan(seed=np.int64(4), drop=0.5))
+    b = FaultState(FaultPlan(seed=4, drop=0.5))
+    assert [a.should_drop(0, 1, 0.0) for _ in range(64)] == [
+        b.should_drop(0, 1, 0.0) for _ in range(64)
+    ]
+
+
 def test_link_overrides_take_precedence():
     state = FaultState(FaultPlan(seed=1, drop=0.5, links={(0, 1): LinkFault()}))
     assert not any(state.should_drop(0, 1, 0.0) for _ in range(200))

@@ -17,6 +17,14 @@ def test_sigma_bounds():
         NoiseModel(sigma=0.9)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "1"])
+def test_bad_seed_rejected_at_construction(bad):
+    with pytest.raises(SimulationError, match="NoiseModel.seed"):
+        NoiseModel(seed=bad)
+    with pytest.raises(SimulationError, match="NoiseModel.seed"):
+        NoiseModel(seed=1).reseed(bad)
+
+
 def test_zero_sigma_is_identity():
     n = NoiseModel(seed=1, sigma=0.0)
     assert n.factor() == 1.0

@@ -4,8 +4,9 @@ Package ``__init__`` files resolve other layers' names lazily, and the
 intranode stack (``sim``, ``hw``, ``kernel``, ``core``, ``mpi``) loads
 nothing from the internode fabric, the fault injector, the campaign
 queue, the serving layer or the exporters until a caller uses them.
-NumPy loads only when a payload byte is touched, a noise stream is
-seeded or a fault substream is drawn.  The subprocess checks start
+NumPy loads only when a payload byte is touched or a reduction combines
+touched data: noise and fault streams draw from the pure-Python
+``repro.sim.rng`` stream.  The subprocess checks start
 from a clean ``sys.modules``.
 """
 
@@ -47,6 +48,7 @@ NOT_INTRANODE = (
     "repro.net",
     "repro.mpi.cluster",
     "repro.faults",
+    "repro.sim.rng",
     "repro.obs.export",
     "repro.campaign.queue",
     "repro.campaign.telemetry",
@@ -115,20 +117,21 @@ def test_nas_is_run_never_imports_numpy():
     assert "repro.mpi.coll.reduce" in loaded
 
 
-def test_noise_run_imports_numpy():
-    assert _numpy_loaded_after(
+def test_noise_run_never_imports_numpy():
+    assert not _numpy_loaded_after(
         "from repro.hw.presets import xeon_e5345\n"
         "from repro.mpi import run_mpi\n"
         "from repro.sim.noise import NoiseModel\n"
         "def main(ctx):\n"
         "    yield ctx.compute(1e-6)\n"
-        "run_mpi(xeon_e5345(), 2, main, noise=NoiseModel(seed=1))\n"
+        "r = run_mpi(xeon_e5345(), 2, main, noise=NoiseModel(seed=1))\n"
+        "assert r.world.noise.samples_drawn > 0\n"
     )
 
 
 @pytest.mark.parametrize("drop", [0.1, 0.0])
-def test_fault_run_imports_numpy_only_when_it_draws(drop):
-    loaded = _numpy_loaded_after(
+def test_fault_run_never_imports_numpy(drop):
+    assert not _numpy_loaded_after(
         "from repro import ClusterSpec, FaultPlan, run_cluster\n"
         "from repro.hw.presets import xeon_e5345\n"
         "def main(ctx):\n"
@@ -142,7 +145,18 @@ def test_fault_run_imports_numpy_only_when_it_draws(drop):
         f"                faults=FaultPlan(seed=3, drop={drop}))\n"
         f"assert bool(r.fabric.faults._rngs) == {drop > 0}  # substreams drawn\n"
     )
-    assert loaded == (drop > 0)
+
+
+def test_serial_noisy_campaign_loads_neither_numpy_nor_multiprocessing():
+    assert not _numpy_loaded_after(
+        "import sys\n"
+        "from repro.campaign import CampaignSpec, run_campaign\n"
+        "spec = CampaignSpec(name='probe', sizes=(64 * 1024,), seeds=(0, 1),"
+        " noise_sigma=0.02)\n"
+        "run = run_campaign(spec, workers=1)\n"
+        "assert not run.failures and run.executed == 2\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
 
 
 def test_noise_coerce_takes_numpy_integers_but_not_bools():
