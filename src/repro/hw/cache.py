@@ -56,6 +56,10 @@ __all__ = ["AccessResult", "ExtentLRUCache", "Extent"]
 #: One extent or piece of one: (start, end, dirty).
 _Piece = tuple[int, int, bool]
 
+#: ``_new(AccessResult, fields)`` builds a result in one C call,
+#: skipping the Python-level ``__new__`` NamedTuple generates.
+_new = tuple.__new__
+
 
 class AccessResult(NamedTuple):
     """Outcome of one bulk access."""
@@ -202,10 +206,10 @@ class ExtentLRUCache:
         evicted (both mid-sweep self-evictions and capacity evictions).
         """
         if start >= end:
-            return AccessResult(0, 0, 0)
+            return _new(AccessResult, (0, 0, 0))
         i, j = self._find(start, end)
         if i == j:
-            return AccessResult(0, end - start, self._push_miss(i, start, end, write))
+            return _new(AccessResult, (0, end - start, self._push_miss(i, start, end, write)))
 
         cap = self.capacity
         ext, sz = self._ext, self._sz
@@ -255,7 +259,7 @@ class ExtentLRUCache:
         # -- 3. remainders stay in place, the band covering [start, end)
         # goes on top; trim to capacity from the bottom.
         self._splice(i, j, edits, pos, _build_band(start, end, write, survivors))
-        return AccessResult(hits, misses, wb_self + self._trim())
+        return _new(AccessResult, (hits, misses, wb_self + self._trim()))
 
     def _push_miss(self, i: int, start: int, end: int, write: bool) -> int:
         """Push a band that overlaps nothing (``_keys[i]`` is its index

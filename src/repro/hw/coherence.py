@@ -14,6 +14,17 @@ A stream snoops the remote caches first.  Only when one of them holds
 part of the range does it peek the local cache to find which remote
 lines the local cache lacks; otherwise every miss is served by DRAM.
 
+A **snoop filter** spares most of those probes.  The domain keeps one
+bitmask per 64 KiB region of lines (:data:`REGION_LINES`): bit ``d`` is
+set whenever die ``d``'s cache accesses a line of the region, so the
+mask is a superset of the dies that may hold one.  A stream snoops, and
+the DMA paths flush or invalidate, only the caches whose bit is set in
+the regions the range touches; a cache whose bit is clear holds none of
+those lines, so skipping it changes no result.  A bit is cleared only
+where that is exact: a write or a DMA write that invalidated every
+remote copy of a range leaves the regions it covers whole with no
+remote holder.  Evictions leave bits set (a superset is still right).
+
 Protocol simplifications (documented in DESIGN.md): lines may be shared
 by several caches; a write invalidates all remote copies; a remote read
 of a dirty line forces a writeback and leaves the owner with a clean
@@ -25,11 +36,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.errors import HardwareError
 from repro.hw.cache import ExtentLRUCache
 from repro.hw.counters import Papi
 from repro.hw.topology import TopologySpec
 
-__all__ = ["StreamBreakdown", "CoherenceDomain"]
+__all__ = ["StreamBreakdown", "CoherenceDomain", "REGION_LINES"]
+
+#: Snoop-filter granularity: 2**10 lines, 64 KiB of 64-byte lines.
+REGION_SHIFT = 10
+REGION_LINES = 1 << REGION_SHIFT
 
 
 class StreamBreakdown(NamedTuple):
@@ -53,16 +69,20 @@ class StreamBreakdown(NamedTuple):
 
     def __add__(self, other: "StreamBreakdown") -> "StreamBreakdown":
         # Field-wise, not the tuple concatenation NamedTuple inherits.
-        return StreamBreakdown(
+        return _new(StreamBreakdown, (
             self.local_hits + other.local_hits,
             self.remote_hits + other.remote_hits,
             self.dram_lines + other.dram_lines,
             self.writeback_lines + other.writeback_lines,
             self.upgrade_lines + other.upgrade_lines,
-        )
+        ))
 
 
 ZERO_BREAKDOWN = StreamBreakdown(0, 0, 0, 0, 0)
+
+#: ``_new(StreamBreakdown, fields)`` builds a breakdown in one C call,
+#: skipping the Python-level ``__new__`` NamedTuple generates.
+_new = tuple.__new__
 
 
 def _subtract_segments(
@@ -81,6 +101,11 @@ def _subtract_segments(
     if cursor < end:
         out.append((cursor, end))
     return [(a, b) for a, b in out if a < b]
+
+
+def _whole_regions(start: int, end: int) -> range:
+    """The regions that lie wholly inside lines [start, end)."""
+    return range((start + REGION_LINES - 1) >> REGION_SHIFT, end >> REGION_SHIFT)
 
 
 def _merge_segments(segments: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -119,12 +144,35 @@ class CoherenceDomain:
         self.topo = topo
         self.caches = caches
         self.papi = papi
+        #: core -> (its die, its PAPI counter set), for the valid cores.
+        self._cores = {c: (topo.die_of(c), papi[c]) for c in range(topo.ncores)}
         #: Optional multi-tenant interference probe (duck-typed: needs
         #: ``pre_access(die, start, end)`` and ``post_access(die, start,
         #: end, token)``).  Installed by :mod:`repro.sched` to attribute
         #: capacity evictions to the co-located job that caused them;
         #: ``None`` (the default) costs one attribute check per stream.
         self.interference = None
+        #: The snoop filter: region -> bitmask of dies that may hold a
+        #: line of it (absent means none).
+        self._masks: dict[int, int] = {}
+        #: Bitmask -> the caches of its dies, in die order.
+        self._holders: dict[int, tuple[ExtentLRUCache, ...]] = {}
+
+    def _caches_in(self, mask: int) -> tuple[ExtentLRUCache, ...]:
+        holders = self._holders.get(mask)
+        if holders is None:
+            holders = self._holders[mask] = tuple(
+                cache for d, cache in enumerate(self.caches) if mask >> d & 1
+            )
+        return holders
+
+    def _mask_of(self, start: int, end: int) -> int:
+        """Dies that may hold a line of [start, end)."""
+        masks = self._masks
+        mask = 0
+        for r in range(start >> REGION_SHIFT, ((end - 1) >> REGION_SHIFT) + 1):
+            mask |= masks.get(r, 0)
+        return mask
 
     def cache_of(self, core: int) -> ExtentLRUCache:
         return self.caches[self.topo.die_of(core)]
@@ -142,17 +190,27 @@ class CoherenceDomain:
     def _stream(self, core: int, start: int, end: int, write: bool) -> StreamBreakdown:
         if start >= end:
             return ZERO_BREAKDOWN
-        die = self.topo.die_of(core)
+        try:
+            die, counters = self._cores[core]
+        except KeyError:
+            raise HardwareError(f"core {core} out of range for {self.topo.name}") from None
         local = self.caches[die]
+        bit = 1 << die
+        # The filter, inlined: dies that may hold a line of the regions
+        # this stream touches.
+        masks = self._masks
+        regions = range(start >> REGION_SHIFT, ((end - 1) >> REGION_SHIFT) + 1)
+        remote = 0
+        for r in regions:
+            remote |= masks.get(r, 0)
+        remote &= ~bit
 
         # Snoop the remote caches first: they never touch the local
         # cache, so its peek below sees the same state either way.
         remote_segments: list[tuple[int, int]] = []
         writebacks = 0
         invalidated = 0
-        for other_die, cache in enumerate(self.caches):
-            if other_die == die:
-                continue
+        for cache in self._caches_in(remote):
             found = cache.peek(start, end)
             if not found:
                 continue
@@ -184,6 +242,12 @@ class CoherenceDomain:
         if probe is not None:
             probe.post_access(die, start, end, token)
         writebacks += result_wb
+        # This die now holds lines of every region the stream touched.
+        # After a write no other cache holds any line of the range, so
+        # the regions it covers whole are held by this die alone.
+        whole = _whole_regions(start, end) if write else ()
+        for r in regions:
+            masks[r] = bit if r in whole else masks.get(r, 0) | bit
 
         remote_hits = min(misses, remote_only)
         dram = misses - remote_hits
@@ -192,8 +256,8 @@ class CoherenceDomain:
         # counted in remote_hits.
         upgrades = max(0, invalidated - remote_hits) if write else 0
 
-        self.papi[core].add_stream(hits, misses, remote_hits, dram, writebacks)
-        return StreamBreakdown(hits, remote_hits, dram, writebacks, upgrades)
+        counters.add_stream(hits, misses, remote_hits, dram, writebacks)
+        return _new(StreamBreakdown, (hits, remote_hits, dram, writebacks, upgrades))
 
     # ------------------------------------------------------------ DMA --
     def dma_read(self, start: int, end: int) -> int:
@@ -203,7 +267,7 @@ class CoherenceDomain:
         of lines written back (bus traffic).  Clean copies may stay.
         """
         flushed = 0
-        for cache in self.caches:
+        for cache in self._caches_in(self._mask_of(start, end)):
             flushed += cache.downgrade(start, end)
         return flushed
 
@@ -211,7 +275,11 @@ class CoherenceDomain:
         """DMA engine writes lines [start, end) to memory; all cached
         copies become stale and are invalidated.  Returns lines dropped."""
         dropped = 0
-        for cache in self.caches:
+        for cache in self._caches_in(self._mask_of(start, end)):
             resident, _ = cache.invalidate(start, end)
             dropped += resident
+        # No cache holds a line of the regions the range covers whole.
+        masks = self._masks
+        for r in _whole_regions(start, end):
+            masks.pop(r, None)
         return dropped

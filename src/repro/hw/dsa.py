@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import HardwareError
-from repro.sim.events import AllOf, Event
+from repro.sim.events import Event, Join
 from repro.sim.resources import Channel
 from repro.units import CACHE_LINE, ceil_div
 
@@ -184,9 +184,10 @@ class DsaEngine:
                         "dsa.copy", kind="dma", track=f"dsa.s{socket}e{eng}",
                         parent=request.span, nbytes=desc.nbytes,
                     )
-                device = self.engine.timer(desc.nbytes / self.params.dsa_rate)
-                bus = memory.dram_transfer(2 * desc.nbytes)
-                yield AllOf(self.engine, [device, bus])
+                join = Join(self.engine, 2)
+                self.engine.schedule(desc.nbytes / self.params.dsa_rate, join.arrive)
+                memory.dram_transfer(2 * desc.nbytes, join)
+                yield join
                 obs.end(span)
                 if desc.execute is not None:
                     desc.execute()

@@ -18,7 +18,7 @@ from repro.hw.memory import MemorySystem
 from repro.hw.topology import TopologySpec
 from repro.sim.engine import Engine
 from repro.sim.resources import ProcessorSharing
-from repro.units import CACHE_LINE, PAGE_SIZE, align_up, ceil_div
+from repro.units import CACHE_LINE, PAGE_SIZE, align_up
 
 __all__ = ["Machine"]
 
@@ -65,9 +65,7 @@ class Machine:
         """The [first, last) cache-line numbers covering a byte range."""
         if nbytes <= 0:
             return (phys // CACHE_LINE, phys // CACHE_LINE)
-        first = phys // CACHE_LINE
-        last = ceil_div(phys + nbytes, CACHE_LINE)
-        return first, last
+        return phys // CACHE_LINE, -(-(phys + nbytes) // CACHE_LINE)
 
     # ----------------------------------------------------------- sugar
     def core(self, index: int) -> ProcessorSharing:

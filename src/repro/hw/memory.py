@@ -9,9 +9,11 @@ I/OAT crossover moves from ~1 MiB down to ~200 KiB.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.hw.params import HwParams
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Event, Join
 from repro.sim.resources import ProcessorSharing
 
 __all__ = ["MemorySystem"]
@@ -29,20 +31,21 @@ class MemorySystem:
         self.fsb = ProcessorSharing(engine, params.fsb_rate, name="fsb")
         self._background_bytes = 0.0
 
-    def dram_transfer(self, nbytes: float) -> Event:
-        """Foreground DRAM traffic; yield the event to wait for it."""
-        return self.dram_bus.request(nbytes)
+    def dram_transfer(self, nbytes: float, join: Optional[Join] = None) -> Optional[Event]:
+        """Foreground DRAM traffic; yield the event to wait for it (or
+        the ``join`` it counts down)."""
+        return self.dram_bus.request(nbytes, join)
 
-    def fsb_transfer(self, nbytes: float) -> Event:
+    def fsb_transfer(self, nbytes: float, join: Optional[Join] = None) -> Optional[Event]:
         """Foreground cache-to-cache traffic."""
-        return self.fsb.request(nbytes)
+        return self.fsb.request(nbytes, join)
 
     def charge_writebacks(self, nbytes: float) -> None:
         """Background DRAM traffic (dirty writebacks drain from the
         buffers asynchronously): consumes bandwidth, nobody waits."""
         if nbytes > 0:
             self._background_bytes += nbytes
-            self.dram_bus.request(nbytes)  # completion event intentionally unused
+            self.dram_bus.request(nbytes, detached=True)
 
     @property
     def background_bytes(self) -> float:

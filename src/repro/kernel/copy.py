@@ -8,8 +8,9 @@ it:
 1. streams the **source** through the coherence domain (read),
 2. streams the **destination** (write-allocate),
 3. converts the hit/miss breakdowns into CPU time, DRAM-bus bytes and
-   FSB bytes, waits for all three resources concurrently (memory-level
-   parallelism: the copy loop overlaps outstanding misses),
+   FSB bytes, waits for all three resources concurrently on one
+   :class:`~repro.sim.events.Join` (memory-level parallelism: the copy
+   loop overlaps outstanding misses),
 4. moves the real payload bytes (:func:`copy_payload`: a copy of
    untouched, all-zero memory moves none).
 
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import KernelError
 from repro.kernel.address_space import BufferView, copy_payload
-from repro.sim.events import AllOf
+from repro.sim.events import Join
 from repro.units import CACHE_LINE, KiB
 
 __all__ = ["cpu_copy", "stream_access", "iter_lockstep"]
@@ -97,7 +98,8 @@ def _charge_chunk(
     # outstanding memory accesses (prefetch + OoO): the core is busy for
     # whichever is longer, not their sum.
     cpu = max(nbytes * p.t_instr, access_cpu)
-    machine.memory.charge_writebacks(writeback_lines * CACHE_LINE)
+    if writeback_lines:
+        machine.memory.charge_writebacks(writeback_lines * CACHE_LINE)
     machine.papi[core].add("CPU_BUSY", cpu)
 
     obs = machine.engine.obs
@@ -110,15 +112,17 @@ def _charge_chunk(
             parent=parent,
             nbytes=nbytes,
         )
-    waits = [machine.cores[core].busy(cpu)]
-    if dram_bytes:
-        waits.append(machine.memory.dram_transfer(dram_bytes))
-    if fsb_bytes:
-        waits.append(machine.memory.fsb_transfer(fsb_bytes))
-    if len(waits) == 1:
-        yield waits[0]
+    if dram_bytes or fsb_bytes:
+        memory = machine.memory
+        join = Join(machine.engine, 1 + (dram_bytes > 0) + (fsb_bytes > 0))
+        machine.cores[core].request(cpu, join)
+        if dram_bytes:
+            memory.dram_transfer(dram_bytes, join)
+        if fsb_bytes:
+            memory.fsb_transfer(fsb_bytes, join)
+        yield join
     else:
-        yield AllOf(machine.engine, waits)
+        yield machine.cores[core].request(cpu)
     if move is not None:
         move()
     if span is not None:

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 from repro.errors import HardwareError, RegistrationError, RetryExhaustedError
 from repro.kernel.address_space import BufferView, alloc_shared, copy_payload
 from repro.kernel.regcache import RegistrationCache
-from repro.sim.events import AllOf, Event
+from repro.sim.events import Event, Join
 from repro.sim.resources import Channel
 from repro.units import CACHE_LINE
 
@@ -349,9 +349,10 @@ class Nic:
                         "nic.tx", kind="wire", track=f"nic{self.node}.tx",
                         parent=attempt_span, nbytes=desc.nbytes,
                     )
-                wire = self.engine.timer(self._wire_time(request, desc))
-                bus = machine.memory.dram_transfer(desc.nbytes)
-                yield AllOf(self.engine, [wire, bus])
+                join = Join(self.engine, 2)
+                self.engine.schedule(self._wire_time(request, desc), join.arrive)
+                machine.memory.dram_transfer(desc.nbytes, join)
+                yield join
                 obs.end(wire_span)
                 self.bytes_tx += desc.nbytes
                 self.fabric.switch.ingress(self.node, request, desc, request.retries)

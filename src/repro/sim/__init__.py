@@ -8,7 +8,8 @@ resumed when the waitable fires:
 - an :class:`Event` — park until someone calls :meth:`Event.succeed`,
 - another generator — run it as a subroutine (trampolined call),
 - a :class:`Process` — join (wait for completion, receive return value),
-- :class:`AllOf` / :class:`AnyOf` — composite waits.
+- :class:`AllOf` / :class:`AnyOf` — composite waits; :class:`Join` — a
+  countdown latch for parts that only need joining.
 
 The engine is single-threaded and deterministic: events at equal
 timestamps fire in scheduling order.  A drained event queue with parked
@@ -17,7 +18,7 @@ protocol bugs into crisp test failures instead of hangs.
 """
 
 from repro.sim.engine import Engine, Handle
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Join, Timeout
 from repro.sim.noise import NoiseModel
 from repro.sim.process import Process
 from repro.sim.resources import Channel, FifoLock, ProcessorSharing
@@ -29,6 +30,7 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
+    "Join",
     "Process",
     "ProcessorSharing",
     "FifoLock",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -12,11 +13,13 @@ from repro.sim.events import Event, Timeout
 
 __all__ = ["Engine", "Handle"]
 
+_new_object = object.__new__
+
 
 class Handle:
     """A cancellable scheduled callback (returned by :meth:`Engine.schedule`).
 
-    The heap holds ``(time, seq, handle)`` tuples, so ordering is a
+    The queues hold ``(time, seq, handle)`` tuples, so ordering is a
     native tuple comparison; ``seq`` is unique, so a handle itself is
     never compared.
     """
@@ -39,6 +42,15 @@ class Engine:
     Time is a float in seconds starting at 0.  Callbacks scheduled for
     the same instant run in scheduling order, which (with single-shot
     events and deferred wakeups) makes every simulation replayable.
+
+    Callbacks run in ``(time, seq)`` order from two queues.  A
+    zero-delay callback (an event waking its waiters, a process's first
+    step) is appended to a FIFO, ``_soon``, instead of the heap: it is
+    due now, the clock never moves back (``run`` refuses an ``until``
+    in the past) and its ``seq`` is the largest yet, so the FIFO stays
+    sorted and costs no heap push or pop.  :meth:`step` takes whichever
+    queue head is smaller, which is exactly the order one heap of every
+    callback would give (``tests/sim/test_engine_reference.py``).
     """
 
     def __init__(
@@ -49,6 +61,7 @@ class Engine:
     ) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Handle]] = []
+        self._soon: deque[tuple[float, int, Handle]] = deque()
         self._seq = 0
         self._alive_processes: set = set()
         self._failed: list[BaseException] = []
@@ -68,11 +81,23 @@ class Engine:
     # -- scheduling ---------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not 0 <= delay < inf:
+            # Also rejects NaN and infinity, which would poison the clock.
+            raise SimulationError(
+                f"cannot schedule {getattr(fn, '__qualname__', fn)!r} "
+                f"with delay={delay}: "
+                + ("in the past" if delay < 0 else "not a finite delay")
+            )
         self._seq += 1
-        handle = Handle(fn, args)
-        heappush(self._heap, (self.now + delay, self._seq, handle))
+        # Handle.__init__ spelled out: one Python frame less per callback.
+        handle = _new_object(Handle)
+        handle.fn = fn
+        handle.args = args
+        handle.cancelled = False
+        if delay == 0:
+            self._soon.append((self.now, self._seq, handle))
+        else:
+            heappush(self._heap, (self.now + delay, self._seq, handle))
         return handle
 
     def call_soon(self, fn: Callable, *args: Any) -> Handle:
@@ -90,7 +115,7 @@ class Engine:
     def timer(self, delay: float, value: Any = None) -> Event:
         """An :class:`Event` that succeeds after ``delay`` seconds —
         a Timeout usable inside :class:`AllOf`/:class:`AnyOf`."""
-        event = Event(self, name=f"timer+{delay:g}")
+        event = Event(self, name="timer")
         self.schedule(delay, event.succeed, value)
         return event
 
@@ -128,9 +153,14 @@ class Engine:
     # -- main loop ----------------------------------------------------
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False if none left."""
-        heap = self._heap
-        while heap:
-            when, _, handle = heappop(heap)
+        heap, soon = self._heap, self._soon
+        while True:
+            if soon and not (heap and heap[0] < soon[0]):
+                when, _, handle = soon.popleft()
+            elif heap:
+                when, _, handle = heappop(heap)
+            else:
+                return False
             if handle.cancelled:
                 continue
             if when < self.now - 1e-18:
@@ -141,7 +171,18 @@ class Engine:
             if self._failed:
                 raise self._failed[0]
             return True
-        return False
+
+    def _next_time(self) -> Optional[float]:
+        """Time of the next live callback (dropping cancelled queue
+        heads), or None when nothing is left."""
+        heap, soon = self._heap, self._soon
+        while soon and soon[0][2].cancelled:
+            soon.popleft()
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        if soon:
+            return min(soon[0], heap[0])[0] if heap else soon[0][0]
+        return heap[0][0] if heap else None
 
     def _progress_snapshot(self) -> dict[str, float]:
         """Per-process last-progress timestamps (watchdog diagnostics)."""
@@ -155,9 +196,9 @@ class Engine:
         max_events: Optional[int] = None,
         max_sim_time: Optional[float] = None,
     ) -> float:
-        """Run until the heap drains (or past ``until``).
+        """Run until both queues drain (or past ``until``).
 
-        Raises :class:`DeadlockError` if the heap drains while processes
+        Raises :class:`DeadlockError` if the queues drain while processes
         are still parked on events, and re-raises the first uncaught
         exception from any process.  The progress watchdog —
         ``max_events`` / ``max_sim_time``, defaulting to the budgets
@@ -170,19 +211,22 @@ class Engine:
             max_events = self.max_events
         if max_sim_time is None:
             max_sim_time = self.max_sim_time
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"run(until={until}) is before the current time {self.now}"
+            )
         event_budget = inf if max_events is None else max_events
         time_budget = inf if max_sim_time is None else max_sim_time
-        heap = self._heap
+        heap, soon = self._heap, self._soon
         step = self.step
-        while heap:
+        while heap or soon:
             if until is not None:
-                # Drop cancelled heads first: step() skips them and runs
+                # Look past cancelled heads: step() skips them and runs
                 # the next live callback, whatever its time.
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                if not heap:
+                when = self._next_time()
+                if when is None:
                     break
-                if heap[0][0] > until:
+                if when > until:
                     self.now = until
                     return self.now
             step()

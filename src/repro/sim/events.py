@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Join", "AllOf", "AnyOf"]
 
 
 class Event:
@@ -89,13 +90,51 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"negative timeout: {delay}" if delay < 0
+                else f"timeout is not a finite delay: {delay}"
+            )
         self.delay = float(delay)
         self.value = value
 
     def __repr__(self) -> str:
         return f"Timeout({self.delay!r})"
+
+
+class Join(Event):
+    """A countdown latch: succeeds when ``count`` arrivals have come in.
+
+    The cheap form of :class:`AllOf` for jobs that only need joining: a
+    copy chunk's core, DRAM and FSB requests
+    (:meth:`ProcessorSharing.request` with ``join=``), or a descriptor's
+    device timer and bus transfer.  Each finished part calls
+    :meth:`arrive`; the last one triggers the latch (value ``None``) and
+    wakes its waiters deferred, at the instant and in the order an
+    ``AllOf`` of the parts' events would.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, engine: "Engine", count: int, name: str = "join") -> None:  # noqa: F821
+        if count < 1:
+            raise SimulationError(f"Join needs a positive count, got {count}")
+        # Event.__init__ spelled out: a latch is made for every chunk.
+        self.engine = engine
+        self.name = name
+        self._waiters = []
+        self.triggered = False
+        self.ok = False
+        self.value = None
+        self._pending = count
+
+    def arrive(self, value: Any = None) -> None:
+        """One part finished (``value`` is ignored)."""
+        self._pending -= 1
+        if self._pending == 0:
+            self._trigger(True, None)
+        elif self._pending < 0:
+            raise SimulationError(f"{self!r}: more arrivals than its count")
 
 
 class _Composite(Event):

@@ -166,9 +166,12 @@ class Process:
                 item = item.done
             if isinstance(item, Event):
                 self._wake_token += 1
-                item.add_callback(
-                    partial(self._on_event_with_token, self._wake_token)
-                )
+                # Event.add_callback, spelled out for the hot path.
+                callback = partial(self._on_event_with_token, self._wake_token)
+                if item.triggered:
+                    item.engine.schedule(0.0, callback, item)
+                else:
+                    item._waiters.append(callback)
                 return
             if isinstance(item, (int, float)):
                 item = Timeout(item)

@@ -15,10 +15,11 @@ hardware resources in this reproduction:
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Join
 
 __all__ = ["ProcessorSharing", "FifoLock", "Channel"]
 
@@ -32,11 +33,13 @@ class ProcessorSharing:
     every arrival and departure settles each job's remaining work and
     re-arms one timer for the shortest.
 
-    Jobs are two parallel lists, remaining work and completion events.
-    The settle arithmetic is kept operation for operation (a
-    virtual-time clock would round completion times differently in
-    their last bits); ``tests/sim/test_ps_reference.py`` checks it
-    exactly against the per-job reference server.
+    Jobs are two parallel lists: remaining work, and what completion
+    calls with the current time — the job's own event's ``succeed``, a
+    shared :class:`Join`'s ``arrive``, or ``None`` for a detached job
+    nobody waits for.  The settle arithmetic is kept operation for
+    operation (a virtual-time clock would round completion times
+    differently in their last bits); ``tests/sim/test_ps_reference.py``
+    checks it exactly against the per-job reference server.
     """
 
     def __init__(self, engine, rate: float, name: str = "") -> None:
@@ -47,7 +50,7 @@ class ProcessorSharing:
         self.name = name
         self._job_name = f"{name}.job"
         self._remaining: list[float] = []
-        self._events: list[Event] = []
+        self._done: list = []
         self._last_settle = engine.now
         self._timer = None
         # A nanosecond of full-rate service: the float tolerance for
@@ -60,18 +63,51 @@ class ProcessorSharing:
         """Number of jobs currently in service."""
         return len(self._remaining)
 
-    def request(self, work: float) -> Event:
-        """Submit ``work`` units; the returned event fires at completion."""
-        if work < 0:
-            raise SimulationError(f"negative work: {work}")
-        event = Event(self.engine, self._job_name)
+    def request(
+        self, work: float, join: Optional[Join] = None, detached: bool = False
+    ) -> Optional[Event]:
+        """Submit ``work`` units.
+
+        By default the returned event fires at completion.  With
+        ``join`` the job counts that latch down instead, and with
+        ``detached`` (background traffic) completion notifies nobody;
+        both return ``None`` and allocate no event.
+        """
+        if not 0 <= work < inf:
+            raise SimulationError(
+                f"{self.name or 'ProcessorSharing'}: "
+                + (f"negative work: {work}" if work < 0 else f"work is not finite: {work}")
+            )
+        if join is not None:
+            event, done = None, join.arrive
+        elif detached:
+            event = done = None
+        else:
+            event = Event(self.engine, self._job_name)
+            done = event.succeed
+        engine = self.engine
+        now = engine.now
         if work == 0:
-            event.succeed(self.engine.now)
+            if done is not None:
+                done(now)
             return event
-        self._settle()
-        self._remaining.append(float(work))
-        self._events.append(event)
-        self._reschedule()
+        # Settle: serve every job its share since the last settle.  The
+        # comprehension equals max(0.0, r - served) for every float r.
+        remaining = self._remaining
+        if remaining:
+            served = (now - self._last_settle) * self.rate / len(remaining)
+            if served > 0:
+                remaining = self._remaining = [
+                    r - served if r > served else 0.0 for r in remaining
+                ]
+            # A busy server always has its timer armed: move it.
+            self._timer.cancelled = True
+        self._last_settle = now
+        remaining.append(float(work))
+        self._done.append(done)
+        self._timer = engine.schedule(
+            min(remaining) * len(remaining) / self.rate, self._complete
+        )
         return event
 
     def busy(self, seconds: float) -> Event:
@@ -79,51 +115,43 @@ class ProcessorSharing:
         return self.request(seconds)
 
     # -- internals ----------------------------------------------------
-    def _settle(self) -> None:
+    def _complete(self) -> None:
+        # Settle every job as request() does, with the same float
+        # operations.
         now = self.engine.now
+        remaining = self._remaining
+        served = (now - self._last_settle) * self.rate / len(remaining)
+        if served > 0:
+            remaining = self._remaining = [
+                r - served if r > served else 0.0 for r in remaining
+            ]
+        self._last_settle = now
+        eps = self._eps
+        done = self._done
+        # The shortest job is done: within eps, or by construction when
+        # float drift leaves it just above.  Usually it is the only one.
+        shortest = min(remaining)
+        i = remaining.index(shortest)
+        del remaining[i]
+        finished = [done.pop(i)]
+        if shortest <= eps and remaining and min(remaining) <= eps:
+            # Several jobs are done: all of them, in arrival order.
+            remaining.insert(i, shortest)
+            done.insert(i, finished[0])
+            finished = [d for r, d in zip(remaining, done) if r <= eps]
+            self._done = [d for r, d in zip(remaining, done) if r > eps]
+            self._remaining = [r for r in remaining if r > eps]
+        for d in finished:
+            if d is not None:
+                d(now)
+        # Completion callbacks only schedule (waiters wake deferred), so
+        # no job arrived meanwhile: re-arm for the new shortest job.
         remaining = self._remaining
         if remaining:
-            served = (now - self._last_settle) * self.rate / len(remaining)
-            if served > 0:
-                # Equal to max(0.0, r - served) for every float r.
-                self._remaining = [
-                    r - served if r > served else 0.0 for r in remaining
-                ]
-        self._last_settle = now
-
-    def _reschedule(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        remaining = self._remaining
-        if not remaining:
-            return
-        delay = min(remaining) * len(remaining) / self.rate
-        self._timer = self.engine.schedule(delay, self._complete)
-
-    def _complete(self) -> None:
-        self._timer = None
-        self._settle()
-        eps = self._eps
-        remaining, events = self._remaining, self._events
-        kept_remaining, kept_events, finished = [], [], []
-        for r, event in zip(remaining, events):
-            if r > eps:
-                kept_remaining.append(r)
-                kept_events.append(event)
-            else:
-                finished.append(event)
-        if finished:
-            self._remaining, self._events = kept_remaining, kept_events
+            delay = min(remaining) * len(remaining) / self.rate
+            self._timer = self.engine.schedule(delay, self._complete)
         else:
-            # Float drift: the min job is by construction done now.
-            i = remaining.index(min(remaining))
-            del remaining[i]
-            finished = [events.pop(i)]
-        now = self.engine.now
-        for event in finished:
-            event.succeed(now)
-        self._reschedule()
+            self._timer = None
 
 
 class FifoLock:
@@ -136,6 +164,7 @@ class FifoLock:
     def __init__(self, engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
+        self._acquire_name = f"{name}.acquire"
         self._locked = False
         self._waiters: deque[Event] = deque()
 
@@ -144,7 +173,7 @@ class FifoLock:
         return self._locked
 
     def acquire(self) -> Event:
-        event = self.engine.event(name=f"{self.name}.acquire")
+        event = Event(self.engine, self._acquire_name)
         if not self._locked:
             self._locked = True
             event.succeed()
@@ -172,6 +201,7 @@ class Channel:
     def __init__(self, engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
+        self._get_name = f"{name}.get"
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
 
@@ -185,7 +215,7 @@ class Channel:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = self.engine.event(name=f"{self.name}.get")
+        event = Event(self.engine, self._get_name)
         if self._items:
             event.succeed(self._items.popleft())
         else:

@@ -47,6 +47,27 @@ def test_negative_delay_rejected():
         eng.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_delay_rejected_naming_the_callback(delay):
+    eng = Engine()
+
+    def wake_rank3():
+        pass
+
+    with pytest.raises(SimulationError, match=rf"wake_rank3.*delay={delay}"):
+        eng.schedule(delay, wake_rank3)
+    assert eng.run() == 0.0
+
+
+def test_run_until_in_the_past_rejected():
+    eng = Engine()
+    eng.schedule(2.0, lambda: None)
+    eng.run()
+    with pytest.raises(SimulationError, match="before the current time"):
+        eng.run(until=1.0)
+    assert eng.now == 2.0
+
+
 def test_run_until_stops_clock():
     eng = Engine()
     seen = []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Engine
-from repro.sim.events import Timeout
+from repro.sim.events import Join, Timeout
 
 
 def test_allof_gathers_values_in_order():
@@ -205,3 +205,48 @@ def test_process_on_composite_is_woken_deferred():
 
     eng.run_processes([waiter(), firer()])
     assert log == ["after succeed", "waiter"]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    with pytest.raises(SimulationError, match="not a finite delay"):
+        Timeout(delay)
+
+
+def test_process_yielding_nan_fails_instead_of_poisoning_the_clock():
+    eng = Engine()
+
+    def proc():
+        yield float("nan")
+
+    eng.process(proc)
+    with pytest.raises(SimulationError, match="not a finite delay"):
+        eng.run()
+    assert eng.now == 0.0
+
+
+def test_join_succeeds_on_the_last_arrival():
+    eng = Engine()
+    join = Join(eng, 2)
+
+    def waiter():
+        value = yield join
+        return (eng.now, value)
+
+    def parts():
+        yield 1.0
+        join.arrive("ignored")
+        yield 1.0
+        join.arrive()
+
+    assert eng.run_processes([waiter, parts]) == [(2.0, None), None]
+
+
+def test_join_rejects_bad_counts_and_extra_arrivals():
+    eng = Engine()
+    with pytest.raises(SimulationError):
+        Join(eng, 0)
+    join = Join(eng, 1)
+    join.arrive()
+    with pytest.raises(SimulationError, match="more arrivals"):
+        join.arrive()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Channel, Engine, FifoLock, ProcessorSharing
+from repro.sim.events import Join
 
 
 # ---------------------------------------------------------------- PS --
@@ -108,6 +109,36 @@ def test_negative_work_rejected():
     core = ProcessorSharing(eng, rate=1.0)
     with pytest.raises(SimulationError):
         core.request(-1.0)
+
+
+@pytest.mark.parametrize("work", [float("nan"), float("inf")])
+def test_non_finite_work_rejected_naming_the_server(work):
+    """NaN work used to finish every job at time NaN, and infinite work
+    pushed the clock to infinity, both without an error."""
+    eng = Engine()
+    core = ProcessorSharing(eng, rate=1.0, name="core3")
+    core.request(1.0)
+    with pytest.raises(SimulationError, match=rf"core3: work is not finite: {work}"):
+        core.request(work)
+    with pytest.raises(SimulationError, match="core3"):
+        core.busy(work)
+    assert core.load == 1
+    assert eng.run() == 1.0
+
+
+def test_joined_and_detached_requests_return_no_event():
+    eng = Engine()
+    bus = ProcessorSharing(eng, rate=2.0)
+    join = Join(eng, 3)
+    assert bus.request(2.0, join) is None
+    assert bus.request(0.0, join) is None  # zero work counts down at once
+    assert bus.request(4.0, join) is None
+    assert bus.request(1.0, detached=True) is None
+    seen = []
+    join.add_callback(lambda ev: seen.append(eng.now))
+    eng.run()
+    assert seen == [3.5]
+    assert bus.load == 0
 
 
 def test_bad_rate_rejected():
