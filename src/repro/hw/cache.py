@@ -36,7 +36,11 @@ creates, which keeps the stack fully merged.  A snoop that overlaps
 nothing costs two bisects, and so does finding that an access is a
 pure miss: such a band skips the splice and either extends the top
 extent in place (the one merge its seam allows) or is pushed as a new
-extent.
+extent.  An op whose range lies inside one resident extent (most hits,
+invalidations and downgrades in the paper's workloads) skips it too:
+``_replace`` swaps that one extent for its pieces at its stack position
+and checks only the seams ``_splice`` would.  Such an access needs no
+depth either, since every line of it hits and nothing is evicted.
 
 Addresses here are **line numbers**, not bytes; callers divide by the
 line size.  ``dirty`` tracking enables write-back accounting (evicted
@@ -210,7 +214,21 @@ class ExtentLRUCache:
         i, j = self._find(start, end)
         if i == j:
             return _new(AccessResult, (0, end - start, self._push_miss(i, start, end, write)))
+        if j - i == 1:
+            s = self._keys[i]
+            e, dirty = self._ext[s]
+            if s <= start and end <= e:
+                # Inside one resident extent: every line is shallower
+                # than the capacity, so all hit and nothing is evicted.
+                band = (start, end, write or dirty)
+                self._replace(i, s, _outside(s, e, dirty, start, end), band)
+                return _new(AccessResult, (end - start, 0, 0))
+        return self._access_extents(i, j, start, end, write)
 
+    def _access_extents(self, i: int, j: int, start: int, end: int, write: bool) -> AccessResult:
+        """:meth:`access` of a range overlapping the extents
+        ``_keys[i:j]``, in general: they may be several, overlap the
+        range in part, or be none at all."""
         cap = self.capacity
         ext, sz = self._ext, self._sz
         olds = self._keys[i:j]
@@ -288,6 +306,18 @@ class ExtentLRUCache:
         i, j = self._find(start, end)
         if i == j:
             return (0, 0)
+        if j - i == 1:
+            s = self._keys[i]
+            e, dirty = self._ext[s]
+            if s <= start and end <= e:
+                self._replace(i, s, _outside(s, e, dirty, start, end))
+                n = end - start
+                return (n, n if dirty else 0)
+        return self._invalidate_extents(i, j, start, end)
+
+    def _invalidate_extents(self, i: int, j: int, start: int, end: int) -> tuple[int, int]:
+        """:meth:`invalidate` of [start, end) from the extents
+        ``_keys[i:j]`` it overlaps, in general."""
         ext = self._ext
         resident = dirty_lines = 0
         edits = []
@@ -305,6 +335,19 @@ class ExtentLRUCache:
         """Mark [start, end) clean (after a snoop read forces a
         writeback); returns the number of lines that were dirty."""
         i, j = self._find(start, end)
+        if j - i == 1:
+            s = self._keys[i]
+            e, dirty = self._ext[s]
+            if s <= start and end <= e:
+                if dirty:
+                    self._replace(i, s, _downgraded(s, e, start, end))
+                    return end - start
+                return 0
+        return self._downgrade_extents(i, j, start, end)
+
+    def _downgrade_extents(self, i: int, j: int, start: int, end: int) -> int:
+        """:meth:`downgrade` of [start, end) in the extents ``_keys[i:j]``
+        it overlaps, in general."""
         ext = self._ext
         olds = self._keys[i:j]
         if not any(ext[s][1] for s in olds):
@@ -316,17 +359,54 @@ class ExtentLRUCache:
             if not dirty:
                 edits.append([(s, e, False)])
                 continue
-            # Split into up to three pieces (high dirty / clean middle /
-            # low dirty), preserving the depth convention.
-            a, b = max(s, start), min(e, end)
-            dirtied += b - a
-            pieces = _outside(s, e, True, start, end)
-            pieces.insert(1 if e > end else 0, (a, b, False))
-            edits.append(pieces)
+            dirtied += min(e, end) - max(s, start)
+            edits.append(_downgraded(s, e, start, end))
         self._splice(i, j, edits)
         return dirtied
 
     # ------------------------------------------------------- mutation
+    def _replace(
+        self, i: int, s: int, pieces: list[_Piece], band: _Piece | None = None
+    ) -> None:
+        """``_splice`` specialised to one extent: replace ``_keys[i]``,
+        which is ``s``, by ``pieces`` (what is left of it, in stack
+        order) at its stack position, push ``band`` (lines of it, or
+        nothing) on top, and coalesce the seams ``_splice`` would.
+
+        ``pieces`` and ``band`` lie inside the old extent, so they take
+        its slot in the address index.
+        """
+        keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
+        p = stk.index(s)
+        delta = s - ext.pop(s)[0]
+        k = len(pieces)
+        if k:
+            starts, sizes = [], []
+            for a, b, dirty in pieces:
+                ext[a] = (b, dirty)
+                starts.append(a)
+                sizes.append(b - a)
+                delta += b - a
+            stk[p : p + 1] = starts
+            sz[p : p + 1] = sizes
+        else:
+            starts = []
+            del stk[p], sz[p]
+        if band is None:
+            keys[i : i + 1] = starts[::-1]  # pieces descend in address
+            seams = (p + k, p)
+        else:
+            a, b, dirty = band
+            ext[a] = (b, dirty)
+            if k:  # else the band is the whole extent and keeps its key
+                keys[i : i + 1] = sorted([*starts, a])
+            stk.insert(0, a)
+            sz.insert(0, b - a)
+            delta += b - a
+            seams = (p + 1 + k, p + 1, 1)
+        self._lines += delta
+        self._coalesce(seams)
+
     def _splice(
         self,
         i: int,
@@ -371,11 +451,11 @@ class ExtentLRUCache:
             stk[0:0] = [a for a, _, _ in top]
             sz[0:0] = [b - a for a, b, _ in top]
             seams.append(len(top))
-        self._coalesce(seams)
+        self._coalesce(sorted(seams, reverse=True))
 
-    def _coalesce(self, seams: list[int]) -> None:
-        """Merge the stack-adjacent pairs at ``seams`` that continue
-        each other.
+    def _coalesce(self, seams: Sequence[int]) -> None:
+        """Merge the stack-adjacent pairs at ``seams`` (in descending
+        order, repeats allowed) that continue each other.
 
         If extent ``A`` sits directly above ``B`` in the stack and
         ``A.start == B.end`` with equal dirty flags, the merged extent
@@ -386,9 +466,11 @@ class ExtentLRUCache:
         """
         keys, ext, stk, sz = self._keys, self._ext, self._stk, self._sz
         n = len(stk)
-        for q in sorted(set(seams), reverse=True):
-            if not 0 < q < n:
+        last = 0
+        for q in seams:
+            if q == last or not 0 < q < n:
                 continue
+            last = q
             a, b = stk[q - 1], stk[q]
             a_end, a_dirty = ext[a]
             if ext[b] != (a, a_dirty):
@@ -439,6 +521,15 @@ def _outside(s: int, e: int, dirty: bool, start: int, end: int) -> list[_Piece]:
         pieces.append((end, e, dirty))
     if s < start:
         pieces.append((s, start, dirty))
+    return pieces
+
+
+def _downgraded(s: int, e: int, start: int, end: int) -> list[_Piece]:
+    """Dirty extent [s, e) with its overlap of [start, end) cleaned, in
+    stack order: up to three pieces (high dirty / clean middle / low
+    dirty), preserving the depth convention."""
+    pieces = _outside(s, e, True, start, end)
+    pieces.insert(1 if e > end else 0, (max(s, start), min(e, end), False))
     return pieces
 
 

@@ -25,6 +25,17 @@ where that is exact: a write or a DMA write that invalidated every
 remote copy of a range leaves the regions it covers whole with no
 remote holder.  Evictions leave bits set (a superset is still right).
 
+Many peeks the filter lets through still find nothing, and most of
+those (74% on p2p, 84% on alltoall, 98% on nas-is) are region false
+positives, not stale bits: the peeked cache holds lines of the region,
+just none of the range.
+:meth:`Machine.alloc_phys <repro.hw.machine.Machine.alloc_phys>` packs
+buffers page by page, so one 64 KiB region holds pieces of several
+buffers, often of different ranks.  Clearing a bit when its cache
+evicts the region's last line would remove few peeks: per round of the
+host-time benchmark, nas-is's 16,200 (4,696 of them useful) would fall
+to 16,195 and alltoall's 18,961 to 17,756.
+
 Protocol simplifications (documented in DESIGN.md): lines may be shared
 by several caches; a write invalidates all remote copies; a remote read
 of a dirty line forces a writeback and leaves the owner with a clean

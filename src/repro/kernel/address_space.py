@@ -134,7 +134,7 @@ class BufferView:
         return data[self.offset : self.offset + self.nbytes]
 
     def sub(self, offset: int, nbytes: int) -> "BufferView":
-        if offset + nbytes > self.nbytes:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
             raise BadAddressError(f"sub-view [{offset},{offset+nbytes}) of {self!r}")
         return BufferView(self.buffer, self.offset + offset, nbytes)
 

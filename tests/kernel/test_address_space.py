@@ -46,6 +46,16 @@ def test_view_bounds_checked(machine):
         buf.view(0, 100).sub(50, 60)
 
 
+@pytest.mark.parametrize("offset,nbytes", [(-512, 256), (-1, 1), (0, -1)])
+def test_sub_view_rejects_negative_offset_or_length(machine, offset, nbytes):
+    # A negative offset addresses the buffer before the view: sub(-512,
+    # 256) of a view at +1024 would lie at +512, outside it.
+    sp = AddressSpace(machine, pid=0)
+    view = sp.alloc(4096).view(1024, 1024)
+    with pytest.raises(BadAddressError, match=r"sub-view .* of <View .*\+1024:1024>"):
+        view.sub(offset, nbytes)
+
+
 def test_view_phys_and_sub(machine):
     sp = AddressSpace(machine, pid=0)
     buf = sp.alloc(1000)

@@ -9,17 +9,24 @@ skips the zero-fill of an already-touched destination leaves ``0xA5``
 behind and fails here.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import ClusterSpec, FabricParams, run_cluster
 from repro.core.policy import MODES
 from repro.hw import modern_server, xeon_e5345
+from repro.hw.coherence import CoherenceDomain
 from repro.mpi import run_mpi
 from repro.units import KiB, MiB
 
 SLACK = 4 * KiB
 FILL = 0xA5
+
+
+def _topo(mode):
+    return modern_server() if mode.startswith("dsa") else xeon_e5345()
 
 
 def _pattern(nbytes):
@@ -56,9 +63,35 @@ def _check(results, nbytes, written):
 @pytest.mark.parametrize("nbytes", [4 * KiB, 256 * KiB, 3 * MiB])
 @pytest.mark.parametrize("mode", MODES)
 def test_intranode_delivery_is_exact(mode, nbytes, written):
-    topo = modern_server() if mode.startswith("dsa") else xeon_e5345()
-    r = run_mpi(topo, 2, _transfer(nbytes, written), mode=mode, bindings=[0, 4])
+    r = run_mpi(_topo(mode), 2, _transfer(nbytes, written), mode=mode, bindings=[0, 4])
     _check(r.results, nbytes, written)
+
+
+@pytest.mark.parametrize("written", [True, False], ids=["written", "untouched"])
+@pytest.mark.parametrize("mode", MODES)
+def test_cache_counters_account_for_every_streamed_line(mode, written, monkeypatch):
+    """Each core's L2_HITS + L2_MISSES equals the lines its CPU streams
+    read and wrote, and REMOTE_HITS + DRAM_LINES equals its L2_MISSES."""
+    streamed = Counter()
+
+    def counting(stream):
+        def wrapper(self, core, start, end):
+            streamed[core] += max(0, end - start)
+            return stream(self, core, start, end)
+
+        return wrapper
+
+    monkeypatch.setattr(CoherenceDomain, "read", counting(CoherenceDomain.read))
+    monkeypatch.setattr(CoherenceDomain, "write", counting(CoherenceDomain.write))
+    nbytes = 256 * KiB
+    r = run_mpi(_topo(mode), 2, _transfer(nbytes, written), mode=mode, bindings=[0, 4])
+    _check(r.results, nbytes, written)
+    papi = r.papi
+    for core in range(r.machine.topo.ncores):
+        hits, misses = papi.read(core, "L2_HITS"), papi.read(core, "L2_MISSES")
+        remote, dram = papi.read(core, "REMOTE_HITS"), papi.read(core, "DRAM_LINES")
+        assert hits + misses == streamed[core], (mode, core, hits, misses, streamed[core])
+        assert remote + dram == misses, (mode, core, remote, dram, misses)
 
 
 @pytest.mark.parametrize("written", [True, False], ids=["written", "untouched"])
