@@ -11,8 +11,10 @@ breakdown of where the lines were served from:
   (bus traffic that the memory model charges in the background).
 
 A stream snoops the remote caches first.  Only when one of them holds
-part of the range does it peek the local cache to find which remote
-lines the local cache lacks; otherwise every miss is served by DRAM.
+part of the range does it peek the local cache, and it counts the remote
+lines the local cache lacks in one pass over the peeked segments
+(several caches' segments are merged first); otherwise every miss is
+served by DRAM.
 
 A **snoop filter** spares most of those probes.  The domain keeps one
 bitmask per 64 KiB region of lines (:data:`REGION_LINES`): bit ``d`` is
@@ -25,16 +27,15 @@ where that is exact: a write or a DMA write that invalidated every
 remote copy of a range leaves the regions it covers whole with no
 remote holder.  Evictions leave bits set (a superset is still right).
 
-Many peeks the filter lets through still find nothing, and most of
-those (74% on p2p, 84% on alltoall, 98% on nas-is) are region false
-positives, not stale bits: the peeked cache holds lines of the region,
-just none of the range.
-:meth:`Machine.alloc_phys <repro.hw.machine.Machine.alloc_phys>` packs
-buffers page by page, so one 64 KiB region holds pieces of several
-buffers, often of different ranks.  Clearing a bit when its cache
-evicts the region's last line would remove few peeks: per round of the
-host-time benchmark, nas-is's 16,200 (4,696 of them useful) would fall
-to 16,195 and alltoall's 18,961 to 17,756.
+:meth:`Machine.alloc_phys <repro.hw.machine.Machine.alloc_phys>` starts
+every allocation on a region boundary, so a region's bits speak for one
+buffer only.  Per round of the host-time benchmark, nas-is makes 6,272
+peeks (4,696 useful) and alltoall 10,441 (6,830 useful); when buffers
+were packed page by page into shared regions the same rounds made
+16,200 and 18,961, with the same useful ones.  Nearly all the peeks
+that still find nothing (all 1,576 on nas-is, 3,563 of 3,611 on
+alltoall, all 4,208 on p2p) are stale bits: the peeked cache has
+evicted every line of the region since it set its bit.
 
 Protocol simplifications (documented in DESIGN.md): lines may be shared
 by several caches; a write invalidates all remote copies; a remote read
@@ -96,52 +97,49 @@ ZERO_BREAKDOWN = StreamBreakdown(0, 0, 0, 0, 0)
 _new = tuple.__new__
 
 
-def _subtract_segments(
-    universe: tuple[int, int], segments: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Portions of ``universe`` not covered by ``segments`` (sorted,
-    non-overlapping)."""
-    out = []
-    cursor, end = universe
-    for a, b in segments:
-        if a > cursor:
-            out.append((cursor, min(a, end)))
-        cursor = max(cursor, b)
-        if cursor >= end:
-            break
-    if cursor < end:
-        out.append((cursor, end))
-    return [(a, b) for a, b in out if a < b]
-
-
 def _whole_regions(start: int, end: int) -> range:
     """The regions that lie wholly inside lines [start, end)."""
     return range((start + REGION_LINES - 1) >> REGION_SHIFT, end >> REGION_SHIFT)
 
 
-def _merge_segments(segments: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not segments:
-        return []
-    segments = sorted(segments)
-    out = [list(segments[0])]
-    for a, b in segments[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
+def _remote_only(remote, local) -> int:
+    """Lines of ``remote`` that ``local`` does not cover: |R| - |R & L|.
 
-
-def _overlap_count(
-    segs_a: list[tuple[int, int]], segs_b: list[tuple[int, int]]
-) -> int:
+    Both are sorted lists of disjoint segments whose first two fields
+    are ``(start, end)``, such as :meth:`ExtentLRUCache.peek` returns.
+    One pass over each: ``i`` skips the local segments that end before
+    the current remote one, and every local segment overlapping it is
+    subtracted (a local segment may overlap the next remote one too, so
+    ``i`` does not pass it).
+    """
     total = 0
-    for a1, b1 in segs_a:
-        for a2, b2 in segs_b:
-            lo, hi = max(a1, a2), min(b1, b2)
-            if lo < hi:
-                total += hi - lo
+    i = 0
+    n = len(local)
+    for seg in remote:
+        a, b = seg[0], seg[1]
+        total += b - a
+        while i < n and local[i][1] <= a:
+            i += 1
+        j = i
+        while j < n and local[j][0] < b:
+            la, lb = local[j][0], local[j][1]
+            total -= (b if b < lb else lb) - (a if a > la else la)
+            j += 1
     return total
+
+
+def _union(segments: list) -> list[tuple[int, int]]:
+    """The disjoint, sorted union of several caches' peeked segments."""
+    segments.sort()
+    out = []
+    for seg in segments:
+        a, b = seg[0], seg[1]
+        if out and a <= out[-1][1]:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
 
 
 class CoherenceDomain:
@@ -218,15 +216,16 @@ class CoherenceDomain:
 
         # Snoop the remote caches first: they never touch the local
         # cache, so its peek below sees the same state either way.
-        remote_segments: list[tuple[int, int]] = []
+        remote_segments = []
+        holders = 0
         writebacks = 0
         invalidated = 0
         for cache in self._caches_in(remote):
             found = cache.peek(start, end)
             if not found:
                 continue
-            for a, b, _ in found:
-                remote_segments.append((a, b))
+            remote_segments += found
+            holders += 1
             if write:
                 # RFO: invalidate every remote copy; dirty data is
                 # transferred to the requester, so no memory writeback,
@@ -239,13 +238,15 @@ class CoherenceDomain:
                 # are written back to memory (M -> S, HITM implicit
                 # writeback on FSB platforms).
                 writebacks += cache.downgrade(start, end)
-        if remote_segments:
-            # Lines a remote cache holds but the local one lacks.
-            local_segments = [(a, b) for a, b, _ in local.peek(start, end)]
-            gaps = _subtract_segments((start, end), _merge_segments(local_segments))
-            remote_only = _overlap_count(gaps, _merge_segments(remote_segments))
-        else:
+        if not holders:
             remote_only = 0
+        else:
+            # Lines a remote cache holds but the local one lacks.  One
+            # cache's peek is already sorted and disjoint; several
+            # caches' may overlap and are merged first.
+            if holders > 1:
+                remote_segments = _union(remote_segments)
+            remote_only = _remote_only(remote_segments, local.peek(start, end))
 
         probe = self.interference
         token = probe.pre_access(die, start, end) if probe is not None else None

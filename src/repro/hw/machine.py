@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.errors import HardwareError
 from repro.hw.cache import ExtentLRUCache
-from repro.hw.coherence import CoherenceDomain
+from repro.hw.coherence import REGION_LINES, CoherenceDomain
 from repro.hw.counters import Papi
 from repro.hw.dma import DmaEngine
 from repro.hw.dsa import DsaEngine
@@ -21,6 +21,8 @@ from repro.sim.resources import ProcessorSharing
 from repro.units import CACHE_LINE, PAGE_SIZE, align_up
 
 __all__ = ["Machine"]
+
+_REGION_BYTES = REGION_LINES * CACHE_LINE
 
 
 class Machine:
@@ -51,12 +53,19 @@ class Machine:
     def alloc_phys(self, nbytes: int, align: int = PAGE_SIZE) -> int:
         """Reserve a physically-contiguous range; returns its base address.
 
-        Page-aligned by default, which matters to the DMA path (the
-        misalignment penalty models the paper's Sec. 4.2 note).
+        ``align`` must be a positive power of two; page-aligned by
+        default, which matters to the DMA path (the misalignment
+        penalty models the paper's Sec. 4.2 note).  Every range also
+        starts on a snoop-filter region boundary (64 KiB), so no region
+        holds lines of two allocations and a stream over one buffer
+        never snoops a cache for another's lines.  The L2 model is fully
+        associative, so no hit or miss depends on where a range lies.
         """
         if nbytes <= 0:
             raise HardwareError(f"allocation size must be positive: {nbytes}")
-        base = align_up(self._phys_cursor, align)
+        if not isinstance(align, int) or align <= 0 or align & (align - 1):
+            raise HardwareError(f"alignment must be a positive power of two: {align!r}")
+        base = align_up(self._phys_cursor, max(align, _REGION_BYTES))
         self._phys_cursor = base + nbytes
         return base
 

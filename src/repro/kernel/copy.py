@@ -19,11 +19,20 @@ application phase scanning a working set (no data copied, optional
 extra arithmetic per byte).  NAS compute phases use it, which is how
 communication-induced cache pollution slows application code — the
 paper's IS mechanism.
+
+Both run every chunk in their own generator frame: :func:`_start_chunk`
+is a plain function that charges the chunk, starts its work and hands
+back the one waitable to yield, and the caller then moves the payload
+and closes the span.  A copy of one view a side that fits one chunk
+(every Nemesis cell copy) is its own piece and skips
+:func:`iter_lockstep`.  The coherence domain, the core and the memory
+system are still entered through their methods, which is where
+``perf/layertrace.py`` counts them.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from math import inf
 from typing import Iterator, Sequence
 
 from repro.errors import KernelError
@@ -69,29 +78,37 @@ def iter_lockstep(
             soff = 0
 
 
-def _charge_chunk(
-    machine, core: int, nbytes: int, breakdowns, move=None,
-    parent=None, span_kind="copy", span_name=None,
-):
-    """Wait for the CPU / DRAM / FSB work of one chunk, then move data."""
+def _start_chunk(machine, core, nbytes, src, dst, parent, span_kind, span_name):
+    """Charge one chunk and start its CPU, DRAM and FSB work.
+
+    ``src`` and ``dst`` are the chunk's stream breakdowns (``dst`` is
+    ``None`` for a scan).  Returns ``(waitable, span, dram_bytes,
+    fsb_bytes)``: the caller yields the waitable, then moves the payload
+    and ends the span (``None`` when spans are off).
+    """
     p = machine.params
     line = CACHE_LINE
     t_hit, t_fsb, t_dram = p.t_l2_hit, p.t_fsb, p.t_dram
     upgrade_weight = p.fsb_upgrade_weight
-    access_cpu = 0.0
-    dram_bytes = 0
-    fsb_bytes = 0
-    writeback_lines = 0
-    for local_hits, remote_hits, dram_lines, writebacks, upgrades in breakdowns:
+    local_hits, remote_hits, dram_lines, writeback_lines, upgrades = src
+    access_cpu = (
+        local_hits * line * t_hit
+        + remote_hits * line * t_fsb
+        + dram_lines * line * t_dram
+    )
+    dram_bytes = dram_lines * line
+    # FSB transactions: cache-to-cache transfers and DRAM fills carry
+    # a data phase; ownership upgrades are address-only and cost only
+    # a fraction of a slot.
+    fsb_bytes = (remote_hits + dram_lines + upgrades * upgrade_weight) * line
+    if dst is not None:
+        local_hits, remote_hits, dram_lines, writebacks, upgrades = dst
         access_cpu += (
             local_hits * line * t_hit
             + remote_hits * line * t_fsb
             + dram_lines * line * t_dram
         )
         dram_bytes += dram_lines * line
-        # FSB transactions: cache-to-cache transfers and DRAM fills carry
-        # a data phase; ownership upgrades are address-only and cost only
-        # a fraction of a slot.
         fsb_bytes += (remote_hits + dram_lines + upgrades * upgrade_weight) * line
         writeback_lines += writebacks
     # A streaming copy loop overlaps its instruction stream with its
@@ -106,7 +123,7 @@ def _charge_chunk(
     span = None
     if obs.enabled:
         span = obs.begin(
-            span_name or f"{span_kind}.chunk",
+            span_name,
             kind=span_kind,
             track=f"core{core}",
             parent=parent,
@@ -120,13 +137,8 @@ def _charge_chunk(
             memory.dram_transfer(dram_bytes, join)
         if fsb_bytes:
             memory.fsb_transfer(fsb_bytes, join)
-        yield join
-    else:
-        yield machine.cores[core].request(cpu)
-    if move is not None:
-        move()
-    if span is not None:
-        obs.end(span, dram=dram_bytes, fsb=fsb_bytes)
+        return join, span, dram_bytes, fsb_bytes
+    return machine.cores[core].request(cpu), span, dram_bytes, fsb_bytes
 
 
 def cpu_copy(
@@ -143,19 +155,34 @@ def cpu_copy(
     sizes need not match — the copy stops at the shorter of the two.
     ``parent`` links the emitted ``copy`` spans into a causal tree.
     """
+    pieces = None
+    if len(dst_views) == 1 and len(src_views) == 1:
+        # One view a side that fits one chunk (a Nemesis cell's copy):
+        # it is its own piece.  A non-positive chunk never fits, so
+        # iter_lockstep still rejects it.
+        dv, sv = dst_views[0], src_views[0]
+        if 0 < dv.nbytes == sv.nbytes <= chunk:
+            pieces = ((dv, sv),)
+    if pieces is None:
+        pieces = iter_lockstep(dst_views, src_views, chunk)
+    coherence = machine.coherence
+    line = CACHE_LINE
     copied = 0
-    for dv, sv in iter_lockstep(dst_views, src_views, chunk):
-        s0, s1 = machine.line_span(sv.phys, sv.nbytes)
-        d0, d1 = machine.line_span(dv.phys, dv.nbytes)
-        src_bd = machine.coherence.read(core, s0, s1)
-        dst_bd = machine.coherence.write(core, d0, d1)
-        yield from _charge_chunk(
-            machine, core, dv.nbytes, (src_bd, dst_bd),
-            partial(copy_payload, dv, sv),
-            parent=parent, span_kind="copy", span_name="cpu.copy",
+    for dv, sv in pieces:
+        n = dv.nbytes
+        s = sv.buffer.phys + sv.offset
+        d = dv.buffer.phys + dv.offset
+        src_bd = coherence.read(core, s // line, -(-(s + n) // line))
+        dst_bd = coherence.write(core, d // line, -(-(d + n) // line))
+        wait, span, dram, fsb = _start_chunk(
+            machine, core, n, src_bd, dst_bd, parent, "copy", "cpu.copy"
         )
-        machine.papi[core].add("BYTES_COPIED", dv.nbytes)
-        copied += dv.nbytes
+        yield wait
+        copy_payload(dv, sv)
+        if span is not None:
+            machine.engine.obs.end(span, dram=dram, fsb=fsb)
+        machine.papi[core].add("BYTES_COPIED", n)
+        copied += n
     return copied
 
 
@@ -172,26 +199,38 @@ def stream_access(
 
     ``intensity`` multiplies the per-byte instruction cost (1.0 is a
     pure streaming scan; higher values model arithmetic per element).
-    Generator; returns the number of bytes touched.
+    It must be finite and non-negative.  Generator; returns the number
+    of bytes touched.
     """
     _check_chunk(chunk)
+    if not 0 <= intensity < inf:
+        raise KernelError(
+            f"stream intensity must be finite and non-negative, got {intensity}"
+        )
+    coherence = machine.coherence
+    line = CACHE_LINE
     touched = 0
     for view in views:
+        nbytes = view.nbytes
+        base = view.buffer.phys + view.offset
         offset = 0
-        while offset < view.nbytes:
-            n = min(chunk, view.nbytes - offset)
-            piece = view.sub(offset, n)
-            l0, l1 = machine.line_span(piece.phys, piece.nbytes)
+        while offset < nbytes:
+            n = min(chunk, nbytes - offset)
+            a = base + offset
+            l0, l1 = a // line, -(-(a + n) // line)
             if write:
-                bd = machine.coherence.write(core, l0, l1)
+                bd = coherence.write(core, l0, l1)
             else:
-                bd = machine.coherence.read(core, l0, l1)
+                bd = coherence.read(core, l0, l1)
             # Intensity scales the instruction-stream component only;
             # the memory-side costs come from the breakdown as usual.
-            yield from _charge_chunk(
-                machine, core, int(n * intensity), (bd,),
-                parent=parent, span_kind="compute", span_name="stream.access",
+            wait, span, dram, fsb = _start_chunk(
+                machine, core, int(n * intensity), bd, None,
+                parent, "compute", "stream.access",
             )
+            yield wait
+            if span is not None:
+                machine.engine.obs.end(span, dram=dram, fsb=fsb)
             offset += n
             touched += n
     return touched

@@ -2,19 +2,54 @@
 
 Every CPU stream peeks every remote cache, and the DMA paths flush or
 invalidate every cache, as the domain did before it kept per-region
-holder masks.  ``tests/hw/test_snoop_filter.py`` checks that the
-filtered domain returns the same breakdowns, DMA results and PAPI
-counters.
+holder masks.  It also counts the remote lines the local cache lacks
+with the general segment algebra (merge both sides, subtract the local
+segments from the range, intersect the gaps with the remote ones), not
+the domain's one-pass count.  ``tests/hw/test_snoop_filter.py`` checks
+that the filtered domain returns the same breakdowns, DMA results and
+PAPI counters.
 """
 
-from repro.hw.coherence import (
-    ZERO_BREAKDOWN,
-    CoherenceDomain,
-    StreamBreakdown,
-    _merge_segments,
-    _overlap_count,
-    _subtract_segments,
-)
+from repro.hw.coherence import ZERO_BREAKDOWN, CoherenceDomain, StreamBreakdown
+
+
+def _subtract_segments(universe, segments):
+    """Portions of ``universe`` not covered by ``segments`` (sorted,
+    non-overlapping)."""
+    out = []
+    cursor, end = universe
+    for a, b in segments:
+        if a > cursor:
+            out.append((cursor, min(a, end)))
+        cursor = max(cursor, b)
+        if cursor >= end:
+            break
+    if cursor < end:
+        out.append((cursor, end))
+    return [(a, b) for a, b in out if a < b]
+
+
+def _merge_segments(segments):
+    if not segments:
+        return []
+    segments = sorted(segments)
+    out = [list(segments[0])]
+    for a, b in segments[1:]:
+        if a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return [(a, b) for a, b in out]
+
+
+def _overlap_count(segs_a, segs_b):
+    total = 0
+    for a1, b1 in segs_a:
+        for a2, b2 in segs_b:
+            lo, hi = max(a1, a2), min(b1, b2)
+            if lo < hi:
+                total += hi - lo
+    return total
 
 
 class SnoopAllDomain(CoherenceDomain):

@@ -149,8 +149,9 @@ def test_physical_addresses_are_reserved_at_allocation(machine):
         alloc_shared(machine, 65536),
         sp.alloc(3 * PAGE_SIZE + 1),
     ]
+    # Each range starts on its own 64 KiB snoop-filter region.
     assert [b.phys for b in bufs] == [
-        0x1000, 0x2000, 0x4000, 0x6000, 0x7000, 0x17000,
+        0x10000, 0x20000, 0x30000, 0x40000, 0x50000, 0x60000,
     ]
     assert all(b._data is None for b in bufs)
 

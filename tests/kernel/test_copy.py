@@ -131,6 +131,29 @@ def test_stream_access_rejects_non_positive_chunk(engine, machine, space, chunk)
         next(stream_access(machine, 0, buf.whole(), chunk=chunk))
 
 
+@pytest.mark.parametrize("chunk", [0, -64])
+def test_cpu_copy_rejects_non_positive_chunk(engine, machine, space, chunk):
+    # One view a side that fits any chunk still checks the chunk.
+    a, b = space.alloc(4 * KiB), space.alloc(4 * KiB)
+    with _deadline(5), pytest.raises(KernelError, match="chunk"):
+        next(cpu_copy(machine, 0, a.whole(), b.whole(), chunk=chunk))
+
+
+@pytest.mark.parametrize(
+    "intensity, shown",
+    [(-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")],
+)
+def test_stream_access_rejects_bad_intensity(engine, machine, space, intensity, shown):
+    """A negative, NaN or infinite intensity is refused, naming the
+    value, before any chunk touches the cache or a core."""
+    buf = space.alloc(128 * KiB)
+    with pytest.raises(KernelError, match=f"intensity.*got {shown}$"):
+        next(stream_access(machine, 0, buf.whole(), intensity=intensity))
+    assert all(cache.used_lines == 0 for cache in machine.caches)
+    assert machine.papi.read(0, "CPU_BUSY") == 0
+    assert engine.now == 0
+
+
 def test_remote_source_copy_slower_than_shared(engine, machine, space):
     """Copying data resident in a remote cache (FSB) is slower than
     data resident in the local (shared) cache."""

@@ -163,9 +163,10 @@ def test_empty_run_materialises_no_eager_cell():
     cells = [cell for ep in r.world.endpoints for cell in ep.free_cells._items]
     assert len(cells) == 16
     assert all(cell._data is None for cell in cells)
-    # The cells' physical ranges are still reserved, before the ranks'.
-    assert [c.phys for c in cells[:3]] == [0x1000, 0x11000, 0x21000]
-    assert r.results == [0x101000, 0x102000]
+    # The cells' physical ranges are still reserved, before the ranks',
+    # each on its own 64 KiB snoop-filter region.
+    assert [c.phys for c in cells[:3]] == [0x10000, 0x20000, 0x30000]
+    assert r.results == [0x110000, 0x120000]
 
 
 @pytest.mark.parametrize("nbytes", [4 * KiB, 1 * MiB])
