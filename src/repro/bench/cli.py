@@ -11,9 +11,7 @@ Examples::
     repro-bench trace --mode knem-ioat --size 1M --out trace.json
     repro-bench campaign run --backends default,knem --sizes 64K,1M --seeds 3
     repro-bench campaign compare --baseline BENCH_campaign.json
-    repro-bench sched --out BENCH_sched.json
-    repro-bench nhood --out BENCH_nhood.json
-    repro-bench offload --out BENCH_offload.json
+    repro-bench campaign run --suite offload --out BENCH_offload.json
 
 Subcommands self-register in :data:`SUBCOMMANDS`; ``--list`` and the
 dispatcher both read that one registry, so the help can never drift
@@ -173,56 +171,6 @@ def _run_trace(argv: list[str]) -> int:
     return 0
 
 
-def _sched_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-bench sched",
-        description="Run the multi-tenant scheduling demo: a stream "
-        "victim co-located with a pingpong aggressor on the shared-L2 "
-        "nehalem8 preset, once with shm double-buffering (cache "
-        "pollution) and once with KNEM+I/OAT (DMA bypass), plus a "
-        "scheduling-policy comparison over a queued job mix.",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_sched.json",
-        help="where to write the JSON document (default: BENCH_sched.json)",
-    )
-    p.add_argument(
-        "--max-events",
-        type=int,
-        default=5_000_000,
-        help="engine watchdog budget per scheduler run (default: 5M)",
-    )
-    return p
-
-
-def _run_sched(argv: list[str]) -> int:
-    args = _sched_parser().parse_args(argv)
-
-    from repro.bench.store import atomic_write_json
-    from repro.sched.bench import format_sched_doc, run_sched_bench
-
-    doc = run_sched_bench(max_events=args.max_events)
-    print(format_sched_doc(doc))
-    atomic_write_json(args.out, doc)
-    print(f"saved sched document to {args.out}", file=sys.stderr)
-    inter = doc["interference"]
-    ok = (
-        inter["eviction_gap"] > 0
-        and inter["slowdown_gap"] > 0
-        and inter["dma"]["victim_l2_lines_evicted_by_others"] == 0
-    )
-    if not ok:
-        print(
-            "sched bench FAILED its own invariant: shm aggressor must "
-            "evict more victim lines (and slow it more) than the I/OAT "
-            "aggressor",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
-
-
 def _add_spec_axes(p: argparse.ArgumentParser) -> None:
     """Register the campaign-spec axis arguments on ``p``.
 
@@ -323,6 +271,12 @@ def _campaign_parser() -> argparse.ArgumentParser:
     )
     _add_spec_axes(p)
     p.add_argument(
+        "--suite",
+        metavar="NAME",
+        help="run: a committed suite (sched, nhood or offload) instead "
+        "of the axes above; exits 1 naming every failed self-check",
+    )
+    p.add_argument(
         "--workers",
         type=int,
         default=min(4, os.cpu_count() or 1),
@@ -377,17 +331,26 @@ def _csv(text: str) -> list[str]:
 
 
 def _campaign_spec(args):
+    """The spec the axis arguments name; a bad value raises
+    :class:`~repro.errors.BenchmarkError`."""
     from repro.campaign import CampaignSpec
+    from repro.errors import BenchmarkError
     from repro.units import parse_size
 
+    try:
+        sizes = tuple(parse_size(s) for s in _csv(args.sizes))
+        nnodes = tuple(int(n) for n in _csv(args.nnodes))
+        drops = tuple(float(d) for d in _csv(args.drops))
+    except ValueError as exc:
+        raise BenchmarkError(str(exc)) from None
     return CampaignSpec(
         name=args.name,
         workload=args.workload,
         machines=tuple(_csv(args.machines)),
         backends=tuple(_csv(args.backends)),
-        sizes=tuple(parse_size(s) for s in _csv(args.sizes)),
-        nnodes=tuple(int(n) for n in _csv(args.nnodes)),
-        drops=tuple(float(d) for d in _csv(args.drops)),
+        sizes=sizes,
+        nnodes=nnodes,
+        drops=drops,
         tunings=tuple(_csv(args.tunings)),
         seeds=tuple(range(args.seeds)),
         reps=args.reps,
@@ -418,6 +381,51 @@ def _print_campaign_doc(doc: dict) -> None:
         rows,
         title=f"campaign {doc['name']!r} (seeds {doc['seeds']})",
     ))
+
+
+def _print_failures(records: list[dict]) -> None:
+    for record in records:
+        print(
+            f"FAILED {record['hash'][:12]} "
+            f"{record['config']['workload']} seed={record['seed']}: "
+            f"{record['error']}",
+            file=sys.stderr,
+        )
+
+
+def _print_suite_doc(doc: dict) -> None:
+    for campaign in doc["campaigns"]:
+        _print_campaign_doc(campaign)
+        _print_failures([t for t in campaign["trials"] if t["status"] != "ok"])
+    print("self-check: " + "  ".join(
+        f"{name}={'PASS' if ok else 'FAIL'}"
+        for name, ok in doc["checks"].items()
+    ))
+
+
+def _run_suite_cli(args) -> int:
+    """``campaign run --suite NAME``: run, save, print, self-check."""
+    from repro.bench.store import atomic_write_json
+    from repro.campaign import ResultCache
+    from repro.campaign.suites import run_suite
+    from repro.errors import BenchmarkError
+
+    cache = None if args.no_cache else ResultCache(args.results_dir)
+    try:
+        doc = run_suite(args.suite, cache=cache, workers=args.workers)
+    except BenchmarkError as exc:
+        print(f"campaign run: {exc}", file=sys.stderr)
+        return 2
+    if args.out:
+        atomic_write_json(args.out, doc)
+        print(f"saved suite document to {args.out}", file=sys.stderr)
+    _print_suite_doc(doc)
+    failed = [name for name, ok in doc["checks"].items() if not ok]
+    if failed:
+        print(f"suite {args.suite!r} FAILED: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _run_campaign_cli(argv: list[str]) -> int:
@@ -451,6 +459,9 @@ def _run_campaign_cli(argv: list[str]) -> int:
             return 2
         with open(args.campaign) as fh:
             doc = json.load(fh)
+        if doc.get("kind") == "suite":
+            _print_suite_doc(doc)
+            return 0
         _print_campaign_doc(doc)
         summary = doc["summary"]
         print(
@@ -460,7 +471,27 @@ def _run_campaign_cli(argv: list[str]) -> int:
         )
         return 0
 
-    spec = _campaign_spec(args)
+    if args.suite:
+        # A suite fixes its own axes: a flag that would change one is
+        # an error, not something to drop silently.
+        axes = argparse.ArgumentParser()
+        _add_spec_axes(axes)
+        given = [
+            "--" + key.replace("_", "-")
+            for key, default in vars(axes.parse_args([])).items()
+            if getattr(args, key) != default
+        ]
+        if args.action != "run" or given:
+            print("--suite runs with the run action only and takes no "
+                  f"axis flags (got {' '.join([args.action, *given])})",
+                  file=sys.stderr)
+            return 2
+        return _run_suite_cli(args)
+    try:
+        spec = _campaign_spec(args)
+    except BenchmarkError as exc:
+        print(f"campaign {args.action}: {exc}", file=sys.stderr)
+        return 2
 
     cache = None if args.no_cache else ResultCache(args.results_dir)
     print(spec.describe(), file=sys.stderr)
@@ -475,13 +506,7 @@ def _run_campaign_cli(argv: list[str]) -> int:
     if args.out:
         atomic_write_json(args.out, doc)
         print(f"saved campaign document to {args.out}", file=sys.stderr)
-    for record in run.failures:
-        print(
-            f"FAILED {record['hash'][:12]} "
-            f"{record['config']['workload']} seed={record['seed']}: "
-            f"{record['error']}",
-            file=sys.stderr,
-        )
+    _print_failures(run.failures)
 
     if args.action == "compare":
         if not args.baseline:
@@ -505,107 +530,6 @@ def _run_campaign_cli(argv: list[str]) -> int:
     return 1 if run.failures else 0
 
 
-def _nhood_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-bench nhood",
-        description="Run the node-aware neighborhood-collective demo: a "
-        "pattern x strategy x LMT-mode x nnodes sweep (message-bound "
-        "irregular graphs where aggregation wins, bandwidth-bound "
-        "stencils where it loses), plus the aggregation-leader cache "
-        "interference experiment on the shared-L2 nehalem8 preset.",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_nhood.json",
-        help="where to write the JSON document (default: BENCH_nhood.json)",
-    )
-    p.add_argument(
-        "--max-events",
-        type=int,
-        default=5_000_000,
-        help="engine watchdog budget per trial (default: 5M)",
-    )
-    return p
-
-
-def _run_nhood(argv: list[str]) -> int:
-    args = _nhood_parser().parse_args(argv)
-
-    from repro.bench.store import atomic_write_json
-    from repro.nhood.bench import format_nhood_doc, run_nhood_bench
-
-    doc = run_nhood_bench(max_events=args.max_events)
-    print(format_nhood_doc(doc))
-    atomic_write_json(args.out, doc)
-    print(f"saved nhood document to {args.out}", file=sys.stderr)
-    if not doc["self_check"]["ok"]:
-        print(
-            "nhood bench FAILED its own invariant: node-aware must cut "
-            "internode messages everywhere, win latency on message-bound "
-            "irregular graphs, lose on bandwidth-bound stencils, and only "
-            "the shm-staging leader may evict the victim's cache lines",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _offload_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-bench offload",
-        description="Re-derive the DMAmin crossover per machine "
-        "generation: the paper's Xeon E5345 (KNEM vs KNEM+I/OAT) next "
-        "to the modern_server preset (KNEM vs the DSA-class "
-        "memory-operation engine), with the pin-down registration "
-        "cache armed.  Self-checks the crossover direction on both "
-        "generations and that they land on different crossovers.",
-    )
-    p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_offload.json",
-        help="where to write the JSON document (default: BENCH_offload.json)",
-    )
-    p.add_argument(
-        "--reps",
-        type=int,
-        default=4,
-        help="pingpong round trips per size (default: 4)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="coarser sweep (powers of two only, 2 reps; CI smoke mode)",
-    )
-    return p
-
-
-def _run_offload(argv: list[str]) -> int:
-    args = _offload_parser().parse_args(argv)
-
-    from repro.bench.store import atomic_write_json
-    from repro.offload import format_offload_doc, run_offload_bench
-
-    doc = run_offload_bench(
-        repetitions=2 if args.quick else args.reps,
-        per_octave=1 if args.quick else 2,
-    )
-    print(format_offload_doc(doc))
-    atomic_write_json(args.out, doc)
-    print(f"saved offload document to {args.out}", file=sys.stderr)
-    if not doc["self_check"]["ok"]:
-        print(
-            "offload bench FAILED its own invariant: on each generation "
-            "the CPU copy must win below the crossover and the offload "
-            "engine above it, and the two generations must land on "
-            "different crossovers",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _run_service(argv: list[str]) -> int:
     """Lazy wrapper: the serving layer only imports when used."""
     from repro.service.cli import main as service_main
@@ -621,12 +545,6 @@ SUBCOMMANDS = {
     "campaign": (
         _run_campaign_cli,
         "cached parallel sweeps, regression gate",
-    ),
-    "sched": (_run_sched, "multi-tenant scheduling interference demo"),
-    "nhood": (_run_nhood, "node-aware neighborhood collective demo"),
-    "offload": (
-        _run_offload,
-        "DMAmin re-derivation across machine generations (DSA vs I/OAT)",
     ),
     "service": (
         _run_service,

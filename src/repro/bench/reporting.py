@@ -79,47 +79,28 @@ def format_csv(sweep: Sweep) -> str:
     return "\n".join(lines)
 
 
-def topology_block(spec, bindings: Optional[Sequence[int]] = None) -> dict:
+def topology_block(spec) -> dict:
     """Describe the simulated host(s) for embedding in stored results.
 
     Accepts either a single-machine :class:`~repro.hw.topology.
     TopologySpec` or a multi-node :class:`~repro.net.fabric.ClusterSpec`
     (duck-typed on the ``node`` attribute, so this module never imports
-    :mod:`repro.net`).
-
-    When ``bindings`` (rank -> core) is given, the block also carries
-    the :func:`repro.mpi.affinity.placement_summary` locality statistics
-    — how many rank pairs share a cache / a socket and the per-cache
-    process counts feeding the DMAmin formula — so a stored result says
-    not just *what* machine it ran on but *where on it* the ranks sat."""
+    :mod:`repro.net`)."""
     node = getattr(spec, "node", None)
     if node is not None:  # ClusterSpec
-        block = {
+        return {
             "kind": "cluster",
             "nodes": spec.nnodes,
             "cores_per_node": node.ncores,
             "node": node.name,
             "fabric": asdict(spec.fabric),
         }
-        topo = node
-    else:
-        block = {
-            "kind": "machine",
-            "nodes": 1,
-            "cores_per_node": spec.ncores,
-            "node": spec.name,
-        }
-        topo = spec
-    if bindings is not None:
-        from repro.mpi.affinity import placement_summary
-
-        summary = placement_summary(topo, list(bindings))
-        summary["processes_per_cache"] = {
-            str(die): count
-            for die, count in sorted(summary["processes_per_cache"].items())
-        }
-        block["placement"] = summary
-    return block
+    return {
+        "kind": "machine",
+        "nodes": 1,
+        "cores_per_node": spec.ncores,
+        "node": spec.name,
+    }
 
 
 def resilience_block(fabric, policy=None) -> dict:

@@ -13,6 +13,8 @@ scripts:
   atomic writes (re-running a campaign is 100 % cache hits);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
+* :mod:`~repro.campaign.suites` — the committed sched, nhood and
+  offload experiments: specs plus named self-checks;
 * :mod:`~repro.campaign.queue` — durable JSONL lease journal whose
   replay rebuilds exact queue state after a crash;
 * :mod:`~repro.campaign.telemetry` — live fleet status: atomic
@@ -24,7 +26,8 @@ coordinator is the crash-tolerant, multi-client execution path (lease
 requeue on agent death, retry budgets, quarantine).
 
 CLI: ``repro-bench campaign run|resume|compare|report``
-(``report --fleet`` reads the coordinator's telemetry files).
+(``run --suite NAME`` runs a committed suite; ``report --fleet`` reads
+the coordinator's telemetry files).
 """
 
 from repro import _lazy_exports

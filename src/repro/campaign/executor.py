@@ -118,15 +118,15 @@ def _obs(key: str, trace_dir: Optional[str]):
     return ObsCollector(config=ObsConfig(spans=True, chrome_path=chrome_path))
 
 
-def _pingpong_main(nbytes: int, reps: int):
+def _pingpong_main(nbytes: int, reps: int, warmup: int = 1):
     def main(ctx):
         comm = ctx.comm
         buf = ctx.alloc(nbytes)
         peer = 1 - ctx.rank
         status = None
         start = None
-        for rep in range(reps + 1):
-            if rep == 1:  # rep 0 warms caches and rendezvous state
+        for rep in range(warmup + reps):
+            if rep == warmup:  # earlier reps warm caches and rendezvous state
                 start = ctx.now
             if ctx.rank == 0:
                 yield comm.Send(buf, dest=peer, tag=rep)
@@ -273,6 +273,20 @@ def _run_sched(config: dict, obs) -> dict:
         "max_slowdown": max(slowdowns) if slowdowns else 1.0,
         "mean_wait_seconds": sum(waits) / len(waits),
         "ctx_switch_seconds": result.ctx_switch_seconds,
+        "jobs": {
+            jr.spec.name: {
+                "slowdown": jr.slowdown,
+                "isolated_seconds": jr.isolated_seconds,
+                "seconds": jr.duration,
+                "wait_seconds": jr.wait_seconds,
+                "l2_lines_evicted_by_others":
+                    jr.interference["l2_lines_evicted_by_others"],
+                "l2_lines_evicted_from_others":
+                    jr.interference["l2_lines_evicted_from_others"],
+                "bindings": list(jr.bindings),
+            }
+            for jr in result.jobs
+        },
         "elapsed": result.makespan,
     }
 
@@ -288,7 +302,7 @@ def _run_nhood(config: dict, obs) -> dict:
     # The campaign "size" axis is the per-edge halo byte count here.
     kwargs = {}
     if config["pattern"] == "irregular":
-        kwargs = {"seed": config["seed"], "degree": min(12, p - 1)}
+        kwargs = {"seed": config["seed"], "degree": min(config["degree"], p - 1)}
     cg = build_pattern(config["pattern"], p, config["size"], **kwargs)
 
     def main(ctx):
@@ -314,13 +328,16 @@ def _run_nhood(config: dict, obs) -> dict:
         max_sim_time=config["max_sim_time"],
     )
     m = result.obs.metrics
+    counters = (
+        "internode_msgs", "internode_bytes", "intranode_msgs",
+        "intranode_bytes", "internode_msgs_saved", "pack_bytes",
+    )
     return {
         "primary": "seconds",
         "seconds": result.elapsed,
-        "internode_msgs": int(m.counter("nhood.internode_msgs").value),
-        "internode_bytes": int(m.counter("nhood.internode_bytes").value),
-        "internode_msgs_saved": int(
-            m.counter("nhood.internode_msgs_saved").value
+        **{c: int(m.counter(f"nhood.{c}").value) for c in counters},
+        "leader_footprint_bytes": int(
+            m.gauge("nhood.leader_footprint_bytes").value
         ),
         "elapsed": result.elapsed,
     }
@@ -328,11 +345,13 @@ def _run_nhood(config: dict, obs) -> dict:
 
 def _run_offload(config: dict, obs) -> dict:
     """One offload trial: CPU copy vs the generation's offload engine
-    at the trial's message size, shared-cache placement, pin-down cache
-    armed (the per-size slice of ``repro-bench offload``)."""
+    at the trial's message size, shared-cache placement (cores 0 and
+    1), pin-down cache armed.  Each side is timed like
+    :func:`repro.bench.imb.imb_pingpong`: two warm-up round trips,
+    then ``reps`` timed ones."""
+    from repro.campaign.spec import GENERATIONS
     from repro.core.policy import LmtConfig
     from repro.mpi.world import run_mpi
-    from repro.offload.bench import BINDINGS, GENERATIONS
     from repro.units import mib_per_s
 
     gen = next(
@@ -343,11 +362,13 @@ def _run_offload(config: dict, obs) -> dict:
     nbytes = config["size"]
     rates = {}
     for key, mode in (("cpu", gen["cpu_mode"]), ("offload", gen["offload_mode"])):
-        main = _pingpong_main(nbytes, config["reps"])
+        main = _pingpong_main(nbytes, config["reps"], warmup=2)
         result = run_mpi(
             topo, 2, main,
-            bindings=list(BINDINGS),
+            bindings=[0, 1],
             mode=mode,
+            # The pin-down cache amortizes the reused buffers' pins, so
+            # the comparison prices steady-state data movement.
             config=LmtConfig(mode=mode, knem_reg_cache=True),
             noise=_noise(config),
             max_events=config["max_events"],

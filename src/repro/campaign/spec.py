@@ -35,6 +35,7 @@ from repro.units import KiB, fmt_size
 __all__ = [
     "WORKLOADS",
     "MACHINES",
+    "GENERATIONS",
     "MACHINE_GENERATIONS",
     "CampaignSpec",
     "Trial",
@@ -50,13 +51,45 @@ WORKLOADS = ("pingpong", "allreduce", "crossover", "sched", "nhood", "offload")
 #: Machine presets a trial config may name (see repro.hw.presets).
 MACHINES = ("xeon_e5345", "xeon_x5460", "nehalem8", "modern_server")
 
-#: Machine generations the "offload" workload may sweep (each names a
-#: preset; the generation label is the offload bench's vocabulary).
-MACHINE_GENERATIONS = ("nehalem-era", "modern")
+#: The machine generations the "offload" workload sweeps: each fixes a
+#: machine preset, the CPU-copy LMT mode and the offload engine's mode.
+#: The paper's Xeon E5345 pairs KNEM with KNEM + I/OAT (the Fig. 4
+#: experiment); the modern server pairs it with the DSA-class engine.
+GENERATIONS = (
+    {
+        "generation": "nehalem-era",
+        "machine": "xeon_e5345",
+        "cpu_mode": "knem",
+        "offload_mode": "knem-ioat",
+    },
+    {
+        "generation": "modern",
+        "machine": "modern_server",
+        "cpu_mode": "knem",
+        "offload_mode": "dsa",
+    },
+)
+
+#: Generation names, the values of the ``machine_generations`` axis.
+MACHINE_GENERATIONS = tuple(g["generation"] for g in GENERATIONS)
+
+#: Every tuple-valued field of :class:`CampaignSpec`: each must be
+#: non-empty and repeat no value.
+_AXES = (
+    "machines", "backends", "sizes", "nnodes", "pairs", "drops", "tunings",
+    "seeds", "sched_policies", "job_mixes", "patterns", "strategies",
+    "machine_generations",
+)
 
 #: Bumped whenever trial semantics change incompatibly; salted into
 #: every hash so stale cached results can never be mistaken for fresh.
 _SCHEMA_VERSION = 1
+
+#: Per-workload bumps, so one workload's trials can change without
+#: moving every other hash: sched and nhood trials gained per-job and
+#: per-counter metrics, and offload trials an IMB-style second warm-up
+#: round trip.
+_WORKLOAD_VERSIONS = {"sched": 2, "nhood": 2, "offload": 2}
 
 
 #: ``json.dumps`` with these arguments builds an encoder per call.
@@ -70,7 +103,8 @@ def canonical_json(config: dict) -> str:
 
 def trial_hash(config: dict) -> str:
     """Stable content hash of a canonical trial config."""
-    payload = f"repro.campaign/v{_SCHEMA_VERSION}:{canonical_json(config)}"
+    version = _WORKLOAD_VERSIONS.get(config.get("workload"), _SCHEMA_VERSION)
+    payload = f"repro.campaign/v{version}:{canonical_json(config)}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -95,21 +129,22 @@ def group_label(config: dict) -> str:
         parts.append(f"drop{config['drop']:g}")
     if config.get("tuning", "default") != "default":
         parts.append(config["tuning"])
-    # Scheduler axes only exist on "sched" trials, so legacy labels
-    # (and the committed baseline documents keyed on them) never move.
-    if "sched_policy" in config:
-        parts.append(config["sched_policy"])
-    if "job_mix" in config:
-        parts.append(config["job_mix"])
-    # Likewise the neighborhood axes only exist on "nhood" trials.
-    if "pattern" in config:
-        parts.append(config["pattern"])
-    if "strategy" in config:
-        parts.append(config["strategy"])
-    # And the generation axis only exists on "offload" trials.
-    if "machine_generation" in config:
-        parts.append(config["machine_generation"])
+    # The sched, nhood and offload axes only exist on those workloads'
+    # trials, so legacy labels (and the committed baseline documents
+    # keyed on them) never move.
+    for key in ("sched_policy", "job_mix", "pattern", "strategy",
+                "machine_generation"):
+        if key in config:
+            parts.append(config[key])
     return "/".join(parts)
+
+
+def _pick(kind: str, values: tuple, allowed: tuple) -> None:
+    for value in values:
+        if value not in allowed:
+            raise BenchmarkError(
+                f"unknown {kind} {value!r}; pick one of {allowed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,8 +224,12 @@ class CampaignSpec:
     patterns: tuple = ("irregular",)
     #: Strategy axis of the "nhood" workload.
     strategies: tuple = ("direct", "node-aware")
+    #: Target neighbour count of "irregular" nhood graphs (a trial
+    #: builds ``min(degree, ranks - 1)``); written only into those
+    #: trials' configs.
+    degree: int = 12
     #: Machine-generation axis of the "offload" workload (each names a
-    #: hardware era from repro.offload.bench.GENERATIONS; the trial's
+    #: hardware era from :data:`GENERATIONS`; the trial's
     #: ``machine``/``backend`` axes are ignored there — the generation
     #: fixes both).  Keys never enter other workloads' configs, so
     #: legacy trial hashes are untouched.
@@ -200,31 +239,23 @@ class CampaignSpec:
     trace_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise BenchmarkError(
-                f"unknown workload {self.workload!r}; pick one of {WORKLOADS}"
-            )
-        for m in self.machines:
-            if m not in MACHINES:
-                raise BenchmarkError(
-                    f"unknown machine preset {m!r}; pick from {MACHINES}"
-                )
-        for b in self.backends:
-            if b not in MODES:
-                raise BenchmarkError(
-                    f"unknown LMT backend {b!r}; pick one of {MODES}"
-                )
-        for axis in ("machines", "backends", "sizes", "nnodes", "pairs",
-                     "drops", "tunings", "seeds"):
-            if not getattr(self, axis):
+        _pick("workload", (self.workload,), WORKLOADS)
+        _pick("machine preset", self.machines, MACHINES)
+        _pick("LMT backend", self.backends, MODES)
+        for axis in _AXES:
+            values = getattr(self, axis)
+            if not values:
                 raise BenchmarkError(f"campaign axis {axis!r} is empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise BenchmarkError(
+                        f"campaign axis {axis!r} repeats {value!r}"
+                    )
         if any(s <= 0 for s in self.sizes):
             raise BenchmarkError(f"non-positive message size in {self.sizes}")
         if any(n < 1 for n in self.nnodes):
             raise BenchmarkError(f"node counts must be >= 1, got {self.nnodes}")
-        for t in self.tunings:
-            if t not in ("default", "flat"):
-                raise BenchmarkError(f"tuning must be 'default' or 'flat': {t!r}")
+        _pick("tuning", self.tunings, ("default", "flat"))
         if self.reps < 1:
             raise BenchmarkError(f"reps must be >= 1, got {self.reps}")
         if self.procs_per_node < 1:
@@ -238,94 +269,58 @@ class CampaignSpec:
             from repro.sched.job import JOB_MIXES
             from repro.sched.scheduler import SCHED_POLICIES
 
-            if not self.sched_policies or not self.job_mixes:
-                raise BenchmarkError(
-                    "sched campaigns need non-empty sched_policies and "
-                    "job_mixes axes"
-                )
-            for p in self.sched_policies:
-                if p not in SCHED_POLICIES:
-                    raise BenchmarkError(
-                        f"unknown sched policy {p!r}; pick from {SCHED_POLICIES}"
-                    )
-            for m in self.job_mixes:
-                if m not in JOB_MIXES:
-                    raise BenchmarkError(
-                        f"unknown job mix {m!r}; pick from {JOB_MIXES}"
-                    )
+            _pick("sched policy", self.sched_policies, SCHED_POLICIES)
+            _pick("job mix", self.job_mixes, JOB_MIXES)
         if self.workload == "offload":
-            if not self.machine_generations:
-                raise BenchmarkError(
-                    "offload campaigns need a non-empty machine_generations "
-                    "axis"
-                )
-            for g in self.machine_generations:
-                if g not in MACHINE_GENERATIONS:
-                    raise BenchmarkError(
-                        f"unknown machine generation {g!r}; pick from "
-                        f"{MACHINE_GENERATIONS}"
-                    )
+            _pick("machine generation", self.machine_generations,
+                  MACHINE_GENERATIONS)
         if self.workload == "nhood":
             from repro.nhood.patterns import PATTERNS
             from repro.nhood.strategy import STRATEGIES
 
-            if not self.patterns or not self.strategies:
-                raise BenchmarkError(
-                    "nhood campaigns need non-empty patterns and "
-                    "strategies axes"
-                )
-            for pat in self.patterns:
-                if pat not in PATTERNS:
-                    raise BenchmarkError(
-                        f"unknown pattern {pat!r}; pick from {PATTERNS}"
-                    )
-            for s in self.strategies:
-                if s not in STRATEGIES:
-                    raise BenchmarkError(
-                        f"unknown strategy {s!r}; pick from {STRATEGIES}"
-                    )
+            _pick("pattern", self.patterns, PATTERNS)
+            _pick("strategy", self.strategies, STRATEGIES)
+            if self.degree < 1:
+                raise BenchmarkError(f"degree must be >= 1, got {self.degree}")
+
+    def _axes(self) -> list[tuple[str, tuple]]:
+        """(field, values) of every axis in :meth:`trials`' expansion
+        order; an axis the workload does not use has the one value None.
+
+        The sched, nhood and offload axes multiply only their own
+        workload's product and their keys enter only its configs, so
+        other workloads' trial hashes never move.  For "offload" the
+        generation axis *replaces* machine x backend: each generation
+        fixes its preset and its offload mode (:data:`GENERATIONS`).
+        """
+        def only(workload: str, values: tuple) -> tuple:
+            return values if self.workload == workload else (None,)
+
+        offload = self.workload == "offload"
+        return [
+            ("machine_generations", only("offload", self.machine_generations)),
+            ("machines", (None,) if offload else self.machines),
+            ("backends", (None,) if offload else self.backends),
+            ("sizes", self.sizes), ("nnodes", self.nnodes),
+            ("pairs", self.pairs), ("drops", self.drops),
+            ("tunings", self.tunings),
+            ("sched_policies", only("sched", self.sched_policies)),
+            ("job_mixes", only("sched", self.job_mixes)),
+            ("patterns", only("nhood", self.patterns)),
+            ("strategies", only("nhood", self.strategies)),
+            ("seeds", self.seeds),
+        ]
 
     def trials(self) -> list[Trial]:
         """Expand the cross-product into deterministic trial order."""
+        generations = {g["generation"]: g for g in GENERATIONS}
         out = []
-        # The scheduler axes multiply the product only for the "sched"
-        # workload; elsewhere they contribute a single empty variant and
-        # the keys never enter the config (hash compatibility).
-        if self.workload == "sched":
-            sched_axes = list(itertools.product(self.sched_policies, self.job_mixes))
-        else:
-            sched_axes = [(None, None)]
-        # Same scheme for the neighborhood axes.
-        if self.workload == "nhood":
-            nhood_axes = list(itertools.product(self.patterns, self.strategies))
-        else:
-            nhood_axes = [(None, None)]
-        # For the "offload" workload the generation axis *replaces* the
-        # machine x backend product: each generation fixes its preset
-        # and its offload engine mode (repro.offload.bench.GENERATIONS),
-        # so sweeping machines/backends independently would only mint
-        # duplicate configs.  Other workloads keep the legacy product
-        # untouched — same loop values, same configs, same hashes.
-        if self.workload == "offload":
-            from repro.offload.bench import GENERATIONS
-
-            gen_map = {g["generation"]: g for g in GENERATIONS}
-            mb_axes = [
-                (gen_map[g]["machine"], gen_map[g]["offload_mode"], g)
-                for g in self.machine_generations
-            ]
-        else:
-            mb_axes = [
-                (m, b, None)
-                for m, b in itertools.product(self.machines, self.backends)
-            ]
-        for (machine, backend, generation), size, nn, pair, drop, tuning, (
-            pol, mix
-        ), (pattern, strategy), seed in itertools.product(
-            mb_axes, self.sizes, self.nnodes,
-            self.pairs, self.drops, self.tunings, sched_axes, nhood_axes,
-            self.seeds,
-        ):
+        for (generation, machine, backend, size, nn, pair, drop, tuning, pol,
+             mix, pattern, strategy, seed) in itertools.product(
+                 *(values for _, values in self._axes())):
+            if generation is not None:
+                machine = generations[generation]["machine"]
+                backend = generations[generation]["offload_mode"]
             config = {
                 "workload": self.workload,
                 "machine": machine,
@@ -348,6 +343,8 @@ class CampaignSpec:
             if pattern is not None:
                 config["pattern"] = pattern
                 config["strategy"] = strategy
+                if pattern == "irregular":
+                    config["degree"] = int(self.degree)
             if generation is not None:
                 config["machine_generation"] = generation
             out.append(Trial(config=config))
@@ -375,9 +372,7 @@ class CampaignSpec:
         if unknown:
             raise BenchmarkError(f"unknown campaign spec field(s): {', '.join(unknown)}")
         kwargs = dict(payload)
-        for axis in ("machines", "backends", "sizes", "nnodes", "drops",
-                     "tunings", "seeds", "sched_policies", "job_mixes",
-                     "patterns", "strategies", "machine_generations"):
+        for axis in _AXES:
             if axis in kwargs:
                 kwargs[axis] = tuple(kwargs[axis])
         if "pairs" in kwargs:
@@ -385,16 +380,11 @@ class CampaignSpec:
         return cls(**kwargs)
 
     def describe(self) -> str:
-        axes = (
-            f"{len(self.machines)} machine(s) x {len(self.backends)} "
-            f"backend(s) x {len(self.sizes)} size(s)"
-        )
-        extra = len(self.nnodes) * len(self.pairs) * len(self.drops) * len(
-            self.tunings
-        )
-        if extra > 1:
-            axes += f" x {extra} variant(s)"
+        """One line naming the axes that multiply into the trial count."""
+        shown = [f"{len(v)} {axis}" for axis, v in self._axes() if len(v) > 1]
+        n = len(self.trials())
         return (
-            f"campaign {self.name!r}: {self.workload}, {axes}, "
-            f"{len(self.seeds)} seed(s) -> {len(self.trials())} trials"
+            f"campaign {self.name!r}: {self.workload}, "
+            f"{' x '.join(shown) or '1 config'} -> {n} trial"
+            + ("s" if n != 1 else "")
         )

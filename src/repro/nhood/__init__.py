@@ -1,9 +1,10 @@
 """Node-aware sparse neighborhood collectives (ROADMAP item 3).
 
 Layers: graph topology (:mod:`repro.nhood.graph`), seeded pattern
-generators (:mod:`repro.nhood.patterns`), pluggable exchange strategies
-(:mod:`repro.nhood.strategy`), and the pattern x strategy x LMT x nnodes
-bench (:mod:`repro.nhood.bench`).
+generators (:mod:`repro.nhood.patterns`) and pluggable exchange
+strategies (:mod:`repro.nhood.strategy`).  The ``nhood`` campaign
+suite (:mod:`repro.campaign.suites`) sweeps pattern x strategy x LMT x
+nnodes into ``BENCH_nhood.json``.
 """
 
 from repro.nhood.graph import CommGraph, DistGraph, NhoodError, dist_graph_adjacent

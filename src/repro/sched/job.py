@@ -51,7 +51,7 @@ __all__ = ["JobSpec", "JobMix", "WORKLOADS", "JOB_MIXES", "workload_main", "mix_
 WORKLOADS = ("pingpong", "alltoall", "stream", "is-kernel", "nhood")
 
 #: Named job mixes understood by :func:`mix_jobs` (the campaign axis).
-JOB_MIXES = ("pair", "trio", "random", "nhood")
+JOB_MIXES = ("pair", "trio", "random", "nhood", "queue")
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,9 @@ def mix_jobs(
         One ``stream`` victim plus a four-rank node-aware neighborhood
         job in ``mode`` — the aggregation-leader variant of ``pair``:
         the leader's gather/scatter staging is the cache aggressor.
+    ``queue``
+        Three four-rank ``mode`` pingpongs, all arriving at once: on an
+        eight-core machine one must wait, and the policy decides which.
     """
     if mix == "pair":
         return [
@@ -293,6 +296,12 @@ def mix_jobs(
                     size=2 * size, reps=max(3, reps + 1)),
             JobSpec(name="aggressor", workload="nhood", nprocs=4,
                     size=size, reps=reps, mode=mode),
+        ]
+    if mix == "queue":
+        return [
+            JobSpec(name=f"q{i}", workload="pingpong", nprocs=4, size=size,
+                    reps=reps, mode=mode)
+            for i in range(3)
         ]
     if mix == "random":
         base = JobMix(seed=seed, sizes=(size, 2 * size),

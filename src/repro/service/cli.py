@@ -285,7 +285,7 @@ def _run_worker(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    from repro.errors import ServiceError
+    from repro.errors import BenchmarkError, ServiceError
 
     actions = {
         "start": _run_start,
@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return actions[args.action](args)
-    except ServiceError as exc:
+    except (BenchmarkError, ServiceError) as exc:
         print(f"service {args.action}: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ def test_list_enumerates_every_subcommand(capsys):
 
 
 def test_registry_has_the_known_subcommands():
-    assert {"trace", "campaign", "sched", "nhood", "service"} <= set(SUBCOMMANDS)
+    assert set(SUBCOMMANDS) == {"trace", "campaign", "service"}
     for name, (runner, help_line) in SUBCOMMANDS.items():
         assert callable(runner)
         assert help_line  # one-line description for --list

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.cli import main
 
 AXES = [
@@ -90,3 +92,23 @@ def test_report_pretty_prints_saved_document(tmp_path, capsys):
     assert "trial group" in out
     assert "pingpong/xeon_e5345/default/64KiB/n1" in out
     assert main(["campaign", "report"]) == 2
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--backends", "bogus"], "unknown LMT backend 'bogus'"),
+    (["--sizes", "64K,64K", "--seeds", "1"], "campaign axis 'sizes' repeats 65536"),
+    (["--sizes", "12Q"], "cannot parse size: '12Q'"),
+])
+def test_bad_spec_value_exits_2_with_its_message(tmp_path, capsys, extra, message):
+    argv = ["campaign", "run", "--results-dir", str(tmp_path), *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_service_submit_bad_spec_value_exits_2(tmp_path, capsys):
+    argv = ["service", "submit", "--state-dir", str(tmp_path),
+            "--backends", "bogus"]
+    assert main(argv) == 2
+    assert "service submit: unknown LMT backend 'bogus'" in capsys.readouterr().err

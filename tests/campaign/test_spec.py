@@ -208,3 +208,90 @@ def test_each_pass_hashes_each_trial_once(monkeypatch):
     warm = run_campaign(spec, cache=cache)
     assert warm.cache_hits == 4
     assert sorted(hashed) == sorted(canonical_json(t.config) for t in warm.trials)
+
+
+# ------------------------------------------------------- repeated values
+@pytest.mark.parametrize("axis,values,shown", [
+    ("sizes", (64 * KiB, 64 * KiB), "65536"),
+    ("seeds", (1, 1, 1), "1"),
+    ("backends", ("knem", "default", "knem"), "'knem'"),
+    ("pairs", ((0, 1), (0, 4), (0, 1)), "(0, 1)"),
+    ("drops", (0.0, 0), "0"),
+])
+def test_repeated_axis_value_rejected(axis, values, shown):
+    with pytest.raises(BenchmarkError) as exc:
+        _spec(**{axis: values})
+    assert str(exc.value) == f"campaign axis '{axis}' repeats {shown}"
+
+
+def test_repeated_axis_value_rejected_from_dict():
+    payload = json.loads(json.dumps(_spec().to_dict()))
+    assert CampaignSpec.from_dict(payload).trials() == _spec().trials()
+    payload["sizes"] = [65536, 65536]
+    with pytest.raises(BenchmarkError, match="'sizes' repeats 65536"):
+        CampaignSpec.from_dict(payload)
+
+
+# --------------------------------------------------------------- describe
+_DESCRIBE_SPECS = {
+    "pingpong": dict(pairs=((0, 1), (0, 4))),
+    "allreduce": dict(workload="allreduce", nnodes=(2, 4), tunings=("default", "flat")),
+    "crossover": dict(workload="crossover", machines=("xeon_e5345", "xeon_x5460")),
+    "sched": dict(workload="sched", sched_policies=("fifo", "backfill", "gang"),
+                  job_mixes=("pair", "trio")),
+    "nhood": dict(workload="nhood", nnodes=(2,), patterns=("irregular", "stencil2d")),
+    "offload": dict(workload="offload", machines=("xeon_e5345", "xeon_x5460")),
+}
+
+
+def test_describe_specs_cover_every_workload():
+    from repro.campaign import WORKLOADS
+
+    assert set(_DESCRIBE_SPECS) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIBE_SPECS))
+def test_describe_names_the_axes_that_multiply(kind):
+    """The factors shown multiply to the trial count; an axis the
+    workload ignores (offload's machines and backends) is not shown."""
+    import math
+    import re
+
+    spec = _spec(**_DESCRIBE_SPECS[kind])
+    text = spec.describe()
+    factors = re.search(r": \w+, (.*) -> (\d+) trials?$", text)
+    counts = [int(n) for n in re.findall(r"(\d+) [a-z_ ]+", factors.group(1))]
+    assert math.prod(counts) == int(factors.group(2)) == len(spec.trials())
+    if kind == "offload":
+        assert "machines" not in text and "backends" not in text
+        assert "2 machine_generations" in text
+
+
+def test_describe_of_a_single_trial():
+    spec = CampaignSpec(name="one")
+    assert spec.describe() == "campaign 'one': pingpong, 1 config -> 1 trial"
+
+
+def test_describe_of_a_sched_spec():
+    spec = _spec(**_DESCRIBE_SPECS["sched"])
+    assert spec.describe() == (
+        "campaign 't': sched, 2 backends x 2 sizes x 3 sched_policies x "
+        "2 job_mixes x 3 seeds -> 72 trials"
+    )
+
+
+def test_workload_version_moves_only_its_own_hashes():
+    """sched, nhood and offload trials hash under their own schema
+    version, so results cached before their metrics changed are never
+    served; pingpong keeps version 1 (the frozen-hash tests pin it)."""
+    import hashlib
+
+    def v1(config):
+        payload = f"repro.campaign/v1:{canonical_json(config)}"
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    for workload, moved in [("pingpong", False), ("allreduce", False),
+                            ("sched", True), ("nhood", True),
+                            ("offload", True)]:
+        config = CampaignSpec(workload=workload, nnodes=(2,)).trials()[0].config
+        assert (trial_hash(config) != v1(config)) is moved, workload

@@ -16,10 +16,10 @@ def machine():
     return eng, Machine(eng, xeon_e5345())
 
 
-def _request(machine, nbytes, *, status_write=False, execute=None, align=PAGE_SIZE):
+def _request(machine, nbytes, *, status_write=False, execute=None, offset=0):
     eng, m = machine
-    src = m.alloc_phys(nbytes, align=align)
-    dst = m.alloc_phys(nbytes, align=align)
+    src = m.alloc_phys(nbytes + offset) + offset
+    dst = m.alloc_phys(nbytes + offset) + offset
     descs = m.dma.build_descriptors([(src, dst, nbytes, execute)])
     return DmaRequest(descs, done=eng.event("dma-done"), status_write=status_write)
 
@@ -130,11 +130,15 @@ def test_submission_cost_scales_with_descriptors(machine):
 
 def test_misalignment_penalty(machine):
     _, m = machine
-    aligned = _request(machine, 64 * KiB, align=PAGE_SIZE)
-    misaligned = _request(machine, 64 * KiB, align=64)
+    aligned = _request(machine, 256 * KiB)
+    # 64 bytes into a page: every descriptor of the split starts
+    # misaligned on both sides.
+    misaligned = _request(machine, 256 * KiB, offset=64)
+    assert len(misaligned.descriptors) == len(aligned.descriptors) == 4
+    assert all(d.src_phys % PAGE_SIZE == 64 for d in misaligned.descriptors)
     cost_a = m.dma.submission_cost(aligned)
     cost_m = m.dma.submission_cost(misaligned)
-    assert cost_m >= cost_a  # equality possible if alloc lands aligned
+    assert cost_m - cost_a == pytest.approx(4 * m.params.dma_misalign_penalty)
 
 
 def test_status_write_adds_trailing_descriptor_cost(machine):

@@ -1,24 +1,27 @@
 """Byte-identical determinism of the nhood pipeline.
 
 Same inputs -> the same graphs, the same trial hashes, and the same
-bench document, byte for byte — the property the committed
+suite document, byte for byte — the property the committed
 ``BENCH_nhood.json`` regression anchor depends on.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from repro.campaign.spec import trial_hash
+from repro.campaign.suites import SUITES
 from repro.nhood import build_pattern
-from repro.nhood.bench import SWEEP_MODES, _sweep_config, run_nhood_bench
-from repro.nhood.strategy import STRATEGIES
+
+from ..campaign.reduced import run_reduced
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
-SMALL_CASES = [
-    {"pattern": "irregular", "nnodes": 4, "halo_bytes": 128, "degree": 12},
-    {"pattern": "stencil2d", "nnodes": 4, "halo_bytes": 4096},
-]
+IRREGULAR_4, _, STENCIL, INTERFERENCE = SUITES["nhood"].specs
+SMALL_SPECS = (
+    replace(IRREGULAR_4, backends=("knem",)),
+    replace(STENCIL, backends=("knem",), nnodes=(4,)),
+    INTERFERENCE,
+)
 
 
 def test_pattern_generators_bit_identical():
@@ -33,22 +36,17 @@ def test_pattern_generators_bit_identical():
 
 
 def test_bench_document_byte_identical():
-    """Two runs of the same reduced bench produce the same JSON bytes."""
-    one = run_nhood_bench(cases=SMALL_CASES, modes=("knem",))
-    two = run_nhood_bench(cases=SMALL_CASES, modes=("knem",))
+    """Two runs of the same reduced suite produce the same JSON bytes."""
+    one = run_reduced("nhood", SMALL_SPECS)
+    two = run_reduced("nhood", SMALL_SPECS)
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
 def test_committed_trial_hashes_reproduce():
-    """Rebuilding every committed trial's config from the sweep axes
-    yields exactly the hashes in BENCH_nhood.json — seeds and configs
-    have not drifted since the document was generated."""
+    """Expanding the suite's specs yields exactly the hashes in
+    BENCH_nhood.json — seeds and configs have not drifted since the
+    document was generated."""
     committed = json.loads((REPO / "BENCH_nhood.json").read_text())
-    expected = [
-        trial_hash(_sweep_config(case, strategy, mode))
-        for case in committed["sweep"]["cases"]
-        for mode in SWEEP_MODES
-        for strategy in STRATEGIES
-    ]
-    recorded = [t["hash"] for t in committed["sweep"]["trials"]]
+    expected = [t.hash for spec in SUITES["nhood"].specs for t in spec.trials()]
+    recorded = [t["hash"] for c in committed["campaigns"] for t in c["trials"]]
     assert recorded == expected

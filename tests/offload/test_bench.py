@@ -1,25 +1,50 @@
-"""The `repro-bench offload` document: schema, self-check, rendering."""
+"""The offload suite document: schema, self-check, rendering."""
 
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.offload.bench import (
-    GENERATIONS,
-    format_offload_doc,
-    run_offload_bench,
-)
+from repro.bench.cli import _print_suite_doc
+from repro.bench.harness import sweep_sizes
+from repro.campaign.spec import GENERATIONS
+from repro.campaign.suites import SUITES, _crossover
+from repro.hw import presets
 from repro.units import KiB, MiB
+
+from ..campaign.reduced import run_reduced
 
 
 @pytest.fixture(scope="module")
 def doc():
     """A shrunken but real two-generation sweep (smoke-sized)."""
-    gens = (
-        dict(GENERATIONS[0], lo=512 * KiB, hi=8 * MiB),
-        dict(GENERATIONS[1], lo=4 * MiB, hi=48 * MiB),
+    nehalem, modern = SUITES["offload"].specs
+    specs = (
+        replace(nehalem, sizes=tuple(sweep_sizes(512 * KiB, 8 * MiB, 1)), reps=1),
+        replace(modern, sizes=tuple(sweep_sizes(4 * MiB, 48 * MiB, 1)), reps=1),
     )
-    return run_offload_bench(repetitions=1, per_octave=1, generations=gens)
+    return run_reduced("offload", specs)
+
+
+def _generations(doc):
+    """Per generation: (config of the first trial, metrics in size order,
+    sizes, measured crossover)."""
+    out = []
+    for campaign in doc["campaigns"]:
+        trials = sorted(campaign["trials"], key=lambda t: t["config"]["size"])
+        gen = trials[0]["config"]["machine_generation"]
+        out.append((
+            trials[0]["config"],
+            [t["metrics"] for t in trials],
+            [t["config"]["size"] for t in trials],
+            _crossover(doc["campaigns"], gen),
+        ))
+    return out
+
+
+def _l2_bytes(config):
+    return getattr(presets, config["machine"])().params.l2_bytes
 
 
 def test_generation_ladder_covers_both_eras():
@@ -29,19 +54,18 @@ def test_generation_ladder_covers_both_eras():
 
 
 def test_doc_schema(doc):
-    assert doc["bench"] == "offload"
-    assert doc["pin_down_cache"] is True
-    for g in doc["generations"]:
-        assert len(g["sizes"]) == len(g["cpu_mib"]) == len(g["offload_mib"])
-        assert g["predicted_dmamin_bytes"] == g["l2_bytes"] // 4
-        assert g["topology"]
+    assert doc["kind"] == "suite" and doc["name"] == "offload"
+    for config, metrics, sizes, _ in _generations(doc):
+        assert len(sizes) == len(metrics) > 0
+        for m in metrics:
+            assert m["predicted_dmamin"] == _l2_bytes(config) // 4
     # JSON-serializable end to end (the committed artifact).
     json.dumps(doc)
 
 
 def test_self_check_passes_on_both_generations(doc):
-    checks = doc["self_check"]
-    assert checks["ok"], checks
+    checks = doc["checks"]
+    assert all(checks.values()), checks
     assert checks["nehalem_era_crossover_found"]
     assert checks["modern_crossover_found"]
     assert checks["generations_differ"]
@@ -50,47 +74,35 @@ def test_self_check_passes_on_both_generations(doc):
 def test_crossover_direction(doc):
     """CPU copy wins the small end, the offload engine the large end,
     and the measured crossover sits inside the swept range."""
-    for g in doc["generations"]:
-        assert g["cpu_mib"][0] > g["offload_mib"][0]
-        assert g["offload_mib"][-1] > g["cpu_mib"][-1]
-        assert g["sizes"][0] < g["measured_crossover_bytes"] <= g["sizes"][-1]
+    for _, metrics, sizes, crossover in _generations(doc):
+        assert metrics[0]["cpu_mib_per_s"] > metrics[0]["offload_mib_per_s"]
+        assert metrics[-1]["offload_mib_per_s"] > metrics[-1]["cpu_mib_per_s"]
+        assert sizes[0] < crossover <= sizes[-1]
 
 
 def test_modern_crossover_scales_with_the_cache(doc):
     """The headline number: the modern LLC is 8x the Xeon's, so the
     offload break-even moves up — strictly larger crossover."""
-    nehalem, modern = doc["generations"]
-    assert modern["l2_bytes"] == 8 * nehalem["l2_bytes"]
+    nehalem, modern = _generations(doc)
+    assert _l2_bytes(modern[0]) == 8 * _l2_bytes(nehalem[0])
+    assert modern[3] > nehalem[3]
     assert (
-        modern["measured_crossover_bytes"]
-        > nehalem["measured_crossover_bytes"]
-    )
-    assert (
-        modern["predicted_dmamin_bytes"]
-        == 8 * nehalem["predicted_dmamin_bytes"]
+        modern[1][0]["predicted_dmamin"]
+        == 8 * nehalem[1][0]["predicted_dmamin"]
     )
 
 
-def test_format_offload_doc_renders_tables_and_checks(doc):
-    text = format_offload_doc(doc)
-    assert "nehalem-era (xeon_e5345)" in text
-    assert "modern (modern_server)" in text
-    assert "re-derived DMAmin per generation" in text
+def test_suite_report_renders_tables_and_checks(doc, capsys):
+    _print_suite_doc(doc)
+    text = capsys.readouterr().out
+    assert "offload/xeon_e5345/knem-ioat/" in text
+    assert "offload/modern_server/dsa/" in text
+    assert "nehalem-era" in text and "modern" in text
     assert "self-check:" in text and "FAIL" not in text
 
 
-def test_failed_self_check_is_loud():
-    bad = {
-        "generations": [
-            {
-                "generation": "g", "machine": "m", "l2_bytes": 4 * MiB,
-                "cpu_mode": "knem", "offload_mode": "dsa",
-                "sizes": [1, 2], "cpu_mib": [1.0, 2.0],
-                "offload_mib": [3.0, 1.0],
-                "measured_crossover_bytes": None,
-                "predicted_dmamin_bytes": MiB,
-            }
-        ],
-        "self_check": {"ok": False, "g_crossover_found": False},
-    }
-    assert "FAIL" in format_offload_doc(bad)
+def test_failed_self_check_is_loud(doc, capsys):
+    bad = copy.deepcopy(doc)
+    bad["checks"]["generations_differ"] = False
+    _print_suite_doc(bad)
+    assert "generations_differ=FAIL" in capsys.readouterr().out

@@ -2,11 +2,14 @@
 per-job metrics, and BENCH_sched.json document."""
 
 import json
+from dataclasses import replace
 
+from repro.campaign.suites import SUITES
 from repro.hw import nehalem8
 from repro.sched import JobMix, Scheduler, mix_jobs
-from repro.sched.bench import run_sched_bench
 from repro.units import MiB
+
+from ..campaign.reduced import run_reduced
 
 
 def _dumps(doc):
@@ -21,7 +24,7 @@ def test_jobmix_expansion_is_seed_deterministic():
 
 
 def test_mix_jobs_deterministic_for_every_mix():
-    for mix in ("pair", "trio", "random"):
+    for mix in ("pair", "trio", "random", "nhood", "queue"):
         assert mix_jobs(mix, seed=3) == mix_jobs(mix, seed=3)
 
 
@@ -39,7 +42,10 @@ def test_schedule_and_metrics_byte_identical():
 
 
 def test_bench_document_byte_identical():
-    small = 1 * MiB  # keep the double run fast; determinism is the point
-    doc1 = run_sched_bench(max_events=5_000_000, size=small)
-    doc2 = run_sched_bench(max_events=5_000_000, size=small)
+    # 1 MiB aggressor messages keep the double run fast; determinism
+    # is the point.
+    interference, policies = SUITES["sched"].specs
+    specs = (replace(interference, sizes=(1 * MiB,)), policies)
+    doc1 = run_reduced("sched", specs)
+    doc2 = run_reduced("sched", specs)
     assert _dumps(doc1) == _dumps(doc2)

@@ -2,7 +2,7 @@
 L2-sharing neighbour's lines and slow it down; the same job moved by
 the I/OAT DMA engine must not.
 
-Uses the same pair mix as ``repro-bench sched`` — a single-rank stream
+Uses the same pair mix as the ``sched`` campaign suite — a single-rank stream
 victim whose 8 MiB working set fills the nehalem8 shared L2, beside a
 2-rank pingpong whose 4 MiB messages either churn through that cache
 (shm double-buffering) or bypass it (knem-ioat-async).

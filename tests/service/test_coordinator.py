@@ -165,6 +165,13 @@ def test_bad_spec_rejected(co):
         )
 
 
+def test_repeated_axis_value_rejected_on_the_wire(co):
+    spec = {**SPEC.to_dict(), "seeds": [1, 1, 1]}
+    with pytest.raises(ServiceError, match="campaign axis 'seeds' repeats 1"):
+        client_for(co).submit(spec)
+    assert co.dispatch_log == []
+
+
 def test_fetch_before_settled_reports_status(co):
     co.pause()
     reply = client_for(co).submit(SPEC)

@@ -56,7 +56,7 @@ NOT_INTRANODE = (
     "repro.service",
     "repro.sched",
     "repro.nhood",
-    "repro.offload.bench",
+    "repro.campaign.suites",
 )
 
 NAS_KERNELS = ("bt", "cg", "ep", "ft", "is_", "lu", "mg", "sp")
