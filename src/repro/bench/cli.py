@@ -372,7 +372,7 @@ def _print_campaign_doc(doc: dict) -> None:
         if agg["n"]:
             rows.append([
                 agg["label"], agg["metric"], agg["n"], agg["median"],
-                agg["iqr"], agg["ci_lo"], agg["ci_hi"],
+                agg["iqr"], agg.get("ci_lo", "-"), agg.get("ci_hi", "-"),
             ])
         else:
             rows.append([agg["label"], agg["metric"] or "?", 0] + ["-"] * 4)

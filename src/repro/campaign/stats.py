@@ -3,11 +3,12 @@
 :func:`aggregate` folds a campaign's trial records into one row per
 replicate group (the trial config minus its seed): median, quartiles,
 IQR, and a notched-boxplot-style confidence band
-(``median +- 1.58 * IQR / sqrt(n)``).  :func:`compare_campaigns` then
-diffs two campaign documents group-by-group and flags any median drift
-beyond tolerance — the regression gate behind
-``repro-bench campaign compare`` (non-zero exit naming the regressed
-trials).
+(``median +- 1.58 * IQR / sqrt(n)``), left out of a group with fewer
+than two samples, where a zero-width band would read as exact.
+:func:`compare_campaigns` then diffs two campaign documents
+group-by-group and flags any median drift beyond tolerance — the
+regression gate behind ``repro-bench campaign compare`` (non-zero exit
+naming the regressed trials).
 """
 
 from __future__ import annotations
@@ -76,12 +77,11 @@ def aggregate(records: list[dict]) -> list[dict]:
             q25 = _quantile(values, 0.25)
             q75 = _quantile(values, 0.75)
             iqr = q75 - q25
-            band = 1.58 * iqr / math.sqrt(n)
-            row.update(
-                median=median, q25=q25, q75=q75, iqr=iqr,
-                ci_lo=median - band, ci_hi=median + band,
-                min=values[0], max=values[-1],
-            )
+            row.update(median=median, q25=q25, q75=q75, iqr=iqr)
+            if n > 1:
+                band = 1.58 * iqr / math.sqrt(n)
+                row.update(ci_lo=median - band, ci_hi=median + band)
+            row.update(min=values[0], max=values[-1])
         out.append(row)
     return out
 

@@ -12,6 +12,10 @@ LMT interface so the best transfer mechanism can be chosen per message
 - :mod:`~repro.core.knem_lmt` — the KNEM backend: synchronous kernel
   copy, asynchronous kernel-thread copy, and I/OAT offload with the
   dynamic ``DMAmin`` threshold;
+- :mod:`~repro.core.vmsplice_ioat` and :mod:`~repro.core.dsa_lmt` — the
+  two other offloaded backends: vmsplice with an I/OAT drain (Sec. 6
+  future work) and a DSA-class engine on modern presets (loaded by the
+  policy on construction);
 - :mod:`~repro.core.policy` — strategy/threshold selection (Sec. 3.5),
   including the collective-concurrency hint (Secs. 4.4, 6);
 - :mod:`~repro.core.autotune` — empirical crossover search reproducing

@@ -2,10 +2,10 @@
 
 Protocol shape is KNEM's (the cookie rides the ordinary Nemesis
 rendezvous, the receiver drives the transfer), but the data path is a
-DSA-class engine (:mod:`repro.hw.dsa`) and submission bypasses the
-kernel: once both buffers are pinned, the receiver ENQCMDs batch
-descriptors straight into a shared work queue — no ioctl per transfer,
-one doorbell per batch.
+DSA-class engine (``machine.dsa``, a :class:`~repro.hw.dma.DmaEngine`)
+and submission bypasses the kernel: once both buffers are pinned, the
+receiver ENQCMDs batch descriptors straight into a shared work queue —
+no ioctl per transfer, one doorbell per batch.
 
 Completion follows the machine's configured mode:
 
@@ -21,13 +21,9 @@ the tenancy tests pin down.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.lmt import LmtBackend, TransferSide, busy_poll_wait
 from repro.errors import LmtError
-from repro.hw.dsa import DsaRequest
-from repro.kernel.address_space import copy_payload
-from repro.kernel.copy import iter_lockstep
+from repro.kernel.copy import dma_copy
 
 __all__ = ["DsaLmt"]
 
@@ -77,24 +73,10 @@ class DsaLmt(LmtBackend):
         # (the send side was pinned at declare time).
         yield from knem.pin(side.core, side.views, parent=span)
 
-        segments = []
-        for dv, sv in iter_lockstep(
-            list(side.views), cookie.views, machine.params.dsa_max_desc_bytes
-        ):
-            segments.append(
-                (sv.phys, dv.phys, dv.nbytes, partial(copy_payload, dv, sv))
-            )
-        request = DsaRequest(
-            dsa.build_descriptors(segments),
-            done=side.engine.event("dsa-lmt"),
-            submitter_core=side.core,
-            span=span,
-        )
         # User-space ENQCMD: one doorbell per batch, no syscall.
-        cost = dsa.submission_cost(request)
-        machine.papi.add(side.core, "CPU_BUSY", cost)
-        yield machine.cores[side.core].busy(cost)
-        dsa.submit(request)
+        request = yield from dma_copy(
+            dsa, side.core, list(side.views), cookie.views, span=span
+        )
 
         if machine.params.dsa_completion == "interrupt":
             yield request.done

@@ -31,7 +31,7 @@ Fixed modes (used to regenerate each figure's curves):
 ``vmsplice-ioat``    experimental Sec. 6 future work: pipe splice with
                      DMA-engine drain on the receive side
 ``dsa``              DSA-class memory-operation engine (modern presets
-                     only; see :mod:`repro.offload`)
+                     only; see :mod:`repro.core.dsa_lmt`)
 ``dsa-auto``         DSA iff size >= DMAmin, else KNEM kernel copy
 =================== ====================================================
 """
@@ -130,9 +130,9 @@ class LmtPolicy:
             VmspliceIoatLmt(),
         ):
             self._backends[backend.name] = backend
-        # Deferred import (mirrors the net.lmt pattern below) so the
-        # core layer never loads the offload package at import time.
-        from repro.offload.dsa_lmt import DsaLmt
+        # Deferred import (mirrors the net.lmt pattern below): only a
+        # policy construction loads the DSA backend.
+        from repro.core.dsa_lmt import DsaLmt
 
         self._backends["dsa"] = DsaLmt()
 

@@ -18,14 +18,10 @@ work.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.lmt import LmtBackend, TransferSide
 from repro.core.shm import _IovecWriter
 from repro.core.vmsplice import VmspliceLmt
-from repro.hw.dma import DmaRequest
-from repro.kernel.address_space import copy_payload
-from repro.units import ceil_div
+from repro.kernel.copy import dma_copy
 
 __all__ = ["VmspliceIoatLmt"]
 
@@ -62,33 +58,9 @@ class VmspliceIoatLmt(LmtBackend):
             machine.papi.add(side.core, "PAGES_PINNED", pages)
             machine.papi.add(side.core, "CPU_BUSY", pin_cost)
             yield machine.cores[side.core].busy(pin_cost)
-            segments = []
-            di, doff = 0, 0
-            for sv in src_views:
-                off = 0
-                while off < sv.nbytes:
-                    dv = dst_views[di]
-                    n = min(sv.nbytes - off, dv.nbytes - doff)
-                    move = partial(copy_payload, dv.sub(doff, n), sv.sub(off, n))
-                    segments.append(
-                        (sv.phys + off, dv.phys + doff, n, move)
-                    )
-                    off += n
-                    doff += n
-                    if doff >= dv.nbytes:
-                        di += 1
-                        doff = 0
-            descriptors = machine.dma.build_descriptors(segments)
-            request = DmaRequest(
-                descriptors,
-                done=machine.engine.event("vmsplice-ioat"),
-                status_write=False,
-                submitter_core=side.core,
+            request = yield from dma_copy(
+                machine.dma, side.core, dst_views, src_views
             )
-            cost = machine.dma.submission_cost(request)
-            machine.papi.add(side.core, "CPU_BUSY", cost)
-            yield machine.cores[side.core].busy(cost)
-            machine.dma.submit(request)
             yield request.done
             received += taken
         return self.name

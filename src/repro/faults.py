@@ -139,18 +139,6 @@ class FaultPlan:
             return override
         return LinkFault(drop=self.drop, corrupt=self.corrupt)
 
-    @property
-    def zero_rate(self) -> bool:
-        """True when the plan injects no packet faults at all (capability
-        masks and registration failures may still be present)."""
-        return (
-            self.drop == 0.0
-            and self.corrupt == 0.0
-            and not self.links
-            and not self.flaps
-            and not self.degraded
-        )
-
 
 class FaultState:
     """The mutable per-run instance of a :class:`FaultPlan`.

@@ -2,8 +2,8 @@
 
 A :class:`Machine` owns every stateful hardware object of one
 simulation run: per-core processor-sharing resources, per-die caches,
-the coherence domain, the memory system, the I/OAT engine, the PAPI
-counters and the physical page allocator.
+the coherence domain, the memory system, the I/OAT (and DSA) copy
+engines, the PAPI counters and the physical page allocator.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.hw.cache import ExtentLRUCache
 from repro.hw.coherence import REGION_LINES, CoherenceDomain
 from repro.hw.counters import Papi
 from repro.hw.dma import DmaEngine
-from repro.hw.dsa import DsaEngine
 from repro.hw.memory import MemorySystem
 from repro.hw.topology import TopologySpec
 from repro.sim.engine import Engine
@@ -46,7 +45,9 @@ class Machine:
         self.dma = DmaEngine(engine, self)
         # DSA engines exist only on presets that declare them; legacy
         # machines stay byte-identical (no extra daemon processes).
-        self.dsa = DsaEngine(engine, self) if topo.params.dsa_engines > 0 else None
+        self.dsa = (
+            DmaEngine(engine, self, dsa=True) if topo.params.dsa_engines > 0 else None
+        )
         self._phys_cursor = PAGE_SIZE  # keep physical address 0 unmapped
 
     # -------------------------------------------------- physical memory

@@ -166,10 +166,6 @@ class HwParams:
     #: message size passes 64 KiB").
     lmt_threshold: int = 64 * KiB
 
-    def copy_rate_hot(self) -> float:
-        """Steady copy rate when both streams hit the local L2 (bytes/s)."""
-        return 1.0 / max(self.t_instr, 2.0 * self.t_l2_hit)
-
     def copy_rate_dram(self) -> float:
         """Steady single-copy rate through DRAM (bytes/s)."""
         return 1.0 / (2.0 * self.t_dram)

@@ -75,7 +75,7 @@ def nehalem8(params: HwParams | None = None) -> TopologySpec:
 def modern_server(params: HwParams | None = None) -> TopologySpec:
     """A modern-generation server socket for the re-derived DMAmin story:
     16 cores sharing one 32 MiB LLC, DDR5-class bandwidth, and DSA-style
-    memory-operation engines (see :mod:`repro.hw.dsa`).
+    memory-operation engines (see :mod:`repro.hw.dma`).
 
     Calibration identities, same style as the E5345 docstring:
 

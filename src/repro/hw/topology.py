@@ -11,7 +11,6 @@ dies"; (0,4) is "different sockets" — the last two behave alike
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import HardwareError
 from repro.hw.params import HwParams
@@ -95,9 +94,6 @@ class TopologySpec:
 
     def same_socket(self, core_a: int, core_b: int) -> bool:
         return self.socket_of(core_a) == self.socket_of(core_b)
-
-    def iter_cores(self) -> Iterator[CorePlacement]:
-        return (self.placement(c) for c in range(self.ncores))
 
     # -- the paper's threshold inputs ------------------------------------
     def cores_sharing_cache(self) -> int:

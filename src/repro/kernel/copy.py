@@ -1,4 +1,4 @@
-"""The timed, cache-accurate CPU copy primitive.
+"""The timed copy primitives: cache-accurate CPU copies and engine offload.
 
 Every CPU-driven transfer in the reproduction — the double-buffering
 LMT, pipe ``writev``/``readv``, KNEM's synchronous and kernel-thread
@@ -20,27 +20,35 @@ extra arithmetic per byte).  NAS compute phases use it, which is how
 communication-induced cache pollution slows application code — the
 paper's IS mechanism.
 
-Both run every chunk in their own generator frame: :func:`_start_chunk`
-is a plain function that charges the chunk, starts its work and hands
-back the one waitable to yield, and the caller then moves the payload
-and closes the span.  A copy of one view a side that fits one chunk
-(every Nemesis cell copy) is its own piece and skips
-:func:`iter_lockstep`.  The coherence domain, the core and the memory
-system are still entered through their methods, which is where
-``perf/layertrace.py`` counts them.
+:func:`dma_copy` is the offloaded sibling of :func:`cpu_copy`: it hands
+the copy to a cache-bypassing engine (:class:`~repro.hw.dma.DmaEngine`,
+I/OAT or DSA) in descriptors of at most the device's size, charges the
+doorbell writes to the submitting core and returns the request.  KNEM's
+I/OAT mode, vmsplice+I/OAT and the DSA LMT all submit through it.
+
+:func:`cpu_copy` and :func:`stream_access` run every chunk in their own
+generator frame: :func:`_start_chunk` is a plain function that charges
+the chunk, starts its work and hands back the one waitable to yield,
+and the caller then moves the payload and closes the span.  A copy of
+one view a side that fits one chunk (every Nemesis cell copy) is its
+own piece and skips :func:`iter_lockstep`.  The coherence domain, the
+core and the memory system are still entered through their methods,
+which is where ``perf/layertrace.py`` counts them.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf
 from typing import Iterator, Sequence
 
 from repro.errors import KernelError
+from repro.hw.dma import DmaDescriptor, DmaRequest
 from repro.kernel.address_space import BufferView, copy_payload
 from repro.sim.events import Join
 from repro.units import CACHE_LINE, KiB
 
-__all__ = ["cpu_copy", "stream_access", "iter_lockstep"]
+__all__ = ["cpu_copy", "dma_copy", "stream_access", "iter_lockstep"]
 
 #: Default interleaving granularity: cache state and resource usage are
 #: updated at this grain so concurrent activities contend realistically.
@@ -184,6 +192,42 @@ def cpu_copy(
         machine.papi[core].add("BYTES_COPIED", n)
         copied += n
     return copied
+
+
+def dma_copy(
+    device,
+    core: int,
+    dst_views: Sequence[BufferView],
+    src_views: Sequence[BufferView],
+    status_write: bool = False,
+    span=None,
+):
+    """Submit the copy of ``src_views`` into ``dst_views`` to ``device``.
+
+    Generator: walks the views in lockstep into descriptors of at most
+    ``device.max_desc_bytes`` (each moves its own payload piece when it
+    completes), keeps ``core`` busy for the doorbell writes, submits,
+    and returns the :class:`~repro.hw.dma.DmaRequest`, whose ``done``
+    event fires when the engine finishes.  ``span`` parents the
+    engine's per-descriptor copy spans.
+    """
+    machine = device.machine
+    descriptors = [
+        DmaDescriptor(sv.phys, dv.phys, dv.nbytes, partial(copy_payload, dv, sv))
+        for dv, sv in iter_lockstep(dst_views, src_views, device.max_desc_bytes)
+    ]
+    request = DmaRequest(
+        descriptors,
+        done=machine.engine.event(f"{device.name}-done"),
+        status_write=status_write,
+        submitter_core=core,
+        span=span,
+    )
+    cost = device.submission_cost(request)
+    machine.papi.add(core, "CPU_BUSY", cost)
+    yield machine.cores[core].busy(cost)
+    device.submit(request)
+    return request
 
 
 def stream_access(

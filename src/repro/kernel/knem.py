@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import partial
 from typing import Optional, Sequence
 
 from repro.errors import CookieError, KnemError
-from repro.hw.dma import DmaRequest
-from repro.kernel.address_space import BufferView, copy_payload, total_bytes
-from repro.kernel.copy import cpu_copy, iter_lockstep
+from repro.kernel.address_space import BufferView, total_bytes
+from repro.kernel.copy import cpu_copy, dma_copy
 from repro.kernel.regcache import RegistrationCache
 from repro.kernel.syscall import syscall
 from repro.sim.events import Event
@@ -252,26 +250,11 @@ class KnemDevice:
 
     def _recv_ioat(self, core, cookie, dst_views, flags, status):
         machine = self.machine
-        segments = []
-        for dv, sv in iter_lockstep(
-            list(dst_views), cookie.views, machine.params.dma_max_desc_bytes
-        ):
-            segments.append(
-                (sv.phys, dv.phys, dv.nbytes, partial(copy_payload, dv, sv))
-            )
-        descriptors = machine.dma.build_descriptors(segments)
-        request = DmaRequest(
-            descriptors,
-            done=machine.engine.event("knem-ioat"),
-            status_write=bool(flags & KnemFlags.ASYNC),
-            submitter_core=core,
-            span=status.span,
-        )
         # Descriptor submission runs on the receiver's core.
-        cost = machine.dma.submission_cost(request)
-        machine.papi.add(core, "CPU_BUSY", cost)
-        yield machine.cores[core].busy(cost)
-        machine.dma.submit(request)
+        request = yield from dma_copy(
+            machine.dma, core, list(dst_views), cookie.views,
+            status_write=bool(flags & KnemFlags.ASYNC), span=status.span,
+        )
 
         if flags & KnemFlags.ASYNC:
             # Return to user space immediately; the status-write

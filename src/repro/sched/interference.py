@@ -92,13 +92,6 @@ class InterferenceLedger:
                 total += cache.resident_lines(lo, hi)
         return total
 
-    def occupancy_on_die(self, job_id: int, die: int) -> int:
-        cache = self.machine.caches[die]
-        return sum(
-            cache.resident_lines(lo, hi)
-            for lo, hi in self._ranges.get(job_id, ())
-        )
-
     # ------------------------------------------------ coherence probe
     def pre_access(self, die: int, start: int, end: int):
         """Residency of every *other* active job on the accessed die,

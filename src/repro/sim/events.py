@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from math import inf
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 
@@ -202,7 +202,3 @@ class AnyOf(_Composite):
         else:
             self.fail(child.value)
 
-
-def first_of(engine: "Engine", events: Sequence[Event]) -> AnyOf:  # noqa: F821
-    """Convenience wrapper used by progress loops."""
-    return AnyOf(engine, events)

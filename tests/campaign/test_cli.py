@@ -94,6 +94,24 @@ def test_report_pretty_prints_saved_document(tmp_path, capsys):
     assert main(["campaign", "report"]) == 2
 
 
+def test_report_prints_no_band_for_a_one_sample_group(tmp_path, capsys):
+    out_file = tmp_path / "camp.json"
+    assert _run(tmp_path, "run", "--seeds", "1", "--out", str(out_file)) == 0
+    (row,) = [
+        r for r in json.loads(out_file.read_text())["aggregates"]
+        if r["label"].startswith("pingpong/xeon_e5345/default/64KiB")
+    ]
+    assert row["n"] == 1 and "ci_lo" not in row
+    capsys.readouterr()
+    assert main(["campaign", "report", "--campaign", str(out_file)]) == 0
+    (line,) = [
+        ln for ln in capsys.readouterr().out.splitlines()
+        if "default/64KiB" in ln
+    ]
+    cells = [c.strip() for c in line.split("|")]
+    assert cells[-2:] == ["-", "-"]
+
+
 @pytest.mark.parametrize("extra,message", [
     (["--backends", "bogus"], "unknown LMT backend 'bogus'"),
     (["--sizes", "64K,64K", "--seeds", "1"], "campaign axis 'sizes' repeats 65536"),

@@ -76,6 +76,19 @@ def test_aggregate_counts_failed_replicates():
     assert drow["n"] == 0 and "median" not in drow
 
 
+def test_one_sample_group_has_no_confidence_band():
+    """One replicate cannot estimate a band: a zero-width one would read
+    as exact, so ``ci_lo``/``ci_hi`` are left out (two replicates keep
+    them)."""
+    (one,) = aggregate([_record(0, 100.0)])
+    assert one["n"] == 1 and one["median"] == 100.0 and one["iqr"] == 0.0
+    assert "ci_lo" not in one and "ci_hi" not in one
+    assert one["min"] == one["max"] == 100.0
+    (two,) = aggregate([_record(0, 100.0), _record(1, 110.0)])
+    assert two["ci_lo"] < two["median"] < two["ci_hi"]
+    assert list(two) == list(one)[:-2] + ["ci_lo", "ci_hi", "min", "max"]
+
+
 def test_gate_passes_within_tolerance():
     base = _doc(aggregate([_record(s, 100.0 + s) for s in range(3)]))
     cur = _doc(aggregate([_record(s, 102.0 + s) for s in range(3)]))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import Machine, xeon_e5345
-from repro.hw.dma import DmaRequest
+from repro.hw.dma import DmaDescriptor, DmaRequest
 from repro.hw.topology import TopologySpec
 from repro.sim import Engine
 from repro.units import KiB, MiB
@@ -25,7 +25,11 @@ def _machine(channels=1, **extra):
 def _request(eng, m, nbytes):
     src = m.alloc_phys(nbytes)
     dst = m.alloc_phys(nbytes)
-    descs = m.dma.build_descriptors([(src, dst, nbytes, None)])
+    limit = m.dma.max_desc_bytes
+    descs = [
+        DmaDescriptor(src + o, dst + o, min(limit, nbytes - o))
+        for o in range(0, nbytes, limit)
+    ]
     return DmaRequest(descs, done=eng.event())
 
 
