@@ -285,8 +285,10 @@ def _campaign_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--results-dir",
         default="results/campaign",
-        metavar="DIR",
-        help="content-addressed result cache (default: results/campaign)",
+        metavar="URL",
+        help="content-addressed result store: a directory path, "
+        "sqlite:<file> (or any *.db path), or mem: "
+        "(default: results/campaign)",
     )
     p.add_argument(
         "--no-cache", action="store_true", help="always execute every trial"
@@ -410,7 +412,7 @@ def _run_suite_cli(args) -> int:
     from repro.campaign.suites import run_suite
     from repro.errors import BenchmarkError
 
-    cache = None if args.no_cache else ResultCache(args.results_dir)
+    cache = None if args.no_cache else ResultCache.open(args.results_dir)
     try:
         doc = run_suite(args.suite, cache=cache, workers=args.workers)
     except BenchmarkError as exc:
@@ -493,10 +495,12 @@ def _run_campaign_cli(argv: list[str]) -> int:
         print(f"campaign {args.action}: {exc}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else ResultCache(args.results_dir)
+    cache = None if args.no_cache else ResultCache.open(args.results_dir)
     print(spec.describe(), file=sys.stderr)
     if args.action == "resume":
-        cached = sum(1 for t in spec.trials() if cache and t.hash in cache)
+        cached = sum(
+            1 for t in spec.trials() if cache is not None and t.hash in cache
+        )
         print(
             f"resuming: {cached}/{len(spec.trials())} trials already cached",
             file=sys.stderr,

@@ -9,14 +9,15 @@ scripts:
   config and a stable content hash;
 * :mod:`~repro.campaign.executor` — multiprocessing pool, per-trial
   watchdog timeouts, worker-death containment (one-shot local runs);
-* :mod:`~repro.campaign.cache` — content-addressed result store with
-  atomic writes (re-running a campaign is 100 % cache hits);
+* :mod:`~repro.campaign.cache` — content-addressed result store
+  (directory, sqlite or memory backend; re-running a campaign is
+  100 % cache hits);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
 * :mod:`~repro.campaign.suites` — the committed sched, nhood and
   offload experiments: specs plus named self-checks;
-* :mod:`~repro.campaign.queue` — durable JSONL lease journal whose
-  replay rebuilds exact queue state after a crash;
+* :mod:`~repro.campaign.queue` — in-memory lease queue: per-trial
+  state machine with retry budgets, backoff and quarantine;
 * :mod:`~repro.campaign.telemetry` — live fleet status: atomic
   ``status.json`` + Prometheus text exposition rewritten while the
   queues drain.

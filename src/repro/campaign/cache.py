@@ -1,132 +1,328 @@
-"""Content-addressed store of trial results, behind a pluggable backend.
+"""Content-addressed store of trial results: one class, three backends.
 
-One record per trial, keyed by the trial's config hash.  Historically
-this was always a directory of ``results/<hash>.json`` files; the
-serving layer generalized the backing into the
-:class:`repro.service.stores.ResultStore` interface (directory, sqlite,
-in-memory), and :class:`ResultCache` became the facade the campaign
-stack talks to: it owns the read-side hit/miss accounting and delegates
-storage and corruption healing to whichever backend it fronts.
+One record per trial, keyed by the trial's config hash.
+:class:`ResultCache` owns everything the backends share — key
+validation, the parse-and-heal read, the hit/miss/heal counters and the
+URL grammar of :meth:`ResultCache.open` — and each backend implements
+only raw primitives (read a record's text, write a record, delete one,
+list the keys):
 
-Directory stores keep the original crash story — writes go through
-:func:`repro.bench.store.atomic_write_json` (tmp + fsync + rename), so
-an interrupted campaign leaves at worst a stray ``.tmp`` file, never a
-torn record.  The sqlite store gets the same property from WAL
-journaling, plus wholesale rebuild (the next run re-executes the lost
-trials) if the database file itself is destroyed.
+* :class:`DirectoryStore` — one ``<hash>.json`` file per trial, written
+  through :func:`repro.bench.store.atomic_write_json` (tmp + fsync +
+  rename), so an interrupted campaign leaves at worst a stray ``.tmp``
+  file, never a torn record;
+* :class:`SqliteStore` — one database in WAL mode with the hash as
+  primary key; a database file sqlite cannot read is moved aside and
+  the schema rebuilt empty;
+* :class:`MemoryStore` — serialized records in a dict; process-local,
+  for tests and one-shots.
 
-Only successful trials are stored; failures always re-run, which is
-what makes ``campaign resume`` a retry of exactly the broken subset.
+A record that will not parse is deleted and read as a miss, and so is
+every record a rebuilt database lost: the trial re-runs and rewrites
+it.  Only successful trials are stored; failures always re-run, which
+is what makes ``campaign resume`` a retry of exactly the broken subset.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 from typing import Optional
 
 from repro.errors import BenchmarkError
 
-__all__ = ["ResultCache"]
+__all__ = [
+    "ResultCache",
+    "DirectoryStore",
+    "SqliteStore",
+    "MemoryStore",
+    "check_key",
+]
+
+#: One or more lower-case ASCII hex digits (``[0-9]`` never matches
+#: other scripts' digits, and ``fullmatch`` accepts no trailing newline).
+_HEX_KEY = re.compile("[0-9a-f]+").fullmatch
+
+
+def check_key(key: str) -> str:
+    """Validate a store key (hex content hash); returns it unchanged.
+
+    Rejecting anything else before it touches the backing is what keeps
+    directory filenames and sqlite keys injection-proof.
+    """
+    if _HEX_KEY(key) is None:
+        raise BenchmarkError(f"store key is not a hex digest: {key!r}")
+    return key
 
 
 class ResultCache:
-    """Hash-keyed trial records over a pluggable :class:`ResultStore`.
+    """Hash-keyed trial records with self-healing reads.
 
-    Construct with a directory path (the historical calling convention,
-    still the default backing) or any ``ResultStore`` instance; use
-    :meth:`open` to construct from a store URL (worker processes reopen
-    the coordinator's store this way).
+    Use :meth:`open` to get a store from a URL.  :meth:`get` returns the
+    stored dict or ``None``; a record that fails to parse is deleted
+    before the miss is returned, so a torn write can never wedge a
+    trial.  :attr:`url` reopens an equivalent store in another process
+    (worker processes use it), and :attr:`shared` says whether that
+    process sees the same records.
     """
 
-    def __init__(self, backing) -> None:
-        from repro.service.stores import ResultStore
+    #: Backend name ("directory" / "sqlite" / "memory").
+    kind = "?"
+    #: True when the records are visible across processes.
+    shared = True
 
-        if isinstance(backing, ResultStore):
-            self.store = backing
-        else:
-            from repro.service.stores import DirectoryStore
-
-            self.store = DirectoryStore(backing)
+    def __init__(self, url: str) -> None:
+        #: String :meth:`open` maps back to this store.
+        self.url = url
         #: Read-side telemetry since construction.  ``hits`` counts
-        #: records served, ``misses`` counts absent keys; both live on
-        #: the facade because they describe *this reader*, not the
-        #: shared backing.  The fleet mirrors these into
-        #: ``campaign.cache.*`` metrics.
+        #: records served, ``misses`` absent or corrupt keys, and
+        #: ``corrupt_healed`` (a subset of ``misses``) the records
+        #: deleted because they would not parse.  The fleet mirrors
+        #: these into ``campaign.cache.*`` metrics.
         self.hits = 0
         self.misses = 0
+        self.corrupt_healed = 0
 
-    @classmethod
-    def open(cls, url: str) -> "ResultCache":
-        """A cache over the store ``url`` names (see ``open_store``)."""
-        from repro.service.stores import open_store
+    @staticmethod
+    def open(url: str | Path) -> "ResultCache":
+        """The store ``url`` names.
 
-        return cls(open_store(url))
-
-    # ------------------------------------------------- backend passthrough
-    @property
-    def url(self) -> str:
-        """String another process can :meth:`open` to share the backing."""
-        return self.store.url
-
-    @property
-    def shared(self) -> bool:
-        """Whether :attr:`url` reopens to the *same* records elsewhere."""
-        return self.store.shared
-
-    @property
-    def corrupt_healed(self) -> int:
-        """Records deleted-and-missed because they would not parse.
-
-        Lives on the store (healing mutates the shared backing), but
-        reads as a counter here for backward compatibility — it is a
-        subset of ``misses``.
+        ``sqlite:<path>`` (or any path ending in ``.db``) opens a
+        :class:`SqliteStore`, ``mem:`` a fresh :class:`MemoryStore`,
+        and anything else is a :class:`DirectoryStore` root.
+        Round-trips every store's :attr:`url`.
         """
-        return self.store.corrupt_healed
-
-    @property
-    def root(self) -> Path:
-        """Directory-store root (raises for non-directory backings)."""
-        root = getattr(self.store, "root", None)
-        if root is None:
-            raise BenchmarkError(
-                f"cache backing is {self.store.kind!r}, not a directory"
-            )
-        return root
-
-    def path(self, key: str) -> Path:
-        """Record path for directory backings."""
-        if not hasattr(self.store, "path"):
-            raise BenchmarkError(
-                f"cache backing is {self.store.kind!r}: records have no paths"
-            )
-        return self.store.path(key)
+        url = str(url)
+        if url.startswith("sqlite:"):
+            return SqliteStore(url[len("sqlite:"):])
+        if url.startswith("mem:"):
+            return MemoryStore()
+        if url.endswith(".db"):
+            return SqliteStore(url)
+        return DirectoryStore(url)
 
     # ---------------------------------------------------------- read/write
     def get(self, key: str) -> Optional[dict]:
-        """The stored record, or None on a miss.
-
-        A corrupt record (torn write from a pre-atomic store, manual
-        tampering) is deleted by the backend and treated as a miss —
-        the trial simply re-runs and rewrites it.
-        """
-        record = self.store.get(key)
-        if record is None:
+        """The stored record, or None on a miss (healing corruption)."""
+        text = self._read(check_key(key))
+        if text is None:
+            self.misses += 1
+            return None
+        try:
+            record = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            record = None
+        if not isinstance(record, dict):
+            # Torn write or manual tampering: delete it so the trial
+            # re-runs and rewrites it.
+            self.delete(key)
+            self.corrupt_healed += 1
             self.misses += 1
             return None
         self.hits += 1
         return record
 
     def put(self, key: str, record: dict) -> None:
-        self.store.put(key, record)
+        """Store ``record`` under ``key`` (replacing any previous)."""
+        self._write(check_key(key), record)
 
-    def keys(self) -> list[str]:
-        return self.store.keys()
+    def serve(self, trial) -> Optional[dict]:
+        """``trial``'s stored record, flagged ``cached``, if it may stand
+        in for running the trial: it succeeded, under the same config.
+        ``None`` means the trial must run."""
+        hit = self.get(trial.hash)
+        if (
+            hit is None
+            or hit.get("status") != "ok"
+            or hit.get("config") != trial.config
+        ):
+            return None
+        return {**hit, "cached": True}
 
     def close(self) -> None:
-        self.store.close()
-
-    def __len__(self) -> int:
-        return len(self.store)
+        """Release backend handles (connections)."""
 
     def __contains__(self, key: str) -> bool:
-        return key in self.store
+        return self._read(check_key(key)) is not None
+
+    def __len__(self) -> int:
+        return len(self.keys())
+
+    # ------------------------------------------- backend primitives
+    def _read(self, key: str) -> Optional[str]:
+        """The stored text under a checked ``key``, or None."""
+        raise NotImplementedError
+
+    def _write(self, key: str, record: dict) -> None:
+        raise NotImplementedError
+
+    def delete(self, key: str) -> None:
+        """Remove ``key`` if present (idempotent)."""
+        raise NotImplementedError
+
+    def keys(self) -> list[str]:
+        """All stored keys, sorted."""
+        raise NotImplementedError
+
+
+class DirectoryStore(ResultCache):
+    """One atomic JSON file per key under a single directory."""
+
+    kind = "directory"
+
+    def __init__(self, root: str | Path) -> None:
+        super().__init__(str(root))
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def path(self, key: str) -> Path:
+        return self.root / f"{check_key(key)}.json"
+
+    def _read(self, key: str) -> Optional[str]:
+        try:
+            return self.path(key).read_text()
+        except FileNotFoundError:
+            return None
+
+    def _write(self, key: str, record: dict) -> None:
+        from repro.bench.store import atomic_write_json
+
+        atomic_write_json(self.path(key), record)
+
+    def delete(self, key: str) -> None:
+        self.path(key).unlink(missing_ok=True)
+
+    def keys(self) -> list[str]:
+        return sorted(p.stem for p in self.root.glob("*.json"))
+
+
+class SqliteStore(ResultCache):
+    """All records in one SQLite database (WAL mode, hash primary key).
+
+    One connection per process; WAL journal mode lets the fleet's
+    worker processes read and write concurrently.  Records are stored
+    as ``json.dumps`` text, so they round-trip key order included.
+
+    A database file that SQLite refuses to read — truncated by a torn
+    copy, overwritten, flipped bits in the header — is rebuilt: the
+    damaged file is moved aside to ``<name>.corrupt`` and an empty
+    schema recreated.  Its lost records then read as misses, so the
+    next resume, or the next submission to a coordinator, re-runs
+    exactly those trials and the store converges on the same contents.
+    """
+
+    kind = "sqlite"
+
+    _SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS results ("
+        "  key TEXT PRIMARY KEY,"
+        "  payload TEXT NOT NULL"
+        ")"
+    )
+
+    def __init__(self, path: str | Path) -> None:
+        # Imported here: a campaign that stores nothing in sqlite never
+        # loads it.
+        import sqlite3
+
+        super().__init__(f"sqlite:{path}")
+        self._sqlite = sqlite3
+        self.file = Path(path)
+        self.file.parent.mkdir(parents=True, exist_ok=True)
+        self._conn = None
+        self._connect()
+
+    # ------------------------------------------------------- connection
+    def _connect(self) -> None:
+        """Open the database, rebuilding it if it is unreadable."""
+        try:
+            self._open()
+        except self._sqlite.DatabaseError:
+            self._rebuild()
+
+    def _open(self) -> None:
+        # check_same_thread off: the coordinator calls in from its
+        # connection-handler and tick threads, serialized by its lock —
+        # the store never sees concurrent statements on one connection.
+        self._conn = self._sqlite.connect(
+            self.file, isolation_level=None, check_same_thread=False
+        )
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(self._SCHEMA)
+
+    def _rebuild(self) -> None:
+        """Move the unreadable database aside and start empty."""
+        try:
+            self.close()
+        except self._sqlite.Error:
+            self._conn = None  # a damaged database may refuse to close
+        if self.file.exists():
+            self.file.replace(self.file.with_suffix(".corrupt"))
+        for suffix in ("-wal", "-shm"):
+            Path(str(self.file) + suffix).unlink(missing_ok=True)
+        self._open()
+
+    def _execute(self, sql: str, params: tuple = ()):
+        """Run one statement, rebuilding once on a damaged database."""
+        try:
+            return self._conn.execute(sql, params)
+        except self._sqlite.DatabaseError as exc:
+            if isinstance(exc, self._sqlite.OperationalError) and "locked" in str(exc):
+                raise
+            self._rebuild()
+        return self._conn.execute(sql, params)
+
+    # ------------------------------------------------------- primitives
+    def _read(self, key: str) -> Optional[str]:
+        row = self._execute(
+            "SELECT payload FROM results WHERE key = ?", (key,)
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def _write(self, key: str, record: dict) -> None:
+        self._execute(
+            "INSERT OR REPLACE INTO results (key, payload) VALUES (?, ?)",
+            (key, json.dumps(record)),
+        )
+
+    def delete(self, key: str) -> None:
+        self._execute("DELETE FROM results WHERE key = ?", (check_key(key),))
+
+    def keys(self) -> list[str]:
+        rows = self._execute("SELECT key FROM results ORDER BY key").fetchall()
+        return [r[0] for r in rows]
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+class MemoryStore(ResultCache):
+    """Records as serialized JSON text in a dict (tests, one-shots).
+
+    Serializing instead of keeping live dicts is deliberate: reads see
+    exactly what a durable backend would return (an independent copy,
+    key order preserved, mutation-proof).
+    """
+
+    kind = "memory"
+    shared = False
+
+    def __init__(self) -> None:
+        super().__init__("mem:")
+        self._data: dict[str, str] = {}
+
+    def _read(self, key: str) -> Optional[str]:
+        return self._data.get(key)
+
+    def _write(self, key: str, record: dict) -> None:
+        self._data[key] = json.dumps(record)
+
+    def delete(self, key: str) -> None:
+        self._data.pop(check_key(key), None)
+
+    def keys(self) -> list[str]:
+        return sorted(self._data)

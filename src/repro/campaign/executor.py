@@ -575,14 +575,8 @@ def run_campaign(
     records: list[Optional[dict]] = [None] * len(trials)
     pending: list[tuple[int, Trial]] = []
     for i, trial in enumerate(trials):
-        hit = cache.get(trial.hash) if cache is not None else None
-        if (
-            hit is not None
-            and hit.get("status") == "ok"
-            and hit.get("config") == trial.config
-        ):
-            records[i] = {**hit, "cached": True}
-        else:
+        records[i] = cache.serve(trial) if cache is not None else None
+        if records[i] is None:
             pending.append((i, trial))
     if pending:
         jobs = [(t.config, t.hash) for _, t in pending]

@@ -1,16 +1,15 @@
 """Live fleet telemetry: status.json + Prometheus text exposition.
 
-While a coordinator's submissions drain, the operator's only window
-into the fleet would otherwise be the journals (append-only,
-replay-to-read).  This module gives the coordinator a *push* surface:
-every ``interval`` seconds it rewrites two files in its state
-directory —
+While a coordinator's submissions drain, its queues live only in its
+memory, so an operator has no other window into the fleet.  This
+module gives the coordinator a *push* surface: every ``interval``
+seconds it rewrites two files in its state directory —
 
 * ``status.json`` — an atomic point-in-time document: queue depths
   summed over every submission, every counter, per-trial
   wall-latency quantiles (p50/p95/p99 out of the
-  ``wall.trial.seconds`` log2 histogram), journal fsync latency, and
-  the result-store hit/miss/heal counters;
+  ``wall.trial.seconds`` log2 histogram), and the result-store
+  hit/miss/heal counters;
 * ``metrics.prom`` — the same registry in Prometheus text exposition
   (``repro_`` prefix, dots sanitized to underscores, histograms as
   cumulative ``le`` buckets with ``_sum``/``_count``), for scrapers
@@ -40,7 +39,7 @@ __all__ = [
     "format_status",
 ]
 
-STATUS_VERSION = 1
+STATUS_VERSION = 2
 
 #: Quantiles reported for every histogram in ``status.json``.
 QUANTILES = (0.5, 0.95, 0.99)
@@ -135,7 +134,7 @@ class FleetTelemetry:
 
     # ---------------------------------------------------------- gauges
     def _queue_totals(self) -> Optional[dict]:
-        """Depths and journal counters summed over every queue, or
+        """Depths and retry-budget use summed over every queue, or
         ``None`` without a ``queues`` source."""
         if self.queues is None:
             return None
@@ -145,8 +144,6 @@ class FleetTelemetry:
             "leased": sum(len(q.leased) for q in queues),
             "done": sum(len(q.done) for q in queues),
             "quarantined": sum(len(q.quarantined) for q in queues),
-            "journal_events": sum(q.counters["events"] for q in queues),
-            "torn_lines": sum(q.counters["torn_lines"] for q in queues),
             "retry_budget_consumed": sum(
                 s.fails for q in queues for s in q.states.values()
             ),
@@ -163,7 +160,6 @@ class FleetTelemetry:
             m.gauge("campaign.retry_budget_consumed").set(
                 totals["retry_budget_consumed"]
             )
-            m.gauge("campaign.journal.torn_lines").set(totals["torn_lines"])
         if self.cache is not None:
             m.gauge("campaign.cache.hits").set(self.cache.hits)
             m.gauge("campaign.cache.misses").set(self.cache.misses)
@@ -253,9 +249,7 @@ def format_status(doc: dict) -> str:
     if q:
         lines.append(
             f"  queue: {q['done']} done | {q['leased']} leased | "
-            f"{q['pending']} pending | {q['quarantined']} quarantined | "
-            f"journal events {q['journal_events']} "
-            f"(torn {q['torn_lines']})"
+            f"{q['pending']} pending | {q['quarantined']} quarantined"
         )
     c = doc.get("cache")
     if c:

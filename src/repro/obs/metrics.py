@@ -25,8 +25,8 @@ from repro.errors import SimulationError
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "WALL_PREFIX"]
 
 #: Namespace convention: metric names starting with this prefix carry
-#: *wall-clock* (host) measurements — fleet trial latencies, journal
-#: fsync latencies.  They legitimately differ between two runs of the
+#: *wall-clock* (host) measurements — fleet trial and first-result
+#: latencies.  They legitimately differ between two runs of the
 #: same seeded spec, so every determinism comparison must use
 #: :meth:`MetricsRegistry.sim_snapshot`, which excludes them;
 #: everything else in the registry is simulated-time data and must

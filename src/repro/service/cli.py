@@ -46,15 +46,15 @@ def _parser() -> argparse.ArgumentParser:
         "--state-dir",
         metavar="DIR",
         default="results/service",
-        help="coordinator state: endpoint file, journals, telemetry "
+        help="coordinator state: endpoint file and telemetry "
         "(default: results/service)",
     )
     start = p.add_argument_group("start")
     start.add_argument(
         "--store",
         metavar="URL",
-        help="result store backing: a directory path, sqlite:<file> (or "
-        "any *.db path), or mem: (default: <state-dir>/results)",
+        help="result store: a directory path, sqlite:<file> (or any "
+        "*.db path), or mem: (default: <state-dir>/results)",
     )
     start.add_argument(
         "--port", type=int, default=0,
@@ -133,13 +133,9 @@ def _format_sub_status(s: dict) -> str:
 
 def _run_start(args) -> int:
     from repro.service.coordinator import Coordinator
-    from repro.service.stores import open_store
 
-    store = open_store(args.store) if args.store else str(
-        Path(args.state_dir) / "results"
-    )
     co = Coordinator(
-        store,
+        args.store or str(Path(args.state_dir) / "results"),
         args.state_dir,
         port=args.port,
         local_workers=args.workers,
@@ -151,7 +147,7 @@ def _run_start(args) -> int:
     print(
         f"coordinator {args.name!r} listening on {co.host}:{co.port} "
         f"({co.local_workers} local agents, "
-        f"{co.cache.store.kind} store at {co.cache.url}) — "
+        f"{co.cache.kind} store at {co.cache.url}) — "
         f"endpoint in {args.state_dir}/service.json",
         file=sys.stderr,
     )

@@ -2,15 +2,15 @@
 
 One :class:`Coordinator` turns the one-shot campaign stack into a
 service.  Clients submit :class:`~repro.campaign.spec.CampaignSpec`\\ s
-over the JSONL socket API; each submission gets its own durable
-:class:`~repro.campaign.queue.LeaseQueue` (journal under
-``<state_dir>/subs/<id>/``), and *worker agents* — local processes the
-coordinator spawns, plus any number of externally attached
-``repro-bench service worker`` processes — pull trials one at a time
-over the same socket.  The coordinator is the sole writer of the shared
-:class:`~repro.service.stores.ResultStore`: agents report records over
-the wire, which is what lets the in-memory store serve single-process
-tests through exactly the code paths the sqlite store serves a fleet.
+over the JSONL socket API; each submission gets its own in-memory
+:class:`~repro.campaign.queue.LeaseQueue`, and *worker agents* — local
+processes the coordinator spawns, plus any number of externally
+attached ``repro-bench service worker`` processes — pull trials one at
+a time over the same socket.  The coordinator is the sole writer of the
+shared :class:`~repro.campaign.cache.ResultCache`: agents report
+records over the wire, which is what lets the in-memory store serve
+single-process tests through exactly the code paths the sqlite store
+serves a fleet.
 
 Scheduling is a two-level priority queue: every ``next`` request scans
 *interactive* submissions (FIFO) before *bulk* ones, so an interactive
@@ -28,10 +28,9 @@ trials for free; a trial that *reports* failure consumes the
 per-submission retry budget and quarantines after ``retry_budget``
 attempts.  Local agents that died to the ``REPRO_CHAOS_KILL`` hook are
 respawned with the hook defused, so injected kills prove recovery
-without livelocking the fleet.  Every submission gets a fresh journal
-directory: a coordinator restarted on a used state dir never replays a
-journal it did not write, so a resubmitted spec is served from the
-store and re-runs whatever the store lacks.
+without livelocking the fleet.  The queues live in memory only: a
+restarted coordinator recovers through the store, serving a resubmitted
+spec's stored trials as hits and re-running whatever the store lacks.
 
 The finished document (``fetch``) is assembled through
 :class:`~repro.campaign.executor.CampaignRun`, so it is byte-identical
@@ -53,7 +52,7 @@ from repro.campaign.executor import CampaignRun
 from repro.campaign.queue import LeaseQueue
 from repro.campaign.spec import CampaignSpec, Trial
 from repro.campaign.telemetry import FleetTelemetry
-from repro.errors import LeaseExpired, ServiceError
+from repro.errors import ServiceError
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import (
     DEFAULT_HOST,
@@ -137,10 +136,9 @@ class Coordinator:
         trace_dir: Optional[str] = None,
         name: str = "service",
     ) -> None:
-        #: ``store`` is anything :class:`ResultCache` fronts: a
-        #: directory path, a store URL is NOT accepted here (pass the
-        #: opened store), or a ``ResultStore`` instance.
-        self.cache = store if isinstance(store, ResultCache) else ResultCache(store)
+        #: ``store`` is an open :class:`ResultCache` or a URL for
+        #: :meth:`ResultCache.open`.
+        self.cache = store if isinstance(store, ResultCache) else ResultCache.open(store)
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.host = host
@@ -170,7 +168,7 @@ class Coordinator:
         #: Trial hash -> sub_id currently executing it (cross-submission
         #: in-flight dedup: never lease a hash twice concurrently).
         self._inflight: dict[str, str] = {}
-        #: worker id -> {(sub_id, hash): Lease} — what dies with it.
+        #: worker id -> {(sub_id, hash): live Lease} — what dies with it.
         self._agent_leases: dict[str, dict] = {}
         #: Wall clock each in-flight (sub, hash) was dispatched at.
         self._dispatch_t: dict[tuple, float] = {}
@@ -312,20 +310,27 @@ class Coordinator:
         """Housekeeping: lease-deadline expiry, local-agent respawn,
         telemetry rewrites.  Runs until stop."""
         while not self._stopping:
-            now = time.time()
             with self._lock:
-                for sub in self._submissions.values():
-                    if sub.state != "running":
-                        continue
-                    for h in sub.queue.expire(now):
-                        self._inflight.pop(h, None)
-                        self._dispatch_t.pop((sub.sub_id, h), None)
-                        self.metrics.counter("service.requeues").inc()
+                self._expire_leases(time.time())
                 if not self._stopping:
                     self._reap_local()
                 self._refresh_gauges()
                 self.telemetry.maybe_write()
             time.sleep(self.poll)
+
+    def _expire_leases(self, now: float) -> None:
+        """Requeue every lease past its deadline and forget it: the
+        holder's late report, or its death, is then stale and leaves
+        the trial's next lease alone."""
+        for sub in self._submissions.values():
+            if sub.state != "running":
+                continue
+            for h in sub.queue.expire(now):
+                holder = sub.queue.states[h].worker
+                self._agent_leases.get(holder, {}).pop((sub.sub_id, h), None)
+                self._inflight.pop(h, None)
+                self._dispatch_t.pop((sub.sub_id, h), None)
+                self.metrics.counter("service.requeues").inc()
 
     def _refresh_gauges(self) -> None:
         """Per-client queue depth + fleet shape, mirrored for export."""
@@ -400,14 +405,8 @@ class Coordinator:
             for (sub_id, h), lease in leases.items():
                 self._inflight.pop(h, None)
                 self._dispatch_t.pop((sub_id, h), None)
-                sub = self._submissions.get(sub_id)
-                if sub is None:
-                    continue
-                try:
-                    sub.queue.requeue(lease, reason="agent-death")
-                    self.metrics.counter("service.requeues").inc()
-                except LeaseExpired:
-                    pass  # deadline sweep got there first
+                self._submissions[sub_id].queue.requeue(lease)
+                self.metrics.counter("service.requeues").inc()
 
     # -------------------------------------------------------------- requests
     def _handle(self, msg: dict) -> dict:
@@ -455,33 +454,19 @@ class Coordinator:
         with self._lock:
             if self._stopping:
                 raise ServiceError("coordinator is shutting down")
-            # Number past any submission an earlier coordinator left
-            # in this state dir: its journal's ``done`` trials need
-            # not be in this store, so replaying it could hang us.
-            while True:
-                self._sub_seq += 1
-                sub_id = f"sub{self._sub_seq}"
-                sub_dir = self.state_dir / "subs" / sub_id
-                try:
-                    sub_dir.mkdir(parents=True)
-                    break
-                except FileExistsError:
-                    pass
+            self._sub_seq += 1
+            sub_id = f"sub{self._sub_seq}"
             # Store scan first: every hash already in the shared store
             # is a fleet-wide dedup hit, served without a lease ever
-            # existing; only the rest enters the durable queue.
+            # existing; only the rest enters the queue.
             records: dict[str, dict] = {}
             pending = []
             for trial in trials:
                 if trial.hash in records:
                     continue  # duplicate hash within one spec
-                hit = self.cache.get(trial.hash)
-                if (
-                    hit is not None
-                    and hit.get("status") == "ok"
-                    and hit.get("config") == trial.config
-                ):
-                    records[trial.hash] = {**hit, "cached": True}
+                record = self.cache.serve(trial)
+                if record is not None:
+                    records[trial.hash] = record
                     self.metrics.counter("service.store_hits").inc()
                 else:
                     pending.append(trial)
@@ -491,12 +476,9 @@ class Coordinator:
                 records=records, hits=len(records),
                 configs={t.hash: t.config for t in trials},
                 queue=LeaseQueue(
-                    sub_dir / "journal.jsonl",
                     [t.hash for t in pending],
                     retry_budget=self.retry_budget,
                     backoff_base=self.backoff_base,
-                    name=f"{spec.name}/{sub_id}",
-                    metrics=self.metrics,
                 ),
             )
             if sub.hits and sub.first_result_t is None:
@@ -532,7 +514,7 @@ class Coordinator:
                 "inflight": len(self._inflight),
                 "agents": sorted(self._agent_leases),
                 "store": {
-                    "kind": self.cache.store.kind,
+                    "kind": self.cache.kind,
                     "records": len(self.cache),
                     "hits": self.cache.hits,
                     "misses": self.cache.misses,
@@ -615,15 +597,18 @@ class Coordinator:
         now = time.time()
         with self._lock:
             sub = self._submissions.get(sub_id)
-            lease = self._agent_leases.get(worker, {}).pop((sub_id, h), None)
-            self._inflight.pop(h, None)
-            dispatch_t = self._dispatch_t.pop((sub_id, h), None)
+            held = self._agent_leases.get(worker, {})
+            lease = held.get((sub_id, h))
             if sub is None or lease is None or lease.token != msg.get("token"):
                 # Stale: the lease was reclaimed (deadline, presumed
-                # death) and possibly re-granted.  Content-addressing
-                # makes dropping it harmless.
+                # death) and possibly re-granted, so the in-flight
+                # entries belong to the live lease.  Content-addressing
+                # makes dropping the report harmless.
                 self.metrics.counter("service.stale_reports").inc()
                 return {"type": "ack", "stale": True}
+            del held[(sub_id, h)]
+            self._inflight.pop(h, None)
+            dispatch_t = self._dispatch_t.pop((sub_id, h), None)
             if dispatch_t is not None:
                 self.metrics.histogram("wall.trial.seconds").observe(
                     max(0.0, now - dispatch_t)
@@ -631,19 +616,13 @@ class Coordinator:
             if record.get("status") == "ok":
                 self.cache.put(h, {k: v for k, v in record.items()
                                    if k != "cached"})
-                try:
-                    sub.queue.complete(lease)
-                except LeaseExpired:
-                    return {"type": "ack", "stale": True}
+                sub.queue.complete(lease)
                 self._land(sub, h, {**record, "cached": False}, now)
                 self._propagate(h, record, now, source=sub_id)
             else:
-                try:
-                    outcome = sub.queue.fail(
-                        lease, record.get("error") or "failed", now
-                    )
-                except LeaseExpired:
-                    return {"type": "ack", "stale": True}
+                outcome = sub.queue.fail(
+                    lease, record.get("error") or "failed", now
+                )
                 self.metrics.counter("service.trial_failures").inc()
                 if outcome == "quarantined":
                     self.metrics.counter("service.quarantines").inc()
@@ -674,7 +653,7 @@ class Coordinator:
             state = sub.queue.states.get(h)
             if state is None or state.status != "pending":
                 continue
-            sub.queue.complete_external(h, reason="dedup")
+            sub.queue.complete_external(h)
             self.metrics.counter("service.dedup_completions").inc()
             self._land(sub, h, {**{k: v for k, v in record.items()
                                    if k != "cached"}, "cached": True}, now)

@@ -1,7 +1,7 @@
 """The service wire protocol: newline-delimited JSON over TCP.
 
-Every message is one JSON object on one line (the same framing as the
-lease journal — one parseable unit per line, nothing to resynchronize).
+Every message is one JSON object on one line (one parseable unit per
+line, nothing to resynchronize).
 The coordinator listens on localhost with an ephemeral port and
 advertises the endpoint in ``<state_dir>/service.json``, so clients and
 worker agents discover it from the state directory alone.

@@ -12,7 +12,7 @@ RECORD = {"hash": KEY, "status": "ok", "metrics": {"mib_per_s": 1234.5}}
 
 
 def test_put_get_roundtrip(tmp_path):
-    cache = ResultCache(tmp_path / "results")
+    cache = ResultCache.open(tmp_path / "results")
     assert cache.get(KEY) is None
     cache.put(KEY, RECORD)
     assert cache.get(KEY) == RECORD
@@ -22,7 +22,7 @@ def test_put_get_roundtrip(tmp_path):
 
 
 def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     cache.put(KEY, RECORD)
     assert list(tmp_path.glob("*.tmp")) == []
     # Overwrite goes through the same tmp+rename path.
@@ -32,7 +32,7 @@ def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
 
 
 def test_corrupt_record_is_a_miss_and_deleted(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     path = cache.path(KEY)
     path.write_text('{"torn": ')
     assert cache.get(KEY) is None
@@ -44,7 +44,7 @@ def test_corrupt_record_is_a_miss_and_deleted(tmp_path):
 
 
 def test_interrupted_writer_leaves_previous_version_intact(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     cache.put(KEY, RECORD)
     # Simulate a writer killed mid-write: a half-written tmp file
     # beside the intact record.
@@ -56,7 +56,7 @@ def test_torn_record_at_final_path_self_heals(tmp_path):
     """A writer died leaving half a record at the *final* path.  The
     next reader must treat it as a miss, delete it, and a fresh put
     must land cleanly."""
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     full = json.dumps(RECORD)
     cache.path(KEY).write_text(full[: len(full) // 2])
     assert cache.get(KEY) is None
@@ -65,19 +65,8 @@ def test_torn_record_at_final_path_self_heals(tmp_path):
     assert cache.get(KEY) == RECORD
 
 
-def test_sweep_tmp_clears_stale_writers(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(KEY, RECORD)
-    (tmp_path / "aa11.tmp").write_text('{"half": ')
-    (tmp_path / "bb22.tmp").write_text("")
-    assert cache.store.sweep_tmp() == 2
-    assert list(tmp_path.glob("*.tmp")) == []
-    assert cache.get(KEY) == RECORD  # real records untouched
-    assert cache.store.sweep_tmp() == 0
-
-
 def test_bad_keys_rejected(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     with pytest.raises(BenchmarkError):
         cache.path("../escape")
     with pytest.raises(BenchmarkError):
@@ -88,14 +77,14 @@ def test_bad_keys_rejected(tmp_path):
 
 def test_record_survives_process_boundary_format(tmp_path):
     """Stored records are plain JSON (inspectable, tool-friendly)."""
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     cache.put(KEY, RECORD)
     assert json.loads(cache.path(KEY).read_text()) == RECORD
 
 
 # ------------------------------------------------- telemetry counters
 def test_hit_miss_heal_counters(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     assert (cache.hits, cache.misses, cache.corrupt_healed) == (0, 0, 0)
     cache.get(KEY)  # absent -> miss
     assert (cache.hits, cache.misses, cache.corrupt_healed) == (0, 1, 0)
@@ -124,8 +113,8 @@ def test_resume_is_all_hits_by_counter(tmp_path):
         sizes=(64 * KiB,),
         seeds=(0,),
     )
-    run_campaign(spec, cache=ResultCache(tmp_path))
-    cache = ResultCache(tmp_path)  # fresh process-equivalent
+    run_campaign(spec, cache=ResultCache.open(tmp_path))
+    cache = ResultCache.open(tmp_path)  # fresh process-equivalent
     again = run_campaign(spec, cache=cache)
     assert again.executed == 0
     assert cache.hits == len(spec.trials()) > 0

@@ -46,6 +46,31 @@ def test_run_then_resume_hits_cache_fully(tmp_path, capsys):
     assert doc2["aggregates"] == doc["aggregates"]
 
 
+def test_results_dir_and_service_store_share_one_url_grammar(
+    tmp_path, capsys, monkeypatch
+):
+    """``--results-dir`` and ``service start --store`` open the same
+    store from the same string: a ``*.db`` path is a sqlite file, which
+    ``sqlite:<path>`` reopens."""
+    import signal
+
+    db = tmp_path / "x.db"
+    assert main(["campaign", "run", *AXES, "--results-dir", str(db)]) == 0
+    assert db.is_file()
+    capsys.readouterr()
+    assert main([
+        "campaign", "resume", *AXES, "--results-dir", f"sqlite:{db}",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "cache hits: 6/6 (100.0%)" in out and "executed 0" in out
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    assert main([
+        "service", "start", "--state-dir", str(tmp_path / "svc"),
+        "--store", str(db), "--workers", "0", "--max-wall", "0.1",
+    ]) == 0
+    assert f"sqlite store at sqlite:{db})" in capsys.readouterr().err
+
+
 def test_pool_run_matches_plain_document(tmp_path, capsys):
     plain_out = tmp_path / "plain.json"
     assert _run(tmp_path / "a", "run", "--out", str(plain_out)) == 0

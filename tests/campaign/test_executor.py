@@ -33,7 +33,7 @@ def test_pool_matches_serial_results():
 
 
 def test_cache_hit_skips_execution(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     first = run_campaign(SPEC, cache=cache)
     assert first.executed == 4
     again = run_campaign(SPEC, cache=cache)
@@ -47,7 +47,7 @@ def test_cache_hit_skips_execution(tmp_path):
 
 
 def test_resume_after_interrupt_runs_only_the_missing(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     trials = SPEC.trials()
     # Simulate an interrupted campaign: half the results landed, one
     # tmp file was torn mid-write, one record is corrupt on disk.
@@ -66,7 +66,7 @@ def test_resume_after_interrupt_runs_only_the_missing(tmp_path):
 def test_worker_failure_isolates_to_one_trial(tmp_path):
     good = SPEC.trials()[0]
     bad = Trial(config={**good.config, "pair": [0, 99]})  # no such core
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     run = run_campaign(SPEC, cache=cache, trials=[good, bad], workers=2)
     ok, failed = run.records
     assert ok["status"] == "ok"
@@ -89,7 +89,7 @@ def test_pool_worker_death_is_contained_to_one_trial(tmp_path, monkeypatch):
     trials = SPEC.trials()
     victim = trials[1]
     monkeypatch.setenv(POOL_KILL_ENV, victim.hash[:12])
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     run = run_campaign(SPEC, cache=cache, workers=2)
     assert [r["hash"] for r in run.records] == [t.hash for t in trials]
     dead = run.record_for(seed=victim.config["seed"],
@@ -126,7 +126,7 @@ def test_watchdog_budget_turns_livelock_into_failed_trial():
 
 def test_stale_cache_config_mismatch_reexecutes(tmp_path):
     """A hash collision or hand-edited record must not be served."""
-    cache = ResultCache(tmp_path)
+    cache = ResultCache.open(tmp_path)
     trial = SPEC.trials()[0]
     cache.put(trial.hash, {
         "hash": trial.hash,

@@ -1,14 +1,10 @@
-"""Durable lease queue: journal replay, backoff, quarantine, healing."""
-
-import json
+"""Lease queue: order, tokens, backoff, quarantine, requeue, expiry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.campaign.queue import (
-    LeaseQueue,
-    append_event,
-    replay_lines,
-)
+from repro.campaign.queue import STATUSES, LeaseQueue, TrialState
 from repro.errors import CampaignError, LeaseExpired
 
 HASHES = ["aa" * 8, "bb" * 8, "cc" * 8]
@@ -17,7 +13,7 @@ HASHES = ["aa" * 8, "bb" * 8, "cc" * 8]
 def make_queue(tmp_path, hashes=None, **kwargs):
     kwargs.setdefault("retry_budget", 3)
     kwargs.setdefault("backoff_base", 0.05)
-    return LeaseQueue(tmp_path / "journal.jsonl", hashes or HASHES, **kwargs)
+    return LeaseQueue(hashes or HASHES, **kwargs)
 
 
 def test_leases_follow_spec_order(tmp_path):
@@ -67,7 +63,7 @@ def test_requeue_does_not_consume_retry_budget(tmp_path):
     q = make_queue(tmp_path, hashes=HASHES[:1], retry_budget=2)
     for _ in range(10):  # far more kills than the budget allows failures
         lease = q.lease("w0", now=0.0, ttl=60.0)
-        q.requeue(lease, reason="worker-death")
+        q.requeue(lease)
     assert q.states[HASHES[0]].fails == 0
     assert q.pending == HASHES[:1]
 
@@ -75,7 +71,7 @@ def test_requeue_does_not_consume_retry_budget(tmp_path):
 def test_stale_lease_raises_lease_expired(tmp_path):
     q = make_queue(tmp_path)
     lease = q.lease("w0", now=0.0, ttl=60.0)
-    q.requeue(lease, reason="presumed-dead")
+    q.requeue(lease)
     fresh = q.lease("w1", now=0.0, ttl=60.0)
     assert fresh.trial == lease.trial and fresh.token != lease.token
     with pytest.raises(LeaseExpired):
@@ -94,60 +90,6 @@ def test_expire_requeues_only_past_deadline(tmp_path):
     assert q.expire(now=11.0) == [a.trial]
     assert a.trial in q.pending
     assert len(q.leased) == 1
-
-
-def test_replay_rebuilds_exact_state(tmp_path):
-    q = make_queue(tmp_path, retry_budget=2, backoff_base=1.0)
-    done = q.lease("w0", now=0.0, ttl=60.0)
-    q.complete(done)
-    failed = q.lease("w0", now=0.0, ttl=60.0)
-    q.fail(failed, "flaky", now=7.0)
-    leased = q.lease("w0", now=0.0, ttl=60.0)
-
-    recovered = make_queue(tmp_path, retry_budget=2, backoff_base=1.0)
-    assert recovered.done == [done.trial]
-    assert recovered.leased == [leased.trial]
-    assert recovered.pending == [failed.trial]
-    state = recovered.states[failed.trial]
-    assert state.fails == 1 and state.not_before == 8.0  # 7 + 1.0 * 2**0
-    # Fresh tokens never collide with replayed ones.
-    fresh = recovered.lease("w1", now=8.0, ttl=60.0)
-    assert fresh.token > leased.token
-
-
-def test_replay_skips_torn_and_garbage_lines(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    append_event(path, {"ev": "lease", "hash": HASHES[0], "token": 1,
-                        "attempt": 1, "worker": "w0", "deadline": 60.0})
-    with open(path, "a") as fh:
-        fh.write('{"ev": "complete", "hash": "' + HASHES[0])  # torn append
-    q = make_queue(tmp_path, hashes=HASHES[:1])
-    assert q.counters["torn_lines"] == 1
-    assert q.leased == HASHES[:1]  # the torn complete was lost, lease stands
-    # heal_tail() ran on open: the next append starts on a fresh line.
-    append_event(path, {"ev": "complete", "hash": HASHES[0]})
-    states, counters = replay_lines(path.read_text().splitlines())
-    assert counters["torn_lines"] == 1
-    assert states[HASHES[0]].status == "done"
-
-
-def test_foreign_hashes_replay_inert(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    append_event(path, {"ev": "lease", "hash": "ff" * 8, "token": 9,
-                        "attempt": 1, "worker": "w0", "deadline": 60.0})
-    append_event(path, {"ev": "wat", "hash": HASHES[0]})  # unknown kind
-    q = make_queue(tmp_path)
-    assert "ff" * 8 not in q.states
-    assert q.pending == HASHES
-
-
-def test_append_event_writes_one_durable_line(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    append_event(path, {"ev": "begin", "name": "x"})
-    append_event(path, {"ev": "requeue", "hash": HASHES[0]})
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert all(json.loads(line)["ev"] for line in lines)
 
 
 def test_constructor_validates_knobs(tmp_path):
@@ -176,3 +118,97 @@ def test_describe_summarizes_counts(tmp_path):
     assert q.describe() == (
         "queue: 1 done | 1 leased | 1 pending | 0 quarantined"
     )
+
+
+def test_complete_external_is_idempotent_and_keeps_quarantine(tmp_path):
+    q = make_queue(tmp_path, hashes=HASHES[:2], retry_budget=1)
+    q.complete_external(HASHES[0])
+    q.complete_external(HASHES[0])
+    assert q.done == HASHES[:1]
+    assert q.fail(q.lease("w0", now=0.0, ttl=60.0), "boom", now=0.0) == "quarantined"
+    q.complete_external(HASHES[1])
+    assert q.quarantined == HASHES[1:2]
+
+
+def test_default_trial_state_is_pending():
+    state = TrialState()
+    assert state.status == "pending"
+    assert state.attempts == 0 and state.fails == 0
+    assert state.token is None and state.worker is None
+
+
+# ----------------------------------------------------------- properties
+#: One queue call: (operation, trial index, time step).  complete, fail
+#: and requeue use the last lease granted for the trial, which is stale
+#: once that lease ended, so stale tokens are exercised as well as live
+#: ones.
+calls = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["lease", "complete", "fail", "requeue", "expire",
+             "complete_external"]
+        ),
+        st.integers(min_value=0, max_value=len(HASHES) - 1),
+        st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+    ),
+    max_size=60,
+)
+
+
+def _drive(steps, retry_budget):
+    """Apply ``steps`` to a fresh queue, yielding (op, trial, copies of
+    the states before the call, the live states after it)."""
+    q = LeaseQueue(HASHES, retry_budget=retry_budget, backoff_base=0.1)
+    last: dict[str, object] = {}
+    now = 0.0
+    for op, i, dt in steps:
+        now += dt
+        h = HASHES[i]
+        before = {k: TrialState(**vars(s)) for k, s in q.states.items()}
+        if op == "lease":
+            lease = q.lease("w", now=now, ttl=1.0)
+            if lease is not None:
+                last[lease.trial] = lease
+                h = lease.trial
+        elif op == "expire":
+            q.expire(now)
+        elif op == "complete_external":
+            q.complete_external(h)
+        elif h in last:
+            try:
+                if op == "complete":
+                    q.complete(last[h])
+                elif op == "fail":
+                    q.fail(last[h], "boom", now=now)
+                else:
+                    q.requeue(last[h])
+            except LeaseExpired:
+                pass
+        yield op, h, before, q.states
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls, st.integers(min_value=1, max_value=3))
+def test_terminal_states_are_absorbing(steps, retry_budget):
+    """Once done or quarantined, no later call moves a trial."""
+    for _op, _h, before, after in _drive(steps, retry_budget):
+        for k, state in after.items():
+            assert state.status in STATUSES
+            if before[k].status in ("done", "quarantined"):
+                assert state.status == before[k].status, (k, before[k], state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls, st.integers(min_value=1, max_value=3))
+def test_only_failures_spend_the_retry_budget(steps, retry_budget):
+    """Quarantine comes after exactly ``retry_budget`` failures, and
+    requeue, expire and every other call leave ``fails`` alone."""
+    for op, h, before, after in _drive(steps, retry_budget):
+        for k, state in after.items():
+            # A leased trial's last lease is its live one, so a fail
+            # call on it counts; on any other status it is stale.
+            live_fail = op == "fail" and k == h and before[k].status == "leased"
+            assert state.fails - before[k].fails == int(live_fail)
+            assert (state.status == "quarantined") == (
+                state.fails == retry_budget
+            )

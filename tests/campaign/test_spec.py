@@ -189,7 +189,6 @@ def test_each_pass_hashes_each_trial_once(monkeypatch):
     import repro.campaign.executor as executor_mod
     import repro.campaign.spec as spec_mod
     from repro.campaign import ResultCache, run_campaign
-    from repro.service.stores import MemoryStore
 
     hashed = []
 
@@ -200,7 +199,7 @@ def test_each_pass_hashes_each_trial_once(monkeypatch):
     monkeypatch.setattr(spec_mod, "trial_hash", counting)
     monkeypatch.setattr(executor_mod, "trial_hash", counting)
     spec = _spec(sizes=(4 * KiB,), seeds=(0, 1), reps=1, noise_sigma=0.0)
-    cache = ResultCache(MemoryStore())
+    cache = ResultCache.open("mem:")
     cold = run_campaign(spec, cache=cache)
     assert cold.executed == 4
     assert sorted(hashed) == sorted(canonical_json(t.config) for t in cold.trials)

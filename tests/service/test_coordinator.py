@@ -16,7 +16,7 @@ from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import connect, recv_msg, send_msg
-from repro.service.stores import MemoryStore, SqliteStore
+from repro.campaign.cache import MemoryStore, SqliteStore
 from repro.service.worker import agent_loop
 from repro.units import KiB
 
@@ -349,18 +349,62 @@ def test_silent_agent_lease_requeues_after_ttl(tmp_path):
 
 
 def test_restarted_coordinator_never_replays_old_journals(tmp_path):
-    """A second coordinator on a used state dir must not adopt the
-    first one's journal: its trials are ``done`` there but absent from
-    the new (empty) store, so replaying it would never settle."""
+    """Queues live in memory, so a coordinator restarted on a used
+    state dir recovers through the store alone: over an empty store it
+    re-runs every trial, over the shared one it serves every trial as
+    a store hit, and the documents agree."""
     state = tmp_path / "state"
-    docs = []
-    for _ in range(2):
-        with Coordinator(MemoryStore(), state, **FAST) as co:
+    shared = MemoryStore()
+    replies, docs = [], []
+    for store in (shared, MemoryStore(), shared):
+        with Coordinator(store, state, **FAST) as co:
             reply = client_for(co).submit(SPEC)
-            assert reply["pending"] == 4
             co.wait_settled(reply["sub"], timeout=30)
+            replies.append(reply)
             docs.append(client_for(co).fetch(reply["sub"]))
-    assert sorted(p.name for p in (state / "subs").iterdir()) == [
-        "sub1", "sub2",
-    ]
-    assert canonical_json(docs[0]) == canonical_json(docs[1])
+    assert [(r["hits"], r["pending"]) for r in replies] == [(0, 4), (0, 4), (4, 0)]
+    assert canonical_json(docs[1]) == canonical_json(docs[0])
+    assert canonical_json(sans_provenance(docs[2])) == canonical_json(
+        sans_provenance(docs[0])
+    )
+    assert not (state / "subs").exists()
+
+
+def test_expired_lease_leaves_its_re_lease_in_flight(tmp_path):
+    """A lease that expires is dropped from its holder: the holder's
+    late report and its death are stale, and the in-flight entries of
+    the trial's live re-lease on another worker survive both."""
+    co = Coordinator(
+        MemoryStore(), tmp_path / "state", **{**FAST, "lease_ttl": 0.05}
+    )
+    sub = co._submit({"spec": SPEC.to_dict(), "client": "t"})["sub"]
+    slow = co._attach({"agent": "slow"})
+    fresh = co._attach({"agent": "fresh"})
+    first = co._next_trial({"worker": slow})
+    co._expire_leases(time.time() + 1.0)
+    again = co._next_trial({"worker": fresh})
+    assert again["hash"] == first["hash"]
+    assert again["token"] != first["token"]
+
+    late = co._report({
+        "worker": slow, "sub": sub, "hash": first["hash"],
+        "token": first["token"], "record": {"status": "ok"},
+    })
+    assert late == {"type": "ack", "stale": True}
+    co._agent_gone(slow)
+    assert co._inflight == {first["hash"]: sub}
+    assert (sub, first["hash"]) in co._dispatch_t
+    # A second submission of the same spec must not lease the hash
+    # while its live lease runs: once the first submission's other
+    # three trials are out, there is nothing left to hand out.
+    co._submit({"spec": SPEC.to_dict(), "client": "u"})
+    replies = [co._next_trial({"worker": fresh}) for _ in range(4)]
+    assert [r["type"] for r in replies] == ["trial"] * 3 + ["idle"]
+    assert {r["sub"] for r in replies[:3]} == {sub}
+
+    reply = co._report({
+        "worker": fresh, "sub": sub, "hash": again["hash"],
+        "token": again["token"], "record": {"status": "failed", "error": "x"},
+    })
+    assert reply == {"type": "ack"}
+    assert co.metrics.histogram("wall.trial.seconds").count == 1

@@ -14,7 +14,7 @@ import pytest
 from repro.campaign import CampaignSpec
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
-from repro.service.stores import MemoryStore
+from repro.campaign.cache import MemoryStore
 from repro.units import KiB
 
 BULK = CampaignSpec(

@@ -15,7 +15,7 @@ from repro.campaign import (
 )
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
-from repro.service.stores import SqliteStore
+from repro.campaign.cache import SqliteStore
 from repro.units import KiB
 
 SPEC = CampaignSpec(
@@ -41,7 +41,6 @@ def test_truncated_db_rebuilds_and_serves(tmp_path):
     path.write_bytes(b"not a database at all")
     store = SqliteStore(path)
     assert store.get(key) is None  # rebuilt empty, not crashed
-    assert store.rebuilt >= 1
     assert path.with_suffix(".corrupt").exists()  # wreck kept for forensics
     store.put(key, {"status": "ok"})  # and writable again
     assert store.get(key) == {"status": "ok"}
@@ -59,7 +58,7 @@ def test_rebuild_mid_connection(tmp_path):
     path.write_bytes(b"\x00" * 64)
     store._connect()
     assert store.get("ab" * 32) is None
-    assert store.rebuilt >= 1
+    assert path.with_suffix(".corrupt").exists()
     store.close()
 
 
@@ -71,23 +70,22 @@ def test_pool_campaign_recovers_from_torn_sqlite_store(tmp_path):
     """
     db = tmp_path / "results.db"
 
-    cache = ResultCache(SqliteStore(db))
+    cache = ResultCache.open(db)
     first = run_campaign(SPEC, cache=cache, workers=2)
     cache.close()
     assert first.executed == len(first.records)
 
     db.write_bytes(b"garbage " * 100)  # the torn store
 
-    store = SqliteStore(db)
-    cache = ResultCache(store)
+    cache = ResultCache.open(db)
     resumed = run_campaign(SPEC, cache=cache, workers=2)
-    assert store.rebuilt >= 1
+    assert db.with_suffix(".corrupt").exists()
     assert resumed.executed == len(first.records)
     assert canonical_json(resumed.document()) == canonical_json(
         first.document()
     )
     # And the rebuilt store now holds every record again.
-    assert len(store) == len(first.records)
+    assert len(cache) == len(first.records)
     cache.close()
 
 

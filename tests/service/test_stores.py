@@ -1,4 +1,4 @@
-"""ResultStore conformance: every backend passes the same suite."""
+"""ResultCache conformance: every backend passes the same suite."""
 
 import json
 import string
@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.campaign.cache import ResultCache
-from repro.errors import BenchmarkError
-from repro.service.stores import (
+from repro.campaign.cache import (
     DirectoryStore,
     MemoryStore,
+    ResultCache,
     SqliteStore,
     check_key,
-    open_store,
 )
+from repro.errors import BenchmarkError
 
 KEY = "ab" * 32
 KEY2 = "cd" * 32
@@ -24,14 +23,28 @@ RECORD = {"hash": KEY, "status": "ok", "metrics": {"mib_per_s": 1234.5}}
 
 @pytest.fixture(params=["directory", "sqlite", "memory"])
 def store(request, tmp_path):
-    if request.param == "directory":
-        yield DirectoryStore(tmp_path / "results")
-    elif request.param == "sqlite":
-        s = SqliteStore(tmp_path / "results.db")
-        yield s
-        s.close()
+    url = {
+        "directory": tmp_path / "results",
+        "sqlite": f"sqlite:{tmp_path}/results.db",
+        "memory": "mem:",
+    }[request.param]
+    s = ResultCache.open(url)
+    assert s.kind == request.param
+    yield s
+    s.close()
+
+
+def plant(store, key, text):
+    """Store raw ``text`` under ``key``, bypassing ``put``."""
+    if isinstance(store, DirectoryStore):
+        store.path(key).write_text(text)
+    elif isinstance(store, SqliteStore):
+        store._execute(
+            "INSERT OR REPLACE INTO results (key, payload) VALUES (?, ?)",
+            (key, text),
+        )
     else:
-        yield MemoryStore()
+        store._data[key] = text
 
 
 # ------------------------------------------------------------- conformance
@@ -105,14 +118,7 @@ def test_corrupt_record_healed_as_miss(store):
     """A record that will not parse is deleted and missed — the trial
     re-runs instead of serving garbage."""
     store.put(KEY, RECORD)
-    if isinstance(store, DirectoryStore):
-        store.path(KEY).write_text("{torn")
-    elif isinstance(store, SqliteStore):
-        store._execute(
-            "UPDATE results SET payload = ? WHERE key = ?", ("{torn", KEY)
-        )
-    else:
-        store.inject_corrupt(KEY)
+    plant(store, KEY, "{torn")
     assert store.get(KEY) is None
     assert store.corrupt_healed == 1
     assert store.get(KEY) is None  # deleted, not healed again
@@ -122,39 +128,22 @@ def test_corrupt_record_healed_as_miss(store):
 
 
 def test_non_dict_record_healed(store):
-    if isinstance(store, DirectoryStore):
-        store.path(KEY).write_text("[1, 2]")
-    elif isinstance(store, SqliteStore):
-        store._execute(
-            "INSERT OR REPLACE INTO results (key, payload) VALUES (?, ?)",
-            (KEY, "[1, 2]"),
-        )
-    else:
-        store.inject_corrupt(KEY, "[1, 2]")
+    plant(store, KEY, "[1, 2]")
     assert store.get(KEY) is None
     assert store.corrupt_healed == 1
 
 
 def test_url_roundtrips_through_open_store(store, tmp_path):
     if not store.shared:
-        assert isinstance(open_store(store.url), MemoryStore)
+        assert isinstance(ResultCache.open(store.url), MemoryStore)
         return
     store.put(KEY, RECORD)
-    reopened = open_store(store.url)
+    reopened = ResultCache.open(store.url)
     try:
         assert type(reopened) is type(store)
         assert reopened.get(KEY) == RECORD
     finally:
         reopened.close()
-
-
-def test_sweep_tmp(store):
-    if isinstance(store, DirectoryStore):
-        (store.root / "deadbeef.json.tmp").write_text("partial")
-        assert store.sweep_tmp() == 1
-        assert not list(store.root.glob("*.tmp"))
-    else:
-        assert store.sweep_tmp() == 0  # nothing to sweep, no error
 
 
 # ---------------------------------------------------------------- specifics
@@ -188,10 +177,10 @@ def test_sqlite_persists_across_reopen(tmp_path):
 
 
 def test_open_store_dispatch(tmp_path):
-    assert isinstance(open_store(tmp_path / "dir"), DirectoryStore)
-    assert isinstance(open_store(f"sqlite:{tmp_path}/a.db"), SqliteStore)
-    assert isinstance(open_store(str(tmp_path / "b.db")), SqliteStore)
-    assert isinstance(open_store("mem:"), MemoryStore)
+    assert isinstance(ResultCache.open(tmp_path / "dir"), DirectoryStore)
+    assert isinstance(ResultCache.open(f"sqlite:{tmp_path}/a.db"), SqliteStore)
+    assert isinstance(ResultCache.open(str(tmp_path / "b.db")), SqliteStore)
+    assert isinstance(ResultCache.open("mem:"), MemoryStore)
 
 
 def test_check_key_accepts_real_hashes():
@@ -201,9 +190,9 @@ def test_check_key_accepts_real_hashes():
     assert check_key(h) == h
 
 
-# ------------------------------------------------------- ResultCache facade
+# ---------------------------------------------------- ResultCache counters
 def test_cache_facade_counts_hits_and_misses(store):
-    cache = ResultCache(store)
+    cache = store
     assert cache.get(KEY) is None
     cache.put(KEY, RECORD)
     assert cache.get(KEY) == RECORD
@@ -215,16 +204,8 @@ def test_cache_facade_counts_hits_and_misses(store):
 
 
 def test_cache_facade_corrupt_healed_delegates(store):
-    cache = ResultCache(store)
-    if isinstance(store, DirectoryStore):
-        store.path(KEY).write_text("{torn")
-    elif isinstance(store, SqliteStore):
-        store._execute(
-            "INSERT OR REPLACE INTO results (key, payload) VALUES (?, ?)",
-            (KEY, "{torn"),
-        )
-    else:
-        store.inject_corrupt(KEY)
+    cache = store
+    plant(store, KEY, "{torn")
     assert cache.get(KEY) is None
     assert cache.corrupt_healed == 1
     assert cache.misses == 1
@@ -241,17 +222,30 @@ def test_cache_open_url_shares_backing(tmp_path):
 
 
 def test_cache_directory_compat(tmp_path):
-    """The historical calling convention — ResultCache(path) — still
-    yields a directory-backed cache with path()/root working."""
-    cache = ResultCache(tmp_path / "results")
+    """A plain path opens a directory store: one ``<key>.json`` file
+    per record under ``root``."""
+    cache = ResultCache.open(tmp_path / "results")
     cache.put(KEY, RECORD)
     assert cache.path(KEY).exists()
     assert cache.root == tmp_path / "results"
 
 
-def test_cache_path_rejected_for_pathless_backends():
-    cache = ResultCache(MemoryStore())
-    with pytest.raises(BenchmarkError):
-        cache.path(KEY)
-    with pytest.raises(BenchmarkError):
-        _ = cache.root
+def test_get_and_put_are_defined_once_on_the_base(store):
+    """Every backend reads and writes through ``ResultCache.get`` and
+    ``ResultCache.put`` themselves, the entry points the host-time
+    tracer wraps, and stores the bytes the campaign stack always has:
+    ``indent=2`` JSON files, ``json.dumps`` text otherwise."""
+    for name in ("get", "put"):
+        assert name in ResultCache.__dict__
+        assert not any(
+            name in cls.__dict__
+            for cls in type(store).__mro__ if cls is not ResultCache
+        )
+    store.put(KEY, RECORD)
+    if isinstance(store, DirectoryStore):
+        assert store.path(KEY).read_text() == json.dumps(RECORD, indent=2) + "\n"
+    elif isinstance(store, SqliteStore):
+        row = store._execute("SELECT payload FROM results").fetchone()
+        assert row[0] == json.dumps(RECORD)
+    else:
+        assert store._data[KEY] == json.dumps(RECORD)

@@ -10,7 +10,7 @@ from repro.campaign.executor import POOL_KILL_ENV
 from repro.service.client import ServiceClient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import connect, recv_msg, send_msg
-from repro.service.stores import MemoryStore
+from repro.campaign.cache import MemoryStore
 from repro.service.worker import agent_loop
 from repro.units import KiB
 
