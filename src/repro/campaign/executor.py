@@ -3,9 +3,9 @@
 Trials execute through a :mod:`multiprocessing` pool (``workers > 1``)
 or serially in-process (``workers <= 1``).  Either way:
 
-* **deterministic order** — trials run and report in spec-expansion
-  order (``pool.map`` preserves it), so two runs of the same spec
-  produce byte-identical documents;
+* **deterministic order** — records report in spec-expansion order
+  whatever order the pool finishes them in, so two runs of the same
+  spec produce byte-identical documents;
 * **process isolation** — each pooled trial runs in a worker process,
   so a crash (or a leaked global) cannot poison its siblings;
 * **failure containment** — :func:`run_trial` converts any exception
@@ -21,8 +21,9 @@ or serially in-process (``workers <= 1``).  Either way:
   fails with :class:`repro.errors.LivelockError` instead of hanging
   the pool;
 * **cache** — hashes already present in the :class:`ResultCache` are
-  served as hits and executed zero times, which is also the resume
-  path after an interrupt.
+  served as hits and executed zero times; every successful record is
+  stored as soon as it arrives, so a killed campaign keeps what had
+  finished and its resume executes only the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, Trial, trial_hash
@@ -523,37 +524,41 @@ def _death_record(config: dict, key: str) -> dict:
     }
 
 
-def _pool_run(runner, jobs: list[tuple[dict, str]], workers: int) -> list[dict]:
-    """``pool.map`` with worker-death containment.
+def _pool_run(
+    runner, jobs: list[tuple[dict, str]], workers: int
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(index, record)`` for ``jobs`` as pool workers finish them.
 
     ``jobs`` are ``(config, hash)`` pairs for ``runner``.  A dead
     worker makes *every* unfinished future raise
     :class:`BrokenProcessPool` without saying which trial killed it, so
-    each suspect is retried alone in a single-worker pool: collateral
-    trials succeed there, and a pool that breaks again convicts its
-    only occupant, which becomes a ``status: "failed"`` record instead
-    of an exception out of :func:`run_campaign`.
+    each suspect is retried alone in a single-worker pool, in job
+    order, after the pool drains: collateral trials succeed there, and
+    a pool that breaks again convicts its only occupant, which becomes
+    a ``status: "failed"`` record instead of an exception out of
+    :func:`run_campaign`.
     """
     # Imported here: a serial run never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    results: list[Optional[dict]] = [None] * len(jobs)
     suspects: list[int] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [pool.submit(runner, *job) for job in jobs]
-        for i, future in enumerate(futures):
+        futures = {pool.submit(runner, *job): i for i, job in enumerate(jobs)}
+        for future in as_completed(futures):
             try:
-                results[i] = future.result()
+                record = future.result()
             except BrokenProcessPool:
-                suspects.append(i)
-    for i in suspects:
+                suspects.append(futures[future])
+            else:
+                yield futures[future], record
+    for i in sorted(suspects):
         try:
             with ProcessPoolExecutor(max_workers=1) as solo:
-                results[i] = solo.submit(runner, *jobs[i]).result()
+                record = solo.submit(runner, *jobs[i]).result()
         except BrokenProcessPool:
-            results[i] = _death_record(*jobs[i])
-    return results
+            record = _death_record(*jobs[i])
+        yield i, record
 
 
 def run_campaign(
@@ -584,8 +589,12 @@ def run_campaign(
         if workers > 1 and len(jobs) > 1:
             fresh = _pool_run(runner, jobs, workers)
         else:
-            fresh = [runner(*job) for job in jobs]
-        for (i, trial), record in zip(pending, fresh):
+            fresh = ((j, runner(*job)) for j, job in enumerate(jobs))
+        # Each record is stored the moment it arrives, so a campaign
+        # killed partway keeps every trial that finished before the
+        # kill, and its resume runs only the rest.
+        for j, record in fresh:
+            i, trial = pending[j]
             if cache is not None and record["status"] == "ok":
                 cache.put(trial.hash, record)
             records[i] = {**record, "cached": False}
