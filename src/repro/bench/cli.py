@@ -174,10 +174,8 @@ def _run_trace(argv: list[str]) -> int:
 def _add_spec_axes(p: argparse.ArgumentParser) -> None:
     """Register the campaign-spec axis arguments on ``p``.
 
-    Shared between ``campaign`` and ``service submit`` so a spec typed
-    at either CLI expands to the same trials (same defaults, same
-    parsing) — which is what makes their result hashes, and therefore
-    the store dedup, line up.
+    A separate parser reads their defaults, so ``--suite`` can reject
+    any axis flag that was given.
     """
     p.add_argument("--name", default="campaign", help="campaign name")
     p.add_argument(
@@ -260,8 +258,8 @@ def _campaign_parser() -> argparse.ArgumentParser:
         description="Run declarative experiment campaigns over the "
         "simulated testbed: axis cross-products, a multiprocessing "
         "worker pool, a content-addressed result cache (re-runs are "
-        "100%% cache hits) and a baseline regression gate.  For "
-        "crash-tolerant, multi-client runs use `repro-bench service`.",
+        "100%% cache hits; a killed run resumes where it stopped) and "
+        "a baseline regression gate.",
     )
     p.add_argument(
         "action",
@@ -311,19 +309,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         help="relative median drift allowed by the gate (default 0.05)",
-    )
-    p.add_argument(
-        "--fleet",
-        action="store_true",
-        help="report: read the live fleet telemetry (status.json in "
-        "--state-dir) written by a running or finished coordinator",
-    )
-    p.add_argument(
-        "--state-dir",
-        metavar="DIR",
-        default="results/service",
-        help="coordinator state directory for report --fleet "
-        "(default: results/service)",
     )
     return p
 
@@ -439,25 +424,8 @@ def _run_campaign_cli(argv: list[str]) -> int:
     from repro.errors import BenchmarkError
 
     if args.action == "report":
-        if args.fleet:
-            from repro.campaign import format_status, load_status
-
-            status = load_status(args.state_dir)
-            if status is None:
-                print(
-                    f"no readable status.json in {args.state_dir!r} — is "
-                    "a coordinator running (or finished) there?",
-                    file=sys.stderr,
-                )
-                return 2
-            print(format_status(status))
-            if args.campaign is None:
-                return 0
         if not args.campaign:
-            print(
-                "campaign report needs --campaign FILE (or --fleet)",
-                file=sys.stderr,
-            )
+            print("campaign report needs --campaign FILE", file=sys.stderr)
             return 2
         with open(args.campaign) as fh:
             doc = json.load(fh)
@@ -498,8 +466,11 @@ def _run_campaign_cli(argv: list[str]) -> int:
     cache = None if args.no_cache else ResultCache.open(args.results_dir)
     print(spec.describe(), file=sys.stderr)
     if args.action == "resume":
+        # The rule run_campaign serves by: a torn record, a failure or
+        # one stored under another config is not a cached trial.
         cached = sum(
-            1 for t in spec.trials() if cache is not None and t.hash in cache
+            1 for t in spec.trials()
+            if cache is not None and cache.serve(t) is not None
         )
         print(
             f"resuming: {cached}/{len(spec.trials())} trials already cached",
@@ -534,13 +505,6 @@ def _run_campaign_cli(argv: list[str]) -> int:
     return 1 if run.failures else 0
 
 
-def _run_service(argv: list[str]) -> int:
-    """Lazy wrapper: the serving layer only imports when used."""
-    from repro.service.cli import main as service_main
-
-    return service_main(argv)
-
-
 #: The one subcommand registry: name -> (runner, one-line help).  The
 #: dispatcher, ``--list``, and the top-level ``--help`` epilogue all
 #: read this, so adding a subcommand here is the whole wiring job.
@@ -549,10 +513,6 @@ SUBCOMMANDS = {
     "campaign": (
         _run_campaign_cli,
         "cached parallel sweeps, regression gate",
-    ),
-    "service": (
-        _run_service,
-        "long-running campaign coordinator (submit/status/watch/fetch)",
     ),
 }
 

@@ -19,7 +19,6 @@ from repro.units import fmt_size
 
 __all__ = [
     "atomic_write_json",
-    "atomic_write_text",
     "fsync_dir",
     "save_sweep",
     "load_sweep",
@@ -64,21 +63,6 @@ def atomic_write_json(path: str | Path, payload, indent: Optional[int] = 2) -> N
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
         fh.write(json.dumps(payload, indent=indent) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """:func:`atomic_write_json` for non-JSON payloads (e.g. the fleet's
-    Prometheus text-exposition file): tmp + fsync + rename + dir fsync,
-    so a scraper never reads a torn exposition."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

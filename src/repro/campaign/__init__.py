@@ -7,28 +7,21 @@ scripts:
 
 * :mod:`~repro.campaign.spec` — axes -> trials, each with a canonical
   config and a stable content hash;
-* :mod:`~repro.campaign.executor` — multiprocessing pool, per-trial
-  watchdog timeouts, worker-death containment (one-shot local runs);
+* :mod:`~repro.campaign.executor` — :func:`run_campaign`, the one way
+  to run a campaign: multiprocessing pool, per-trial watchdog
+  timeouts, worker-death containment, and every finished record
+  stored as it lands;
 * :mod:`~repro.campaign.cache` — content-addressed result store
   (directory, sqlite or memory backend; re-running a campaign is
-  100 % cache hits);
+  100 % cache hits, and resuming a killed one runs only what had not
+  finished);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
 * :mod:`~repro.campaign.suites` — the committed sched, nhood and
-  offload experiments: specs plus named self-checks;
-* :mod:`~repro.campaign.queue` — in-memory lease queue: per-trial
-  state machine with retry budgets, backoff and quarantine;
-* :mod:`~repro.campaign.telemetry` — live fleet status: atomic
-  ``status.json`` + Prometheus text exposition rewritten while the
-  queues drain.
-
-The queue and the telemetry serve :mod:`repro.service`, whose
-coordinator is the crash-tolerant, multi-client execution path (lease
-requeue on agent death, retry budgets, quarantine).
+  offload experiments: specs plus named self-checks.
 
 CLI: ``repro-bench campaign run|resume|compare|report``
-(``run --suite NAME`` runs a committed suite; ``report --fleet`` reads
-the coordinator's telemetry files).
+(``run --suite NAME`` runs a committed suite).
 """
 
 from repro import _lazy_exports
@@ -36,7 +29,6 @@ from repro import _lazy_exports
 _lazy_exports(__name__, {
     "repro.campaign.cache": ("ResultCache",),
     "repro.campaign.executor": ("CampaignRun", "run_campaign", "run_trial"),
-    "repro.campaign.queue": ("Lease", "LeaseQueue"),
     "repro.campaign.spec": (
         "MACHINES",
         "WORKLOADS",
@@ -48,12 +40,6 @@ _lazy_exports(__name__, {
         "trial_hash",
     ),
     "repro.campaign.stats": ("CampaignComparison", "aggregate", "compare_campaigns"),
-    "repro.campaign.telemetry": (
-        "FleetTelemetry",
-        "format_status",
-        "load_status",
-        "prometheus_lines",
-    ),
 })
 
 __all__ = [
@@ -69,13 +55,7 @@ __all__ = [
     "run_trial",
     "run_campaign",
     "CampaignRun",
-    "LeaseQueue",
-    "Lease",
     "aggregate",
     "compare_campaigns",
     "CampaignComparison",
-    "FleetTelemetry",
-    "prometheus_lines",
-    "load_status",
-    "format_status",
 ]

@@ -2,8 +2,8 @@
 
 One record per trial, keyed by the trial's config hash.
 :class:`ResultCache` owns everything the backends share — key
-validation, the parse-and-heal read, the hit/miss/heal counters and the
-URL grammar of :meth:`ResultCache.open` — and each backend implements
+validation, the parse-and-heal read and the URL grammar of
+:meth:`ResultCache.open` — and each backend implements
 only raw primitives (read a record's text, write a record, delete one,
 list the keys):
 
@@ -62,27 +62,8 @@ class ResultCache:
     Use :meth:`open` to get a store from a URL.  :meth:`get` returns the
     stored dict or ``None``; a record that fails to parse is deleted
     before the miss is returned, so a torn write can never wedge a
-    trial.  :attr:`url` reopens an equivalent store in another process
-    (worker processes use it), and :attr:`shared` says whether that
-    process sees the same records.
+    trial.
     """
-
-    #: Backend name ("directory" / "sqlite" / "memory").
-    kind = "?"
-    #: True when the records are visible across processes.
-    shared = True
-
-    def __init__(self, url: str) -> None:
-        #: String :meth:`open` maps back to this store.
-        self.url = url
-        #: Read-side telemetry since construction.  ``hits`` counts
-        #: records served, ``misses`` absent or corrupt keys, and
-        #: ``corrupt_healed`` (a subset of ``misses``) the records
-        #: deleted because they would not parse.  The fleet mirrors
-        #: these into ``campaign.cache.*`` metrics.
-        self.hits = 0
-        self.misses = 0
-        self.corrupt_healed = 0
 
     @staticmethod
     def open(url: str | Path) -> "ResultCache":
@@ -91,7 +72,6 @@ class ResultCache:
         ``sqlite:<path>`` (or any path ending in ``.db``) opens a
         :class:`SqliteStore`, ``mem:`` a fresh :class:`MemoryStore`,
         and anything else is a :class:`DirectoryStore` root.
-        Round-trips every store's :attr:`url`.
         """
         url = str(url)
         if url.startswith("sqlite:"):
@@ -107,7 +87,6 @@ class ResultCache:
         """The stored record, or None on a miss (healing corruption)."""
         text = self._read(check_key(key))
         if text is None:
-            self.misses += 1
             return None
         try:
             record = json.loads(text)
@@ -117,10 +96,7 @@ class ResultCache:
             # Torn write or manual tampering: delete it so the trial
             # re-runs and rewrites it.
             self.delete(key)
-            self.corrupt_healed += 1
-            self.misses += 1
             return None
-        self.hits += 1
         return record
 
     def put(self, key: str, record: dict) -> None:
@@ -169,10 +145,7 @@ class ResultCache:
 class DirectoryStore(ResultCache):
     """One atomic JSON file per key under a single directory."""
 
-    kind = "directory"
-
     def __init__(self, root: str | Path) -> None:
-        super().__init__(str(root))
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
@@ -200,19 +173,17 @@ class DirectoryStore(ResultCache):
 class SqliteStore(ResultCache):
     """All records in one SQLite database (WAL mode, hash primary key).
 
-    One connection per process; WAL journal mode lets the fleet's
-    worker processes read and write concurrently.  Records are stored
+    One connection per store; WAL journal mode lets another process
+    read the database while a campaign writes it.  Records are stored
     as ``json.dumps`` text, so they round-trip key order included.
 
     A database file that SQLite refuses to read — truncated by a torn
     copy, overwritten, flipped bits in the header — is rebuilt: the
     damaged file is moved aside to ``<name>.corrupt`` and an empty
     schema recreated.  Its lost records then read as misses, so the
-    next resume, or the next submission to a coordinator, re-runs
-    exactly those trials and the store converges on the same contents.
+    next resume re-runs exactly those trials and the store converges
+    on the same contents.
     """
-
-    kind = "sqlite"
 
     _SCHEMA = (
         "CREATE TABLE IF NOT EXISTS results ("
@@ -226,7 +197,6 @@ class SqliteStore(ResultCache):
         # loads it.
         import sqlite3
 
-        super().__init__(f"sqlite:{path}")
         self._sqlite = sqlite3
         self.file = Path(path)
         self.file.parent.mkdir(parents=True, exist_ok=True)
@@ -242,12 +212,7 @@ class SqliteStore(ResultCache):
             self._rebuild()
 
     def _open(self) -> None:
-        # check_same_thread off: the coordinator calls in from its
-        # connection-handler and tick threads, serialized by its lock —
-        # the store never sees concurrent statements on one connection.
-        self._conn = self._sqlite.connect(
-            self.file, isolation_level=None, check_same_thread=False
-        )
+        self._conn = self._sqlite.connect(self.file, isolation_level=None)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(self._SCHEMA)
@@ -308,11 +273,7 @@ class MemoryStore(ResultCache):
     key order preserved, mutation-proof).
     """
 
-    kind = "memory"
-    shared = False
-
     def __init__(self) -> None:
-        super().__init__("mem:")
         self._data: dict[str, str] = {}
 
     def _read(self, key: str) -> Optional[str]:

@@ -29,7 +29,7 @@ or serially in-process (``workers <= 1``).  Either way:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -53,7 +53,7 @@ DOCUMENT_VERSION = 1
 #: prefixes; a worker process whose trial matches SIGKILLs itself
 #: before executing.  Only honoured inside a child process (never the
 #: caller), which is what lets tests and the CI smoke crash pool
-#: workers and coordinator agents without touching the orchestrator.
+#: workers without touching the orchestrator.
 POOL_KILL_ENV = "REPRO_CHAOS_KILL"
 
 
@@ -442,10 +442,6 @@ class CampaignRun:
     spec: CampaignSpec
     trials: list[Trial]
     records: list[dict]
-    #: Trial hashes poisoned out by the coordinator (a trial that
-    #: failed deterministically ``retry_budget`` times); always empty
-    #: for :func:`run_campaign` runs.
-    quarantined: list = field(default_factory=list)
 
     @property
     def executed(self) -> int:
@@ -476,7 +472,10 @@ class CampaignRun:
         return record["metrics"]
 
     def document(self) -> dict:
-        """The campaign JSON (``BENCH_campaign.json`` shape)."""
+        """The campaign JSON (``BENCH_campaign.json`` shape).
+
+        ``quarantined`` is always empty: version-1 documents keep the
+        field so that they stay byte-identical."""
         total = len(self.records)
         return {
             "version": DOCUMENT_VERSION,
@@ -489,9 +488,9 @@ class CampaignRun:
                 "executed": self.executed,
                 "cache_hits": self.cache_hits,
                 "failures": len(self.failures),
-                "quarantined": len(self.quarantined),
+                "quarantined": 0,
             },
-            "quarantined": list(self.quarantined),
+            "quarantined": [],
             "aggregates": aggregate(self.records),
             "trials": self.records,
         }
@@ -500,14 +499,11 @@ class CampaignRun:
         total = len(self.records)
         hits = self.cache_hits
         pct = 100.0 * hits / total if total else 0.0
-        line = (
+        return (
             f"campaign {self.spec.name!r}: {total} trials | "
             f"executed {self.executed} | cache hits: {hits}/{total} "
             f"({pct:.1f}%) | failures {len(self.failures)}"
         )
-        if self.quarantined:
-            line += f" | quarantined {len(self.quarantined)}"
-        return line
 
 
 def _death_record(config: dict, key: str) -> dict:

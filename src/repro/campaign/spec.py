@@ -10,8 +10,8 @@ cache on it, so the same config always reuses the same stored result
 and any axis change produces a new hash.
 
 Hashes are computed once per trial: a :class:`Trial` memoises its
-hash, so the executor and the coordinator can key every cache read,
-store write and queue entry on it without hashing again.  Each
+hash, so the executor can key every cache read and store write on it
+without hashing again.  Each
 :meth:`CampaignSpec.trials` call builds fresh trials, which hash once
 each.
 
@@ -185,8 +185,8 @@ class CampaignSpec:
 
     Every tuple field is an axis; scalars apply to all trials.  The
     expansion order is fixed (machine, backend, size, nnodes, pair,
-    drop, tuning, seed) so trial lists — and therefore executor queue
-    order — are deterministic for a given spec.
+    drop, tuning, seed) so trial lists — and therefore the executor's
+    record order — are deterministic for a given spec.
     """
 
     name: str = "campaign"
@@ -353,31 +353,6 @@ class CampaignSpec:
     def to_dict(self) -> dict:
         """JSON form embedded in campaign documents."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CampaignSpec":
-        """Rebuild a spec from its :meth:`to_dict` JSON form.
-
-        JSON turns tuples into lists, so every axis is coerced back
-        (``pairs`` into a tuple of 2-tuples); the rebuilt spec's
-        :meth:`trials` are identical to the original's — this is what
-        makes a spec submitted over the service wire hash-compatible
-        with the same spec run locally.  Unknown keys are rejected:
-        silently dropping an axis would change the trial set.
-        """
-        if not isinstance(payload, dict):
-            raise BenchmarkError(f"campaign spec must be a dict, got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise BenchmarkError(f"unknown campaign spec field(s): {', '.join(unknown)}")
-        kwargs = dict(payload)
-        for axis in _AXES:
-            if axis in kwargs:
-                kwargs[axis] = tuple(kwargs[axis])
-        if "pairs" in kwargs:
-            kwargs["pairs"] = tuple(tuple(p) for p in kwargs["pairs"])
-        return cls(**kwargs)
 
     def describe(self) -> str:
         """One line naming the axes that multiply into the trial count."""

@@ -28,9 +28,6 @@ __all__ = [
     "LmtError",
     "SchedError",
     "BenchmarkError",
-    "CampaignError",
-    "LeaseExpired",
-    "ServiceError",
 ]
 
 
@@ -148,32 +145,3 @@ class SchedError(ReproError):
 class BenchmarkError(ReproError):
     """Errors in the benchmark harness (bad parameters, empty sweeps)."""
 
-
-class CampaignError(ReproError):
-    """Errors from the campaign layer (lease queue, coordinator)."""
-
-
-class LeaseExpired(CampaignError):
-    """A worker acted on a lease the queue had already revoked.
-
-    Raised by :class:`repro.campaign.queue.LeaseQueue` when a
-    completion or failure report arrives for a lease that was requeued
-    (worker presumed dead, deadline passed) and possibly re-granted.
-    The coordinator treats it as a stale message, never a fatal error:
-    the result store is content-addressed, so a late completion is
-    harmless.
-    """
-
-    def __init__(self, trial: str, worker: str, attempt: int):
-        self.trial = trial
-        self.worker = worker
-        self.attempt = attempt
-        super().__init__(
-            f"lease on trial {trial[:12]} attempt {attempt} by worker "
-            f"{worker} has expired or been superseded"
-        )
-
-
-class ServiceError(CampaignError):
-    """Errors from the campaign serving layer (coordinator, wire
-    protocol, worker agents, result-store backends)."""

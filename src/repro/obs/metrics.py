@@ -25,9 +25,10 @@ from repro.errors import SimulationError
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "WALL_PREFIX"]
 
 #: Namespace convention: metric names starting with this prefix carry
-#: *wall-clock* (host) measurements — fleet trial and first-result
-#: latencies.  They legitimately differ between two runs of the
-#: same seeded spec, so every determinism comparison must use
+#: *wall-clock* (host) measurements.  The simulated stack records none;
+#: a caller that adds host timings to a registry names them here,
+#: because they legitimately differ between two runs of the same
+#: seeded spec.  Every determinism comparison therefore uses
 #: :meth:`MetricsRegistry.sim_snapshot`, which excludes them;
 #: everything else in the registry is simulated-time data and must
 #: replay byte-identically.
@@ -111,30 +112,6 @@ class Histogram:
             "buckets": {f"le_2^{e}": n for e, n in sorted(self.buckets.items())},
         }
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile (0..1) from the log2 buckets.
-
-        Linear interpolation inside the bucket that holds the target
-        rank, clamped to the observed ``[min, max]`` so coarse buckets
-        never report values outside the data.  ``None`` when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise SimulationError(f"histogram {self.name}: quantile {q} not in [0, 1]")
-        if not self.count:
-            return None
-        rank = q * self.count
-        seen = 0.0
-        for e in sorted(self.buckets):
-            n = self.buckets[e]
-            if seen + n >= rank:
-                lo = 2.0 ** (e - 1)
-                hi = 2.0**e
-                frac = (rank - seen) / n
-                value = lo + frac * (hi - lo)
-                return min(max(value, self.vmin), self.vmax)
-            seen += n
-        return self.vmax
-
 
 class MetricsRegistry:
     """Get-or-create registry of named instruments."""
@@ -200,18 +177,6 @@ class MetricsRegistry:
             for name, value in self.snapshot().items()
             if not name.startswith(WALL_PREFIX)
         }
-
-    def iter_instruments(self):
-        """Yield ``(kind, instrument)`` pairs sorted by name per kind
-        (``kind`` in {"counter", "gauge", "histogram"}) — the export
-        surface for renderers that need live objects (e.g. Prometheus
-        text exposition with histogram quantiles)."""
-        for name in sorted(self._counters):
-            yield "counter", self._counters[name]
-        for name in sorted(self._gauges):
-            yield "gauge", self._gauges[name]
-        for name in sorted(self._histograms):
-            yield "histogram", self._histograms[name]
 
     # ------------------------------------------------------ absorption
     def absorb_world(self, world) -> "MetricsRegistry":

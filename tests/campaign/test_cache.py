@@ -82,28 +82,23 @@ def test_record_survives_process_boundary_format(tmp_path):
     assert json.loads(cache.path(KEY).read_text()) == RECORD
 
 
-# ------------------------------------------------- telemetry counters
-def test_hit_miss_heal_counters(tmp_path):
+# --------------------------------------------- healing, seen in the store
+def test_torn_record_is_missed_and_deleted_from_the_store(tmp_path):
     cache = ResultCache.open(tmp_path)
-    assert (cache.hits, cache.misses, cache.corrupt_healed) == (0, 0, 0)
-    cache.get(KEY)  # absent -> miss
-    assert (cache.hits, cache.misses, cache.corrupt_healed) == (0, 1, 0)
+    assert cache.get(KEY) is None  # absent -> miss, nothing written
+    assert cache.keys() == []
     cache.put(KEY, RECORD)
-    cache.get(KEY)  # hit
-    cache.get(KEY)  # hit
-    assert (cache.hits, cache.misses, cache.corrupt_healed) == (2, 1, 0)
+    assert cache.get(KEY) == cache.get(KEY) == RECORD  # reads change nothing
+    assert cache.keys() == [KEY]
     cache.path(KEY).write_text('{"torn": ')
-    cache.get(KEY)  # torn -> healed + counted as a miss
-    assert (cache.hits, cache.misses, cache.corrupt_healed) == (2, 2, 1)
-    # contains-checks don't read records and must not move counters
-    assert KEY not in cache
-    assert (cache.hits, cache.misses, cache.corrupt_healed) == (2, 2, 1)
+    assert cache.get(KEY) is None  # torn -> healed, read as a miss
+    assert KEY not in cache and cache.keys() == []
+    assert not cache.path(KEY).exists()
 
 
-def test_resume_is_all_hits_by_counter(tmp_path):
-    """The counters are how a resume proves itself: second run over the
-    same store serves every trial from cache — hits == trials, zero
-    misses."""
+def test_resume_serves_every_trial_and_leaves_the_store_as_it_was(tmp_path):
+    """A second run over the same store serves every trial from it and
+    rewrites nothing."""
     from repro.campaign import CampaignSpec, run_campaign
     from repro.units import KiB
 
@@ -114,8 +109,9 @@ def test_resume_is_all_hits_by_counter(tmp_path):
         seeds=(0,),
     )
     run_campaign(spec, cache=ResultCache.open(tmp_path))
+    before = {p.name: p.read_text() for p in tmp_path.glob("*.json")}
     cache = ResultCache.open(tmp_path)  # fresh process-equivalent
     again = run_campaign(spec, cache=cache)
     assert again.executed == 0
-    assert cache.hits == len(spec.trials()) > 0
-    assert cache.misses == 0 and cache.corrupt_healed == 0
+    assert again.cache_hits == len(spec.trials()) > 0
+    assert {p.name: p.read_text() for p in tmp_path.glob("*.json")} == before

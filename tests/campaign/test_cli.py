@@ -46,14 +46,25 @@ def test_run_then_resume_hits_cache_fully(tmp_path, capsys):
     assert doc2["aggregates"] == doc["aggregates"]
 
 
-def test_results_dir_and_service_store_share_one_url_grammar(
-    tmp_path, capsys, monkeypatch
-):
-    """``--results-dir`` and ``service start --store`` open the same
-    store from the same string: a ``*.db`` path is a sqlite file, which
-    ``sqlite:<path>`` reopens."""
-    import signal
+def test_resume_preview_counts_only_servable_records(tmp_path, capsys):
+    """A torn record is not a cached trial: the preview line and the
+    run that follows agree on what resume serves."""
+    from repro.campaign import ResultCache
 
+    argv = ["--sizes", "16K", "--seeds", "2"]
+    assert _run(tmp_path, "run", *argv) == 0
+    store = ResultCache.open(tmp_path / "results")
+    store.path(store.keys()[0]).write_text('{"torn": ')
+    capsys.readouterr()
+    assert _run(tmp_path, "resume", *argv) == 0
+    captured = capsys.readouterr()
+    assert "resuming: 1/2 trials already cached" in captured.err
+    assert "executed 1 | cache hits: 1/2" in captured.out
+
+
+def test_results_dir_db_path_and_sqlite_url_open_one_store(tmp_path, capsys):
+    """``--results-dir`` reads a ``*.db`` path as a sqlite file, which
+    ``sqlite:<path>`` reopens."""
     db = tmp_path / "x.db"
     assert main(["campaign", "run", *AXES, "--results-dir", str(db)]) == 0
     assert db.is_file()
@@ -63,12 +74,6 @@ def test_results_dir_and_service_store_share_one_url_grammar(
     ]) == 0
     out = capsys.readouterr().out
     assert "cache hits: 6/6 (100.0%)" in out and "executed 0" in out
-    monkeypatch.setattr(signal, "signal", lambda *args: None)
-    assert main([
-        "service", "start", "--state-dir", str(tmp_path / "svc"),
-        "--store", str(db), "--workers", "0", "--max-wall", "0.1",
-    ]) == 0
-    assert f"sqlite store at sqlite:{db})" in capsys.readouterr().err
 
 
 def test_pool_run_matches_plain_document(tmp_path, capsys):
@@ -149,9 +154,3 @@ def test_bad_spec_value_exits_2_with_its_message(tmp_path, capsys, extra, messag
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "results").exists()
 
-
-def test_service_submit_bad_spec_value_exits_2(tmp_path, capsys):
-    argv = ["service", "submit", "--state-dir", str(tmp_path),
-            "--backends", "bogus"]
-    assert main(argv) == 2
-    assert "service submit: unknown LMT backend 'bogus'" in capsys.readouterr().err

@@ -223,14 +223,6 @@ def test_repeated_axis_value_rejected(axis, values, shown):
     assert str(exc.value) == f"campaign axis '{axis}' repeats {shown}"
 
 
-def test_repeated_axis_value_rejected_from_dict():
-    payload = json.loads(json.dumps(_spec().to_dict()))
-    assert CampaignSpec.from_dict(payload).trials() == _spec().trials()
-    payload["sizes"] = [65536, 65536]
-    with pytest.raises(BenchmarkError, match="'sizes' repeats 65536"):
-        CampaignSpec.from_dict(payload)
-
-
 # --------------------------------------------------------------- describe
 _DESCRIBE_SPECS = {
     "pingpong": dict(pairs=((0, 1), (0, 4))),

@@ -3,8 +3,8 @@
 When the database file itself is destroyed, the store side-steps
 sqlite's unrecoverable-file problem by moving the wreck aside and
 starting empty.  Every lost record is then simply a miss: a resumed
-pool campaign, or a resubmission to a restarted coordinator, re-runs
-exactly those trials and lands on the same document.
+pool campaign re-runs exactly those trials and lands on the same
+document.
 """
 
 from repro.campaign import (
@@ -13,8 +13,6 @@ from repro.campaign import (
     canonical_json,
     run_campaign,
 )
-from repro.service.client import ServiceClient
-from repro.service.coordinator import Coordinator
 from repro.campaign.cache import SqliteStore
 from repro.units import KiB
 
@@ -23,11 +21,6 @@ SPEC = CampaignSpec(
     backends=("default", "knem"),
     sizes=(64 * KiB,),
     seeds=(0, 1),
-)
-
-FAST = dict(
-    local_workers=2, backoff_base=0.01, retry_budget=2,
-    telemetry_interval=0.1,
 )
 
 
@@ -88,29 +81,3 @@ def test_pool_campaign_recovers_from_torn_sqlite_store(tmp_path):
     assert len(cache) == len(first.records)
     cache.close()
 
-
-def _serve(db, state) -> tuple[dict, dict]:
-    with Coordinator(SqliteStore(db), state, **FAST) as co:
-        client = ServiceClient(co.endpoint)
-        reply = client.submit(SPEC)
-        co.wait_settled(reply["sub"], timeout=60)
-        return reply, client.fetch(reply["sub"])
-
-
-def test_recovered_store_matches_plain_campaign(tmp_path):
-    """A coordinator restarted on the same state dir over a torn store
-    re-runs every lost trial; the recovery detour is invisible in the
-    document."""
-    db = tmp_path / "results.db"
-    state = tmp_path / "state"
-    _serve(db, state)
-    db.write_bytes(b"\xff" * 32)
-
-    reply, doc = _serve(db, state)
-    assert reply["hits"] == 0 and reply["pending"] == 4
-    assert canonical_json(doc) == canonical_json(
-        run_campaign(SPEC).document()
-    )
-    store = SqliteStore(db)
-    assert store.keys() == sorted(t.hash for t in SPEC.trials())
-    store.close()

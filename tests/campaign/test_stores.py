@@ -29,7 +29,11 @@ def store(request, tmp_path):
         "memory": "mem:",
     }[request.param]
     s = ResultCache.open(url)
-    assert s.kind == request.param
+    assert isinstance(s, {
+        "directory": DirectoryStore,
+        "sqlite": SqliteStore,
+        "memory": MemoryStore,
+    }[request.param])
     yield s
     s.close()
 
@@ -120,9 +124,8 @@ def test_corrupt_record_healed_as_miss(store):
     store.put(KEY, RECORD)
     plant(store, KEY, "{torn")
     assert store.get(KEY) is None
-    assert store.corrupt_healed == 1
-    assert store.get(KEY) is None  # deleted, not healed again
-    assert store.corrupt_healed == 1
+    assert KEY not in store and store.keys() == []  # deleted
+    assert store.get(KEY) is None
     store.put(KEY, RECORD)  # and the slot is writable again
     assert store.get(KEY) == RECORD
 
@@ -130,28 +133,10 @@ def test_corrupt_record_healed_as_miss(store):
 def test_non_dict_record_healed(store):
     plant(store, KEY, "[1, 2]")
     assert store.get(KEY) is None
-    assert store.corrupt_healed == 1
-
-
-def test_url_roundtrips_through_open_store(store, tmp_path):
-    if not store.shared:
-        assert isinstance(ResultCache.open(store.url), MemoryStore)
-        return
-    store.put(KEY, RECORD)
-    reopened = ResultCache.open(store.url)
-    try:
-        assert type(reopened) is type(store)
-        assert reopened.get(KEY) == RECORD
-    finally:
-        reopened.close()
+    assert KEY not in store and store.keys() == []
 
 
 # ---------------------------------------------------------------- specifics
-def test_memory_store_is_not_shared():
-    assert MemoryStore().shared is False
-    assert DirectoryStore.shared and SqliteStore.shared
-
-
 def test_memory_store_reads_are_copies():
     store = MemoryStore()
     store.put(KEY, {"v": [1, 2]})
@@ -188,27 +173,6 @@ def test_check_key_accepts_real_hashes():
 
     h = trial_hash({"workload": "pingpong"})
     assert check_key(h) == h
-
-
-# ---------------------------------------------------- ResultCache counters
-def test_cache_facade_counts_hits_and_misses(store):
-    cache = store
-    assert cache.get(KEY) is None
-    cache.put(KEY, RECORD)
-    assert cache.get(KEY) == RECORD
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.url == store.url
-    assert cache.shared == store.shared
-    assert KEY in cache and len(cache) == 1
-    assert cache.keys() == [KEY]
-
-
-def test_cache_facade_corrupt_healed_delegates(store):
-    cache = store
-    plant(store, KEY, "{torn")
-    assert cache.get(KEY) is None
-    assert cache.corrupt_healed == 1
-    assert cache.misses == 1
 
 
 def test_cache_open_url_shares_backing(tmp_path):

@@ -70,17 +70,6 @@ def test_histogram_log2_buckets():
         h.observe(-1)
 
 
-def test_histogram_quantile_interpolates_within_bucket():
-    h = Histogram("lat")
-    for v in (1, 2, 3, 4, 1024):
-        h.observe(v)
-    assert h.quantile(0.0) == 1
-    assert h.quantile(1.0) == 1024
-    assert 1 <= h.quantile(0.5) <= 4
-    assert h.quantile(0.99) <= 1024
-    assert Histogram("empty").quantile(0.5) is None
-
-
 def test_sim_snapshot_excludes_wall_namespace():
     reg = MetricsRegistry()
     reg.counter("engine.events_executed").inc(7)

@@ -3,7 +3,7 @@
 Package ``__init__`` files resolve other layers' names lazily, and the
 intranode stack (``sim``, ``hw``, ``kernel``, ``core``, ``mpi``) loads
 nothing from the internode fabric, the fault injector, the campaign
-queue, the serving layer or the exporters until a caller uses them.
+suites or the exporters until a caller uses them.
 NumPy loads only when a payload byte is touched or a reduction combines
 touched data: noise and fault streams draw from the pure-Python
 ``repro.sim.rng`` stream.  The subprocess checks start
@@ -50,10 +50,7 @@ NOT_INTRANODE = (
     "repro.faults",
     "repro.sim.rng",
     "repro.obs.export",
-    "repro.campaign.queue",
-    "repro.campaign.telemetry",
     "repro.bench.store",
-    "repro.service",
     "repro.sched",
     "repro.nhood",
     "repro.campaign.suites",
