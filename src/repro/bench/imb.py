@@ -21,12 +21,8 @@ from repro.units import MiB
 __all__ = [
     "PingPongResult",
     "AlltoallResult",
-    "CollectiveResult",
     "imb_pingpong",
-    "imb_pingping",
-    "imb_exchange",
     "imb_alltoall",
-    "imb_collective",
 ]
 
 
@@ -163,178 +159,4 @@ def imb_alltoall(
         repetitions=repetitions,
         seconds_per_op=marks["elapsed"] / repetitions,
         l2_misses=marks["misses"],
-    )
-
-
-@dataclass(frozen=True)
-class CollectiveResult:
-    """One collective-kernel measurement (IMB Bcast/Allreduce/...)."""
-
-    op: str
-    nbytes: int
-    nprocs: int
-    mode: str
-    repetitions: int
-    seconds_per_op: float
-
-    @property
-    def mib_per_s(self) -> float:
-        """Payload rate per operation (IMB's MB/s convention)."""
-        return self.nbytes / MiB / self.seconds_per_op
-
-
-def imb_pingping(
-    topo: TopologySpec,
-    nbytes: int,
-    mode: str = "default",
-    bindings: Sequence[int] = (0, 1),
-    warmup: int = 2,
-    repetitions: int = 6,
-    config: Optional[LmtConfig] = None,
-) -> PingPongResult:
-    """IMB PingPing: both ranks send simultaneously each iteration.
-
-    Unlike PingPong the two transfers contend for the transport in both
-    directions at once; reported time is per message (not halved).
-    """
-    if nbytes <= 0 or repetitions <= 0:
-        raise BenchmarkError(f"bad pingping parameters: {nbytes}B x {repetitions}")
-    marks: dict[str, float] = {}
-
-    def main(ctx):
-        comm = ctx.comm
-        send = ctx.alloc(nbytes, name=f"ppng.s{ctx.rank}")
-        recv = ctx.alloc(nbytes, name=f"ppng.r{ctx.rank}")
-        peer = 1 - ctx.rank
-        for rep in range(warmup + repetitions):
-            if rep == warmup and ctx.rank == 0:
-                marks["start"] = ctx.now
-                marks["misses0"] = ctx.machine.papi.total(
-                    "L2_MISSES", cores=list(bindings)
-                )
-            sreq = comm.Isend(send, dest=peer, tag=rep)
-            yield comm.Recv(recv, source=peer, tag=rep)
-            yield from sreq.wait()
-        if ctx.rank == 0:
-            marks["stop"] = ctx.now
-            marks["misses1"] = ctx.machine.papi.total(
-                "L2_MISSES", cores=list(bindings)
-            )
-
-    run_mpi(topo, 2, main, bindings=list(bindings), mode=mode, config=config)
-    elapsed = marks["stop"] - marks["start"]
-    return PingPongResult(
-        nbytes=nbytes,
-        mode=mode,
-        bindings=tuple(bindings),
-        repetitions=repetitions,
-        one_way_seconds=elapsed / repetitions,
-        l2_misses=marks["misses1"] - marks["misses0"],
-    )
-
-
-def imb_exchange(
-    topo: TopologySpec,
-    nbytes: int,
-    mode: str = "default",
-    nprocs: int = 4,
-    warmup: int = 1,
-    repetitions: int = 4,
-    bindings: Optional[Sequence[int]] = None,
-    config: Optional[LmtConfig] = None,
-) -> CollectiveResult:
-    """IMB Exchange: every rank exchanges with both ring neighbours
-    (4 messages of ``nbytes`` per rank per iteration)."""
-    if nbytes <= 0 or repetitions <= 0:
-        raise BenchmarkError(f"bad exchange parameters: {nbytes}B x {repetitions}")
-    bindings = list(bindings) if bindings is not None else list(range(nprocs))
-    marks: dict[str, float] = {}
-
-    def main(ctx):
-        comm = ctx.comm
-        p = comm.size
-        send_l = ctx.alloc(nbytes)
-        send_r = ctx.alloc(nbytes)
-        recv_l = ctx.alloc(nbytes)
-        recv_r = ctx.alloc(nbytes)
-        left = (ctx.rank - 1) % p
-        right = (ctx.rank + 1) % p
-        from repro.mpi.request import Request
-
-        for rep in range(warmup + repetitions):
-            yield comm.Barrier()
-            if rep == warmup and ctx.rank == 0:
-                marks["start"] = ctx.now
-            reqs = [
-                comm.Irecv(recv_l, source=left, tag=3000 + rep),
-                comm.Irecv(recv_r, source=right, tag=4000 + rep),
-                comm.Isend(send_l, dest=left, tag=4000 + rep),
-                comm.Isend(send_r, dest=right, tag=3000 + rep),
-            ]
-            yield from Request.waitall(reqs)
-        yield comm.Barrier()
-        if ctx.rank == 0:
-            marks["stop"] = ctx.now
-
-    run_mpi(topo, nprocs, main, bindings=bindings, mode=mode, config=config)
-    return CollectiveResult(
-        op="exchange",
-        nbytes=nbytes,
-        nprocs=nprocs,
-        mode=mode,
-        repetitions=repetitions,
-        seconds_per_op=(marks["stop"] - marks["start"]) / repetitions,
-    )
-
-
-def imb_collective(
-    topo: TopologySpec,
-    op: str,
-    nbytes: int,
-    mode: str = "default",
-    nprocs: int = 8,
-    warmup: int = 1,
-    repetitions: int = 3,
-    bindings: Optional[Sequence[int]] = None,
-    config: Optional[LmtConfig] = None,
-) -> CollectiveResult:
-    """IMB-style collective kernel: ``op`` in bcast / allreduce /
-    allgather / reduce.  ``nbytes`` is the per-rank payload."""
-    if op not in ("bcast", "allreduce", "allgather", "reduce"):
-        raise BenchmarkError(f"unknown collective kernel {op!r}")
-    if nbytes <= 0 or repetitions <= 0:
-        raise BenchmarkError(f"bad {op} parameters: {nbytes}B x {repetitions}")
-    bindings = list(bindings) if bindings is not None else list(range(nprocs))
-    marks: dict[str, float] = {}
-
-    def main(ctx):
-        comm = ctx.comm
-        p = comm.size
-        buf = ctx.alloc(nbytes)
-        recv = ctx.alloc(nbytes * (p if op == "allgather" else 1))
-        for rep in range(warmup + repetitions):
-            yield ctx.touch(buf, write=True)  # fresh payload (untimed)
-            yield comm.Barrier()
-            if rep == warmup and ctx.rank == 0:
-                marks["start"] = ctx.now
-            if op == "bcast":
-                yield comm.Bcast(buf, root=0)
-            elif op == "allreduce":
-                yield comm.Allreduce(buf, recv)
-            elif op == "reduce":
-                yield comm.Reduce(buf, recv if ctx.rank == 0 else None, root=0)
-            elif op == "allgather":
-                yield comm.Allgather(buf, recv)
-        yield comm.Barrier()
-        if ctx.rank == 0:
-            marks["stop"] = ctx.now
-
-    run_mpi(topo, nprocs, main, bindings=bindings, mode=mode, config=config)
-    return CollectiveResult(
-        op=op,
-        nbytes=nbytes,
-        nprocs=nprocs,
-        mode=mode,
-        repetitions=repetitions,
-        seconds_per_op=(marks["stop"] - marks["start"]) / repetitions,
     )

@@ -28,7 +28,7 @@ from repro import _lazy_exports
 
 _lazy_exports(__name__, {
     "repro.campaign.cache": ("ResultCache",),
-    "repro.campaign.executor": ("CampaignRun", "run_campaign", "run_trial"),
+    "repro.campaign.executor": ("CampaignRun", "run_campaign"),
     "repro.campaign.spec": (
         "MACHINES",
         "WORKLOADS",
@@ -52,7 +52,6 @@ __all__ = [
     "WORKLOADS",
     "MACHINES",
     "ResultCache",
-    "run_trial",
     "run_campaign",
     "CampaignRun",
     "aggregate",

@@ -8,7 +8,7 @@ or serially in-process (``workers <= 1``).  Either way:
   spec produce byte-identical documents;
 * **process isolation** — each pooled trial runs in a worker process,
   so a crash (or a leaked global) cannot poison its siblings;
-* **failure containment** — :func:`run_trial` converts any exception
+* **failure containment** — each trial's execution converts any exception
   into a ``status: "failed"`` record; one broken trial never aborts
   the campaign;
 * **worker-death containment** — a pool worker that dies outright
@@ -39,7 +39,6 @@ from repro.campaign.spec import CampaignSpec, Trial, trial_hash
 from repro.campaign.stats import aggregate
 
 __all__ = [
-    "run_trial",
     "run_campaign",
     "CampaignRun",
     "DOCUMENT_VERSION",
@@ -213,7 +212,7 @@ def _run_allreduce(config: dict, obs) -> dict:
 
     tuning = None
     if config["tuning"] == "flat":
-        tuning = CollTuning(hier_bcast_min=1 << 40, hier_allreduce_min=1 << 40)
+        tuning = CollTuning(hier_allreduce_min=1 << 40)
     nnodes = config["nnodes"]
     ppn = config["procs_per_node"]
     spec = cluster_of(_topo(config["machine"]), nnodes)
@@ -398,19 +397,14 @@ _WORKLOAD_FNS: dict[str, Callable[[dict, object], dict]] = {
 
 
 # ---------------------------------------------------------------- execution
-def run_trial(config: dict, trace_dir: Optional[str] = None) -> dict:
-    """Execute one trial; never raises.
+def _execute(config: dict, key: str, trace_dir: Optional[str]) -> dict:
+    """Execute the trial ``config`` whose hash is ``key``; never raises.
 
     Returns the trial record: ``{"hash", "config", "seed", "status",
     "primary", "metrics", "error"}`` with ``status`` of ``"ok"`` or
-    ``"failed"``.  Module-level and dict-in/dict-out so it is picklable
-    for the worker pool.
+    ``"failed"``.  Module-level and dict-in/dict-out so that it is
+    picklable for the worker pool.
     """
-    return _execute(config, trial_hash(config), trace_dir)
-
-
-def _execute(config: dict, key: str, trace_dir: Optional[str]) -> dict:
-    """:func:`run_trial` for a config whose hash ``key`` is known."""
     record = {
         "hash": key,
         "config": config,
@@ -520,6 +514,28 @@ def _death_record(config: dict, key: str) -> dict:
     }
 
 
+def _exit_with_orchestrator(pid: int) -> None:
+    """Pool-worker initializer: end this worker once process ``pid``,
+    the orchestrator, is gone.
+
+    A worker blocks on the pool's queues and never notices its parent
+    die, so a SIGKILLed ``campaign run`` would leave its workers
+    running, re-parented, for good.  The pool forks its workers from
+    the orchestrator (the default start method on Linux), so a daemon
+    thread polls the parent PID and exits the worker once it is no
+    longer ``pid``.
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orchestrator-watch", daemon=True).start()
+
+
 def _pool_run(
     runner, jobs: list[tuple[dict, str]], workers: int
 ) -> Iterator[tuple[int, dict]]:
@@ -538,8 +554,9 @@ def _pool_run(
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
+    watch = {"initializer": _exit_with_orchestrator, "initargs": (os.getpid(),)}
     suspects: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), **watch) as pool:
         futures = {pool.submit(runner, *job): i for i, job in enumerate(jobs)}
         for future in as_completed(futures):
             try:
@@ -550,7 +567,7 @@ def _pool_run(
                 yield futures[future], record
     for i in sorted(suspects):
         try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
+            with ProcessPoolExecutor(max_workers=1, **watch) as solo:
                 record = solo.submit(runner, *jobs[i]).result()
         except BrokenProcessPool:
             record = _death_record(*jobs[i])

@@ -126,7 +126,7 @@ class TruncationError(MpiError):
 
 
 class DatatypeError(MpiError):
-    """Invalid datatype construction or mismatched pack/unpack."""
+    """Invalid datatype construction or buffer argument."""
 
 
 class RankError(MpiError):

@@ -2,7 +2,7 @@
 
 Layering mirrors MPICH2:
 
-- :mod:`~repro.mpi.datatypes` — contiguous / vector / indexed datatypes
+- :mod:`~repro.mpi.datatypes` — contiguous / indexed datatypes
   that expand to iovecs (KNEM's "vectorial buffers");
 - :mod:`~repro.mpi.nemesis` — per-rank endpoints: eager cell queues,
   tag matching, unexpected queues, rendezvous transactions;
@@ -17,7 +17,7 @@ Every MPI call is a generator: simulated processes ``yield`` them
 
 from repro import _lazy_exports
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
-from repro.mpi.datatypes import Contiguous, Datatype, Indexed, Vector, as_views
+from repro.mpi.datatypes import Contiguous, Datatype, Indexed, as_views
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.mpi.world import MpiRunResult, RankContext, run_mpi
@@ -36,7 +36,6 @@ __all__ = [
     "Contiguous",
     "Datatype",
     "Indexed",
-    "Vector",
     "as_views",
     "Request",
     "Status",

@@ -4,11 +4,15 @@ Algorithm choices follow MPICH2's conventions for intranode runs:
 
 - Barrier: dissemination (log2 p rounds of zero-byte messages);
 - Bcast / Reduce: binomial trees;
-- Allreduce: reduce + bcast;
-- Gather / Scatter: linear to/from root (messages are large here);
-- Allgather: ring (p-1 neighbor exchanges);
-- Alltoall(v): pairwise exchange (XOR schedule on power-of-two sizes) —
-  the algorithm active in the paper's Fig. 7 measurements.
+- Allreduce: recursive doubling (short) or Rabenseifner reduce-scatter +
+  allgather (long) on power-of-two sizes, reduce + bcast otherwise, and
+  the leader hierarchy of :mod:`repro.mpi.coll.hier` for long payloads
+  on a cluster;
+- Allgather: recursive doubling (short, power-of-two) or ring;
+- Alltoall(v): Bruck (tiny blocks), scattered isend/irecv (medium) or
+  pairwise exchange (large; XOR schedule on power-of-two sizes) — the
+  last two are the algorithms active in the paper's Fig. 7
+  measurements.
 
 Each collective wraps its large-message phase in the world's
 *collective hint* so the adaptive LMT policy can lower its I/OAT
@@ -23,8 +27,7 @@ _lazy_exports(__name__, {
     "repro.mpi.coll.allgather": ("allgather", "allgather_recursive_doubling", "allgather_ring"),
     "repro.mpi.coll.alltoall": ("alltoall", "alltoall_bruck", "alltoallv"),
     "repro.mpi.coll.barrier": ("barrier",),
-    "repro.mpi.coll.bcast": ("bcast", "bcast_binomial", "bcast_scatter_allgather"),
-    "repro.mpi.coll.gather": ("gather", "scatter"),
+    "repro.mpi.coll.bcast": ("bcast",),
     "repro.mpi.coll.reduce": (
         "allreduce",
         "allreduce_rabenseifner",
@@ -33,7 +36,6 @@ _lazy_exports(__name__, {
         "reduce_scatter_block",
     ),
     "repro.mpi.coll.tuning": ("CollTuning",),
-    "repro.mpi.coll.vector": ("allgatherv", "gatherv", "scatterv"),
 })
 
 __all__ = [
@@ -45,17 +47,10 @@ __all__ = [
     "alltoallv",
     "barrier",
     "bcast",
-    "bcast_binomial",
-    "bcast_scatter_allgather",
-    "gather",
-    "scatter",
     "reduce",
     "allreduce",
     "allreduce_recursive_doubling",
     "allreduce_rabenseifner",
     "reduce_scatter_block",
-    "gatherv",
-    "scatterv",
-    "allgatherv",
     "CollTuning",
 ]

@@ -9,7 +9,7 @@ non-power-of-two communicators here).
 from __future__ import annotations
 
 from repro.kernel.copy import cpu_copy
-from repro.mpi.coll.gather import _blocks
+from repro.mpi.coll.alltoall import _blocks
 from repro.mpi.datatypes import as_views
 from repro.mpi.request import Request
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.errors import MpiError
 from repro.kernel.copy import cpu_copy
-from repro.mpi.coll.gather import _blocks
 from repro.mpi.datatypes import as_views
 from repro.mpi.request import Request
 from repro.units import KiB
@@ -42,6 +41,35 @@ _BRUCK_TAG = -7500
 MEDIUM_BLOCK_MAX = 32 * KiB
 
 
+def _blocks(buf, p: int):
+    """Split a buffer argument into p equal per-rank block view-lists."""
+    views = as_views(buf)
+    total = sum(v.nbytes for v in views)
+    if total % p:
+        raise MpiError(f"buffer of {total}B not divisible into {p} blocks")
+    block = total // p
+    if len(views) == 1:
+        base = views[0]
+        return [[base.sub(i * block, block)] for i in range(p)], block
+    # General iovec: walk and slice.
+    out = []
+    vi, voff = 0, 0
+    for _ in range(p):
+        need = block
+        pieces = []
+        while need > 0:
+            v = views[vi]
+            n = min(need, v.nbytes - voff)
+            pieces.append(v.sub(voff, n))
+            voff += n
+            need -= n
+            if voff >= v.nbytes:
+                vi += 1
+                voff = 0
+        out.append(pieces)
+    return out, block
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -55,11 +83,6 @@ def alltoall(comm, sendbuf, recvbuf):
     p = comm.size
     _, block = _blocks(sendbuf, p)
     tuning = comm.world.coll_tuning
-    if p > 2 and 0 < block <= tuning.hier_alltoall_max:
-        from repro.mpi.coll.hier import alltoall_hier, hier_applicable
-
-        if hier_applicable(comm):
-            return alltoall_hier(comm, sendbuf, recvbuf)
     if p > 2 and block <= tuning.alltoall_bruck_max:
         return alltoall_bruck(comm, sendbuf, recvbuf)
     if block <= tuning.alltoall_medium_max:

@@ -1,39 +1,21 @@
-"""Broadcast: binomial tree (short) or scatter + ring allgather (long).
+"""Broadcast: a binomial tree.
 
-MPICH2 broadcasts short messages down a binomial tree (log p steps,
-each carrying the full payload) and long messages with van de Geijn's
-scatter + allgather: the payload is first split into p blocks scattered
-down the same tree (each link carries only its subtree's share), then a
-ring allgather reassembles it everywhere.  For large payloads this
-moves ~2x the bytes of the tree per rank *total* instead of log(p)x.
+Each step carries the full payload down the tree (log p steps).  The
+broadcasts here are allreduce's fallback on non-power-of-two or
+irregular communicators and the node-local stage of the leader-based
+hierarchy, where p is small.
 """
 
 from __future__ import annotations
 
 from repro.mpi.datatypes import as_views
-from repro.mpi.request import Request
 
-__all__ = ["bcast", "bcast_binomial", "bcast_scatter_allgather"]
+__all__ = ["bcast"]
 
 _BCAST_TAG = -2000
 
 
 def bcast(comm, buf, root: int = 0):
-    """Algorithm-selecting broadcast (generator)."""
-    views = as_views(buf)
-    nbytes = sum(v.nbytes for v in views)
-    tuning = comm.world.coll_tuning
-    if nbytes >= tuning.hier_bcast_min:
-        from repro.mpi.coll.hier import bcast_hier, hier_applicable
-
-        if hier_applicable(comm):
-            return bcast_hier(comm, buf, root)
-    if nbytes >= tuning.bcast_long_min and comm.size > 2:
-        return bcast_scatter_allgather(comm, buf, root)
-    return bcast_binomial(comm, buf, root)
-
-
-def bcast_binomial(comm, buf, root: int = 0):
     """Binomial broadcast of ``buf`` from ``root``.  Generator."""
     p = comm.size
     views = as_views(buf)
@@ -60,89 +42,3 @@ def bcast_binomial(comm, buf, root: int = 0):
             child = (vrank + mask + root) % p
             yield comm.Send(views, dest=child, tag=_BCAST_TAG)
         mask >>= 1
-
-
-def _block_bounds(nbytes: int, p: int, i: int) -> tuple[int, int]:
-    """Byte range of conceptual block ``i`` when splitting into p."""
-    base = nbytes // p
-    extra = nbytes % p
-    lo = i * base + min(i, extra)
-    hi = lo + base + (1 if i < extra else 0)
-    return lo, hi
-
-
-def _range_view(view, nbytes: int, p: int, lo_block: int, hi_block: int):
-    """Sub-view covering conceptual blocks [lo_block, hi_block)."""
-    lo, _ = _block_bounds(nbytes, p, lo_block)
-    _, hi = _block_bounds(nbytes, p, hi_block - 1)
-    return view.sub(lo, hi - lo)
-
-
-def bcast_scatter_allgather(comm, buf, root: int = 0):
-    """van de Geijn broadcast: binomial scatter then ring allgather.
-    Generator.  Requires a contiguous buffer."""
-    p = comm.size
-    views = as_views(buf)
-    if p == 1:
-        return
-        yield  # pragma: no cover
-    if len(views) != 1:
-        # Noncontiguous payloads fall back to the tree.
-        yield from bcast_binomial(comm, views, root)
-        return
-    view = views[0]
-    nbytes = view.nbytes
-    rank = comm.rank
-    vrank = (rank - root) % p
-
-    # --- phase 1: binomial scatter of conceptual blocks --------------
-    # Node v (virtual) ends up owning block v; during the scatter a
-    # parent holds blocks [v, v + span) and hands the child half
-    # [child, child + child_span).
-    recv_mask = 0
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            parent = (vrank - mask + root) % p
-            span = min(mask, p - vrank)
-            piece = _range_view(view, nbytes, p, vrank, vrank + span)
-            yield comm.Recv(piece, source=parent, tag=_BCAST_TAG - 1)
-            recv_mask = mask
-            break
-        mask <<= 1
-    if vrank == 0:
-        recv_mask = mask  # root "owns" everything from the start
-    child_mask = recv_mask >> 1 if vrank != 0 else _highest_pow2_below(p)
-    while child_mask > 0:
-        child = vrank + child_mask
-        if child < p:
-            child_span = min(child_mask, p - child)
-            piece = _range_view(view, nbytes, p, child, child + child_span)
-            dest = (child + root) % p
-            yield comm.Send(piece, dest=dest, tag=_BCAST_TAG - 1)
-        child_mask >>= 1
-
-    # --- phase 2: ring allgather of the p blocks ----------------------
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-    for step in range(p - 1):
-        send_block = (vrank - step) % p
-        recv_block = (vrank - step - 1) % p
-        sreq = comm.Isend(
-            _range_view(view, nbytes, p, send_block, send_block + 1),
-            dest=right,
-            tag=_BCAST_TAG - 2 - step,
-        )
-        rreq = comm.Irecv(
-            _range_view(view, nbytes, p, recv_block, recv_block + 1),
-            source=left,
-            tag=_BCAST_TAG - 2 - step,
-        )
-        yield from Request.waitall([sreq, rreq])
-
-
-def _highest_pow2_below(p: int) -> int:
-    mask = 1
-    while mask * 2 < p:
-        mask *= 2
-    return mask

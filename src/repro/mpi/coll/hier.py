@@ -1,4 +1,4 @@
-"""Hierarchy-aware (leader-based) collectives for cluster worlds.
+"""The hierarchy-aware (leader-based) allreduce for cluster worlds.
 
 On a cluster, a flat MPICH2 algorithm treats every rank pair alike —
 but an internode hop costs far more than the Nemesis queues, and the
@@ -9,12 +9,11 @@ using the intranode paths, and only leaders talk across the fabric.
 The wire then carries each byte once per *node* instead of once per
 *rank*.
 
-Selection lives in the flat dispatchers (:func:`~repro.mpi.coll.bcast.
-bcast`, :func:`~repro.mpi.coll.reduce.allreduce`,
-:func:`~repro.mpi.coll.alltoall.alltoall`) via the ``hier_*``
-thresholds of :class:`~repro.mpi.coll.tuning.CollTuning`; this module
-only provides the algorithms.  Each one recurses into the flat
-collectives on the node-local and leader subcommunicators —
+Selection lives in the flat dispatcher
+(:func:`~repro.mpi.coll.reduce.allreduce`) via the ``hier_allreduce_min``
+threshold of :class:`~repro.mpi.coll.tuning.CollTuning`; this module
+only provides the algorithm.  It recurses into the flat collectives on
+the node-local, leader and cross-node subcommunicators —
 :func:`hier_applicable` guarantees those never re-enter the hierarchy
 (a node communicator spans one node; a leader communicator has exactly
 one rank per node).
@@ -25,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.kernel.copy import cpu_copy
-from repro.mpi.coll.gather import _blocks, gather, scatter
 from repro.mpi.coll.reduce import _itemsize, _scratch, allreduce, reduce
 from repro.mpi.datatypes import as_views
 
@@ -34,12 +31,8 @@ __all__ = [
     "hier_applicable",
     "hier_groups",
     "HierGroups",
-    "bcast_hier",
     "allreduce_hier",
-    "alltoall_hier",
 ]
-
-_HIER_TAG = -9000
 
 
 def hier_applicable(comm) -> bool:
@@ -122,28 +115,6 @@ def hier_groups(comm) -> HierGroups:
     return groups
 
 
-# ------------------------------------------------------------------ bcast
-def bcast_hier(comm, buf, root: int = 0):
-    """Leader-based broadcast: root -> root's leader -> leaders ->
-    node-local broadcast.  Generator."""
-    from repro.mpi.coll.bcast import bcast
-
-    groups = hier_groups(comm)
-    world = comm.world
-    root_node_idx = groups.nodes.index(world.node_of(comm.group[root]))
-    root_leader = groups.leader_of(root_node_idx)
-
-    # Hand the payload to the root node's leader if the root isn't it.
-    if root != root_leader:
-        if comm.rank == root:
-            yield comm.Send(buf, dest=root_leader, tag=_HIER_TAG)
-        elif comm.rank == root_leader:
-            yield comm.Recv(buf, source=root, tag=_HIER_TAG)
-    if groups.leader_comm is not None:
-        yield from bcast(groups.leader_comm, buf, root=root_node_idx)
-    yield from bcast(groups.node_comm, buf, root=0)
-
-
 # -------------------------------------------------------------- allreduce
 def allreduce_hier(comm, sendbuf, recvbuf, op=None, dtype=None):
     """Hierarchical allreduce.  Each payload byte crosses the fabric
@@ -218,76 +189,3 @@ def _cross_comm(comm, groups: HierGroups, t: int):
     )
     comm._hier_cross = cross
     return cross
-
-
-# --------------------------------------------------------------- alltoall
-def alltoall_hier(comm, sendbuf, recvbuf):
-    """Leader-aggregated alltoall for small per-pair blocks.
-
-    Phase 1: each node gathers its members' full send buffers at the
-    leader.  Phase 2: the leader packs one combined message per
-    destination node and the leaders run a single alltoallv — N*(N-1)
-    wire messages instead of P*(P-1).  Phase 3: leaders unpack into
-    member-major order and scatter.  The packing copies are real
-    (timed), which is why this only pays for small blocks.  Generator.
-    """
-    from repro.mpi.coll.alltoall import alltoallv
-
-    groups = hier_groups(comm)
-    p = comm.size
-    _send_blocks, block = _blocks(sendbuf, p)
-    machine = comm.machine
-    mine = groups.members[groups.my_node_idx]
-    m = len(mine)
-
-    if groups.leader_comm is None:
-        yield from gather(groups.node_comm, sendbuf, None, root=0)
-        yield from scatter(groups.node_comm, None, recvbuf, root=0)
-        return
-
-    # ---- leader ------------------------------------------------------
-    row = p * block          # one member's full send (or recv) buffer
-    gathered = _scratch(comm, "_hier_gather", m * row)
-    yield from gather(groups.node_comm, sendbuf, gathered.view(0, m * row), root=0)
-
-    # Pack: for each destination node, the blocks of all (my member i,
-    # their member t) pairs, i-major.
-    stage = _scratch(comm, "_hier_stage", m * row)
-    send_counts = []
-    offset = 0
-    for theirs in groups.members:
-        send_counts.append(m * len(theirs) * block)
-        for i in range(m):
-            for dst_local in theirs:
-                piece = gathered.view(i * row + dst_local * block, block)
-                yield from cpu_copy(
-                    machine, comm.core, [stage.view(offset, block)], [piece]
-                )
-                offset += block
-
-    recv_counts = [len(theirs) * m * block for theirs in groups.members]
-    inbound = _scratch(comm, "_hier_inbound", m * row)
-    yield from alltoallv(
-        groups.leader_comm,
-        stage.view(0, m * row),
-        send_counts,
-        inbound.view(0, m * row),
-        recv_counts,
-    )
-
-    # Unpack into member-major rows: member t's row holds one block per
-    # global source, ordered by comm-local source rank.
-    final = _scratch(comm, "_hier_final", m * row)
-    in_off = 0
-    for theirs in groups.members:
-        for src_local in theirs:
-            for t in range(m):
-                yield from cpu_copy(
-                    machine,
-                    comm.core,
-                    [final.view(t * row + src_local * block, block)],
-                    [inbound.view(in_off, block)],
-                )
-                in_off += block
-
-    yield from scatter(groups.node_comm, final.view(0, m * row), recvbuf, root=0)

@@ -46,6 +46,7 @@ __all__ = [
 
 _REDUCE_TAG = -3000
 _ALLRED_TAG = -3500
+_SCATTER_TAG = -5000
 
 
 def _is_pow2(n: int) -> bool:
@@ -329,16 +330,20 @@ def reduce_scatter_block(comm, sendbuf, recvbuf, op=None, dtype=None):
         raise MpiError("reduce_scatter receive buffer smaller than one block")
 
     if not _is_pow2(p) or len(send_views) != 1 or p == 1:
-        # Fallback: full reduce at 0, then scatter the blocks.
-        from repro.mpi.coll.gather import scatter
-
+        # Fallback: full reduce at 0, then a linear scatter of the blocks.
         full = _scratch(comm, "_rs_full", total)
         yield from reduce(
             comm, send_views, full.view(0, total) if rank == 0 else None, 0, op, dtype
         )
-        yield from scatter(
-            comm, full.view(0, total) if rank == 0 else None, recv_views, root=0
-        )
+        if rank != 0:
+            yield comm.Recv(recv_views, source=0, tag=_SCATTER_TAG)
+            return
+        requests = [
+            comm.Isend(full.view(dst * block, block), dest=dst, tag=_SCATTER_TAG)
+            for dst in range(1, p)
+        ]
+        yield from cpu_copy(comm.machine, comm.core, recv_views, [full.view(0, block)])
+        yield from Request.waitall(requests)
         return
 
     work = _scratch(comm, "_rs_work", total)

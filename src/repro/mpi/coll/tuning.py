@@ -20,8 +20,6 @@ __all__ = ["CollTuning"]
 class CollTuning:
     """Size thresholds (bytes) steering collective algorithm choice."""
 
-    #: Bcast: binomial tree below, scatter + ring allgather at/above.
-    bcast_long_min: int = 32 * KiB
     #: Allreduce: recursive doubling below, Rabenseifner
     #: (reduce-scatter + allgather) at/above (power-of-two sizes only).
     allreduce_rabenseifner_min: int = 2 * KiB
@@ -33,17 +31,9 @@ class CollTuning:
     alltoall_bruck_max: int = 1 * KiB
     alltoall_medium_max: int = 32 * KiB
 
-    # Internode thresholds — consulted only when the communicator spans
+    # Internode threshold — consulted only when the communicator spans
     # several nodes of a cluster world (see repro.mpi.coll.hier).
-    #: Bcast: leader-based hierarchy at/above (flat tree below — small
-    #: payloads don't amortize the extra intranode stage).
-    hier_bcast_min: int = 32 * KiB
-    #: Allreduce: node-reduce + leader-allreduce + node-bcast at/above.
+    #: Allreduce: the two-level hierarchy (``allreduce_hier``) at/above.
     #: The hierarchy crosses the wire once per node instead of once per
     #: rank, so it wins once the fabric is bandwidth-bound.
     hier_allreduce_min: int = 64 * KiB
-    #: Alltoall: leader aggregation at/below (per-pair block size).  A
-    #: MAX, unlike the others: packing only pays while per-pair blocks
-    #: are small enough that wire latency and per-message overhead
-    #: dominate over the extra intranode gather/scatter copies.
-    hier_alltoall_max: int = 4 * KiB

@@ -13,7 +13,7 @@ larger ones rendezvous through the LMT backend chosen by the policy.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.lmt import TransferSide
 from repro.errors import MpiError, RankError, RegistrationError, TruncationError
@@ -116,13 +116,6 @@ class Communicator:
         self._check_rank(dest, "dest")
         return self._send_impl(views, dest, tag)
 
-    def Ssend(self, buf: BufLike, dest: int, tag: int = 0):
-        """Synchronous send: completes only once the receive matched
-        (always takes the rendezvous path, like MPICH).  Generator."""
-        views = as_views(buf)
-        self._check_rank(dest, "dest")
-        return self._send_impl(views, dest, tag, force_rndv=True)
-
     def Isend(self, buf: BufLike, dest: int, tag: int = 0) -> Request:
         views = as_views(buf)
         self._check_rank(dest, "dest")
@@ -132,9 +125,7 @@ class Communicator:
         )
         return Request(proc, "isend")
 
-    def _send_impl(
-        self, views: list[BufferView], dest: int, tag: int, force_rndv: bool = False
-    ):
+    def _send_impl(self, views: list[BufferView], dest: int, tag: int):
         nbytes = total_bytes(views)
         world = self.world
         dest_world = self._to_world(dest)
@@ -142,15 +133,14 @@ class Communicator:
             yield from self._send_self(views, nbytes, tag)
         elif not world.same_node(self.world_rank, dest_world):
             # Internode: the wire protocol's eager/rendezvous switch.
-            if not force_rndv and nbytes <= world.policy.net_eager_max:
+            if nbytes <= world.policy.net_eager_max:
                 from repro.net.protocol import send_eager
 
                 yield from send_eager(self, views, nbytes, dest_world, tag)
             else:
                 yield from self._send_rndv(views, nbytes, dest_world, tag)
         elif (
-            not force_rndv
-            and nbytes < world.policy.eager_threshold
+            nbytes < world.policy.eager_threshold
             and nbytes <= self.endpoint.cell_bytes
         ):
             yield from self._send_eager(views, nbytes, dest_world, tag)
@@ -327,32 +317,6 @@ class Communicator:
         )
         return Request(proc, "irecv")
 
-    def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking probe: Status of the first matching pending
-        message (not consumed), or None.  Plain call, not a generator."""
-        src_world = self._to_world(source) if source != ANY_SOURCE else ANY_SOURCE
-        pkt = self.endpoint.iprobe(src_world, tag, self.cid)
-        if pkt is None:
-            return None
-        return Status(self._to_local(pkt.src), pkt.tag, pkt.nbytes, "probed")
-
-    def Probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking probe (generator).  Returns the Status without
-        consuming the message."""
-
-        def impl():
-            status = self.Iprobe(source, tag)
-            if status is not None:
-                return status
-            src_world = (
-                self._to_world(source) if source != ANY_SOURCE else ANY_SOURCE
-            )
-            event = self.endpoint.add_probe_waiter(src_world, tag, self.cid)
-            pkt = yield event
-            return Status(self._to_local(pkt.src), pkt.tag, pkt.nbytes, "probed")
-
-        return impl()
-
     def _recv_impl(self, views: list[BufferView], source: int, tag: int):
         capacity = total_bytes(views)
         src_world = self._to_world(source) if source != ANY_SOURCE else ANY_SOURCE
@@ -498,24 +462,6 @@ class Communicator:
 
         return impl()
 
-    # ------------------------------------------------ persistent requests
-    def Send_init(self, buf: BufLike, dest: int, tag: int = 0) -> "PersistentRequest":
-        """Create a persistent send request (MPI_Send_init): the same
-        (buffer, dest, tag) transfer can be Started repeatedly without
-        re-doing argument setup."""
-        views = as_views(buf)
-        self._check_rank(dest, "dest")
-        return PersistentRequest(self, "send", views, dest, tag)
-
-    def Recv_init(
-        self, buf: BufLike, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> "PersistentRequest":
-        """Create a persistent receive request (MPI_Recv_init)."""
-        views = as_views(buf)
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        return PersistentRequest(self, "recv", views, source, tag)
-
     # ------------------------------------------------- derived communicators
     def Split(self, color: Optional[int], key: int = 0):
         """MPI_Comm_split (generator): returns a new communicator of
@@ -555,18 +501,6 @@ class Communicator:
                 group=[self.group[m] for m in members],
                 cid=cid,
             )
-
-        return impl()
-
-    def Dup(self):
-        """MPI_Comm_dup (generator): same group, fresh context id."""
-
-        def impl():
-            yield self.Barrier()
-            seq = self._split_seq
-            self._split_seq += 1
-            cid = self.world.context_id(("dup", self.cid, seq))
-            return Communicator(self.world, self.rank, group=self.group, cid=cid)
 
         return impl()
 
@@ -671,16 +605,6 @@ class Communicator:
 
         return self._coll("allreduce", allreduce(self, sendbuf, recvbuf, op, dtype))
 
-    def Gather(self, sendbuf, recvbuf, root: int = 0):
-        from repro.mpi.coll.gather import gather
-
-        return self._coll("gather", gather(self, sendbuf, recvbuf, root))
-
-    def Scatter(self, sendbuf, recvbuf, root: int = 0):
-        from repro.mpi.coll.gather import scatter
-
-        return self._coll("scatter", scatter(self, sendbuf, recvbuf, root))
-
     def Allgather(self, sendbuf, recvbuf):
         from repro.mpi.coll.allgather import allgather
 
@@ -697,60 +621,3 @@ class Communicator:
         return self._coll(
             "alltoallv", alltoallv(self, sendbuf, send_counts, recvbuf, recv_counts)
         )
-
-    def Gatherv(self, sendbuf, recvbuf, counts, root: int = 0):
-        from repro.mpi.coll.vector import gatherv
-
-        return self._coll("gatherv", gatherv(self, sendbuf, recvbuf, counts, root))
-
-    def Scatterv(self, sendbuf, recvbuf, counts, root: int = 0):
-        from repro.mpi.coll.vector import scatterv
-
-        return self._coll("scatterv", scatterv(self, sendbuf, recvbuf, counts, root))
-
-    def Allgatherv(self, sendbuf, recvbuf, counts):
-        from repro.mpi.coll.vector import allgatherv
-
-        return self._coll("allgatherv", allgatherv(self, sendbuf, recvbuf, counts))
-
-    def Reduce_scatter_block(self, sendbuf, recvbuf, op=None, dtype=None):
-        from repro.mpi.coll.reduce import reduce_scatter_block
-
-        return self._coll(
-            "reduce_scatter",
-            reduce_scatter_block(self, sendbuf, recvbuf, op, dtype),
-        )
-
-
-class PersistentRequest:
-    """A reusable operation handle (MPI_Send_init / MPI_Recv_init).
-
-    ``Start()`` launches one instance and returns a normal
-    :class:`~repro.mpi.request.Request`; starting again while an
-    instance is in flight is an error, as in MPI.
-    """
-
-    def __init__(self, comm: Communicator, kind: str, views, peer: int, tag: int):
-        self.comm = comm
-        self.kind = kind
-        self.views = views
-        self.peer = peer
-        self.tag = tag
-        self._active: Optional[Request] = None
-        self.starts = 0
-
-    def Start(self) -> Request:
-        if self._active is not None and not self._active.completed:
-            raise MpiError("persistent request started while still active")
-        if self.kind == "send":
-            self._active = self.comm.Isend(self.views, self.peer, self.tag)
-        else:
-            self._active = self.comm.Irecv(self.views, self.peer, self.tag)
-        self.starts += 1
-        return self._active
-
-    def wait(self):
-        """Generator: wait for the active instance."""
-        if self._active is None:
-            raise MpiError("persistent request was never started")
-        return self._active.wait()

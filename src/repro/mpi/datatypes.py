@@ -20,12 +20,9 @@ from repro.kernel.address_space import Buffer, BufferView
 __all__ = [
     "Datatype",
     "Contiguous",
-    "Vector",
     "Indexed",
     "BYTE",
     "as_views",
-    "pack",
-    "unpack",
 ]
 
 
@@ -59,32 +56,6 @@ class Contiguous(Datatype):
 
 
 BYTE = Contiguous(1)
-
-
-class Vector(Datatype):
-    """``count`` blocks of ``blocklen`` bytes, ``stride`` bytes apart.
-
-    The classic strided layout (matrix columns, face exchanges).
-    """
-
-    def __init__(self, count: int, blocklen: int, stride: int) -> None:
-        if count <= 0 or blocklen <= 0:
-            raise DatatypeError(f"bad vector: count={count} blocklen={blocklen}")
-        if stride < blocklen:
-            raise DatatypeError(f"stride {stride} < blocklen {blocklen}")
-        self.count = count
-        self.blocklen = blocklen
-        self.stride = stride
-        self.size = count * blocklen
-        self.extent = (count - 1) * stride + blocklen
-
-    def iovec(self, buf: Buffer, offset: int = 0, count: int = 1) -> list[BufferView]:
-        views = []
-        for rep in range(count):
-            base = offset + rep * self.extent
-            for i in range(self.count):
-                views.append(buf.view(base + i * self.stride, self.blocklen))
-        return _coalesce(views)
 
 
 class Indexed(Datatype):
@@ -128,36 +99,6 @@ def _coalesce(views: list[BufferView]) -> list[BufferView]:
         else:
             out.append(v)
     return out
-
-
-def pack(views: Sequence[BufferView]):
-    """Gather an iovec into one contiguous byte array (MPI_Pack).
-
-    Pure data operation — no simulated time; the transfer engines work
-    on iovecs directly (KNEM's vectorial buffers), so packing is only
-    needed at API boundaries and in tests.
-    """
-    import numpy as np
-
-    if not views:
-        return np.empty(0, dtype=np.uint8)
-    return np.concatenate([v.array for v in views])
-
-
-def unpack(data, views: Sequence[BufferView]) -> int:
-    """Scatter contiguous bytes back into an iovec (MPI_Unpack).
-    Returns the number of bytes consumed."""
-    import numpy as np
-
-    data = np.asarray(data, dtype=np.uint8)
-    offset = 0
-    for v in views:
-        n = min(v.nbytes, len(data) - offset)
-        if n <= 0:
-            break
-        v.array[:n] = data[offset : offset + n]
-        offset += n
-    return offset
 
 
 BufLike = Union[Buffer, BufferView, Sequence[BufferView]]

@@ -162,7 +162,6 @@ class Endpoint:
             )
         self._posted: list[PostedRecv] = []
         self._unexpected: list[Any] = []
-        self._probe_waiters: list[tuple] = []
         self._txns: dict[int, dict[str, Event]] = {}
         # Diagnostics
         self.eager_received = 0
@@ -189,13 +188,6 @@ class Endpoint:
                 return pkt
         return None
 
-    def add_probe_waiter(self, source: int, tag: int, cid: int) -> Event:
-        """Event fired when a matchable packet for (source, tag, cid)
-        lands in the unexpected queue (MPI_Probe support)."""
-        event = self.world.engine.event("probe")
-        self._probe_waiters.append((source, tag, cid, event))
-        return event
-
     def dispatch(self, pkt) -> None:
         """Entry point for every arriving packet."""
         if isinstance(pkt, _MATCHABLE):
@@ -205,13 +197,6 @@ class Endpoint:
                     posted.event.succeed(pkt)
                     return
             self._unexpected.append(pkt)
-            still_waiting = []
-            for source, tag, cid, event in self._probe_waiters:
-                if not event.triggered and _matches(source, tag, cid, pkt):
-                    event.succeed(pkt)
-                else:
-                    still_waiting.append((source, tag, cid, event))
-            self._probe_waiters = still_waiting
             return
         if isinstance(pkt, CtsPacket):
             self._txn(pkt.txn)["cts"].succeed(pkt.info)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from repro.errors import MpiError
 from repro.mpi.status import Status
-from repro.sim.events import AllOf, AnyOf
+from repro.sim.events import AllOf
 from repro.sim.process import Process
 
 __all__ = ["Request"]
@@ -45,23 +45,6 @@ class Request:
         """Generator: block until completion, return the Status."""
         result = yield self.process
         return result
-
-    @staticmethod
-    def waitany(requests: Sequence["Request"]):
-        """Generator: wait until *one* request completes; returns
-        (index, status).  Already-completed requests win immediately
-        (lowest index first)."""
-        if not requests:
-            raise MpiError("waitany needs at least one request")
-        for i, r in enumerate(requests):
-            if r.process.finished:
-                return i, r.process.result
-        engine = requests[0].process.engine
-        yield AnyOf(engine, [r.process.done for r in requests])
-        for i, r in enumerate(requests):
-            if r.process.finished:
-                return i, r.process.result
-        raise MpiError("waitany woke without a completed request")
 
     @staticmethod
     def waitall(requests: Sequence["Request"]):

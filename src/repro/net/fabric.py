@@ -68,15 +68,6 @@ class FabricParams:
     #: default sits near the break-even where two bounce copies cost
     #: about as much as registration plus the extra RTS/CTS round trip.
     eager_max: int = 16 * KiB
-    #: Liu et al. eager-RDMA ablation: associate each peer pair with
-    #: persistent registered buffers and RDMA-write eager payloads
-    #: directly into the receiver's landing zone, instead of the
-    #: send/recv bounce staging above.  Saves the receive-side staging
-    #: copy and the preposted-pool wait; costs registration (amortized
-    #: by the pin-down cache) and per-peer memory.
-    eager_rdma: bool = False
-    #: Credit ring depth per (sender, receiver) persistent association.
-    eager_rdma_slots: int = 4
     #: Send-side bounce buffers per NIC (eager messages stage here).
     tx_bounce_count: int = 8
     #: Receive-side preposted bounce buffers per NIC.
@@ -103,8 +94,6 @@ class FabricParams:
             raise SimulationError("max_retries must be >= 0")
         if self.rto_min <= 0 or self.rto_factor < 0:
             raise SimulationError("retransmission timer knobs must be positive")
-        if self.eager_rdma_slots < 1:
-            raise SimulationError("eager_rdma_slots must be >= 1")
 
     @property
     def ack_latency(self) -> float:

@@ -34,7 +34,7 @@ simulated event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Optional
 
@@ -45,7 +45,7 @@ from repro.sim.events import Event, Join
 from repro.sim.resources import Channel
 from repro.units import CACHE_LINE
 
-__all__ = ["NetDescriptor", "NicRequest", "EagerRdmaSlot", "Nic"]
+__all__ = ["NetDescriptor", "NicRequest", "Nic"]
 
 
 @dataclass
@@ -61,23 +61,6 @@ class NetDescriptor:
     execute: Optional[Callable[[], None]] = None
     src_phys: int = -1
     dst_phys: int = -1
-
-
-@dataclass
-class EagerRdmaSlot:
-    """One credit of a persistent eager-RDMA association (Liu et al.).
-
-    ``tx`` lives on the sender's machine and is registered through the
-    sender NIC's pin-down cache (whole-buffer range, so repeated sends
-    hit the same cache entry); ``rx`` is the matching landing zone on
-    the receiver's machine, established at association time.  The
-    credit returns to the ring only when the receiver drains the
-    payload — the flow control that keeps the landing zone from being
-    overwritten.
-    """
-
-    tx: BufferView
-    rx: BufferView
 
 
 @dataclass
@@ -163,17 +146,10 @@ class Nic:
             self.rx_bounce.put(
                 alloc_shared(machine, self.params.eager_max, name=f"nic{node}.rxb{i}")
             )
-        #: Persistent eager-RDMA associations, keyed by destination
-        #: node; built lazily on first eager send to that peer (the
-        #: out-of-band connection handshake Liu et al. describe).
-        self._er_rings: dict[int, Channel] = {}
         # Diagnostics
         self.bytes_tx = 0
         self.bytes_rx = 0
         self.requests_tx = 0
-        # Eager-RDMA ablation counters (absorbed into repro.obs metrics).
-        self.eager_rdma_sends = 0
-        self.eager_rdma_fallbacks = 0
         # Resilience counters (flow into bench.reporting.resilience_block).
         self.retransmits = 0
         self.rx_duplicates = 0
@@ -244,36 +220,6 @@ class Nic:
         )
         self.submit(request)
         return request
-
-    def eager_rdma_ring(self, dst_node: int) -> Channel:
-        """The persistent-association credit ring toward ``dst_node``,
-        built on first use.
-
-        Each slot pairs a sender-side buffer here with a landing zone
-        allocated on the remote machine; both span ``eager_max`` bytes.
-        Allocation happens once per peer (association handshake); the
-        per-send registration of the ``tx`` side goes through
-        :meth:`register` so the pin-down cache turns steady state into
-        hits.
-        """
-        ring = self._er_rings.get(dst_node)
-        if ring is None:
-            if not 0 <= dst_node < self.fabric.nnodes:
-                raise HardwareError(f"bad eager-RDMA peer {dst_node}")
-            remote = self.fabric.nics[dst_node]
-            ring = Channel(self.engine, name=f"nic{self.node}.er{dst_node}")
-            for i in range(self.params.eager_rdma_slots):
-                tx = alloc_shared(
-                    self.machine, self.params.eager_max,
-                    name=f"nic{self.node}.ertx{dst_node}.{i}",
-                )
-                rx = alloc_shared(
-                    remote.machine, self.params.eager_max,
-                    name=f"nic{self.node}.errx{dst_node}.{i}",
-                )
-                ring.put(EagerRdmaSlot(tx=tx.view(), rx=rx.view()))
-            self._er_rings[dst_node] = ring
-        return ring
 
     # ---------------------------------------------------- registration
     def register(self, core: int, views, parent=None) -> "Generator":  # noqa: F821
@@ -526,16 +472,8 @@ class Nic:
                 params.ack_latency, self._ack_done, request, self.engine.now
             )
         if request.on_delivered is not None:
-            if request.kind == "eager-rdma":
-                # The receiver discovers an eager-RDMA payload by
-                # polling the landing zone's tail flag from its own
-                # progress loop — no completion-queue entry, so the
-                # CQ-poll delay disappears (the protocol's latency win,
-                # bought with pinned per-peer memory).
-                self.engine.schedule(0.0, request.on_delivered, request)
-            else:
-                self.engine.schedule(
-                    self.fabric.jitter(params.t_completion),
-                    request.on_delivered,
-                    request,
-                )
+            self.engine.schedule(
+                self.fabric.jitter(params.t_completion),
+                request.on_delivered,
+                request,
+            )

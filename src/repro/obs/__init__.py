@@ -17,13 +17,7 @@ Enable with ``run_mpi(..., obs=ObsConfig(spans=True))`` or the
 
 from repro import _lazy_exports
 from repro.obs.config import ObsConfig
-from repro.obs.metrics import (
-    WALL_PREFIX,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.phases import STRUCTURAL_KINDS, WORK_KINDS, phase_breakdown
 from repro.obs.spans import ObsCollector, Span, SpanContext
 
@@ -47,7 +41,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "WALL_PREFIX",
     "WORK_KINDS",
     "STRUCTURAL_KINDS",
     "phase_breakdown",

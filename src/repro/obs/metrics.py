@@ -22,18 +22,7 @@ from typing import Iterable, Optional
 
 from repro.errors import SimulationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "WALL_PREFIX"]
-
-#: Namespace convention: metric names starting with this prefix carry
-#: *wall-clock* (host) measurements.  The simulated stack records none;
-#: a caller that adds host timings to a registry names them here,
-#: because they legitimately differ between two runs of the same
-#: seeded spec.  Every determinism comparison therefore uses
-#: :meth:`MetricsRegistry.sim_snapshot`, which excludes them;
-#: everything else in the registry is simulated-time data and must
-#: replay byte-identically.
-WALL_PREFIX = "wall."
-
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 class Counter:
     """A monotonically non-decreasing total."""
@@ -164,20 +153,6 @@ class MetricsRegistry:
             out[name] = self._histograms[name].snapshot()
         return out
 
-    def sim_snapshot(self) -> dict:
-        """:meth:`snapshot` minus the ``wall.*`` namespace.
-
-        This is the determinism surface: two seeded runs of the same
-        spec must produce *identical* ``sim_snapshot()`` dicts, while
-        the excluded wall metrics are free to differ (they measure the
-        host, not the model).
-        """
-        return {
-            name: value
-            for name, value in self.snapshot().items()
-            if not name.startswith(WALL_PREFIX)
-        }
-
     # ------------------------------------------------------ absorption
     def absorb_world(self, world) -> "MetricsRegistry":
         """Pull the authoritative counters of a finished run.
@@ -246,8 +221,6 @@ class MetricsRegistry:
                 "rx_corrupt_discards",
                 "rx_incomplete_discards",
                 "retries_exhausted",
-                "eager_rdma_sends",
-                "eager_rdma_fallbacks",
             ):
                 self.counter(f"nic.{attr}").set(sum(getattr(n, attr) for n in nics))
             self.gauge("nic.backoff_seconds").set(

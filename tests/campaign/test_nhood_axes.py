@@ -8,8 +8,7 @@ move.
 
 import pytest
 
-from repro.campaign import CampaignSpec, group_label, trial_hash
-from repro.campaign.executor import run_trial
+from repro.campaign import CampaignSpec, ResultCache, group_label, run_campaign, trial_hash
 from repro.errors import BenchmarkError
 from repro.units import KiB
 
@@ -93,12 +92,14 @@ def test_nhood_spec_validation():
 
 
 def test_run_trial_executes_nhood_config():
+    spec = _nhood_spec()
     trial = next(
-        t for t in _nhood_spec().trials()
+        t for t in spec.trials()
         if t.config["strategy"] == "node-aware"
         and t.config["pattern"] == "irregular"
     )
-    record = run_trial(trial.config)
+    run = run_campaign(spec, cache=ResultCache.open("mem:"), trials=[trial])
+    [record] = run.records
     assert record["status"] == "ok", record["error"]
     assert record["primary"] == "seconds"
     m = record["metrics"]

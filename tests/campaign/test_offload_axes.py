@@ -8,8 +8,7 @@ configs — legacy trial hashes must not move.
 
 import pytest
 
-from repro.campaign import CampaignSpec, group_label, trial_hash
-from repro.campaign.executor import run_trial
+from repro.campaign import CampaignSpec, ResultCache, group_label, run_campaign, trial_hash
 from repro.campaign.spec import MACHINE_GENERATIONS
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
@@ -102,11 +101,13 @@ def test_offload_trial_hashes_are_distinct():
 
 
 def test_run_trial_executes_offload_config():
+    spec = _offload_spec()
     trial = next(
-        t for t in _offload_spec().trials()
+        t for t in spec.trials()
         if t.config["machine_generation"] == "modern"
     )
-    record = run_trial(trial.config)
+    run = run_campaign(spec, cache=ResultCache.open("mem:"), trials=[trial])
+    [record] = run.records
     assert record["status"] == "ok", record.get("error")
     assert record["primary"] == "offload_mib_per_s"
     m = record["metrics"]

@@ -1,6 +1,7 @@
 """A `campaign run` SIGKILLed partway keeps every trial that finished:
 its `campaign resume` executes only the rest and reports what a run
-that was never interrupted reports."""
+that was never interrupted reports.  Its pool workers do not outlive
+it."""
 
 import json
 import os
@@ -38,13 +39,38 @@ def _stored(url: str, path: Path) -> int:
 
 
 def _kill(proc) -> None:
-    """SIGKILL the run and its pool workers: they share its session, and
-    a pool worker outlives a killed orchestrator."""
+    """SIGKILL the run and its pool workers (they share its session)."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:  # the run had already ended
         pass
     proc.wait()
+
+
+def _live_members(pgid: int) -> list[int]:
+    """PIDs of process group ``pgid`` that are still running.  A zombie
+    has exited; it only waits for its new parent to reap it."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while we looked
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+def _kill_orchestrator(proc) -> None:
+    """SIGKILL the run's orchestrator alone; its pool workers must
+    notice and exit, so its session empties within 10 s."""
+    proc.kill()
+    proc.wait()
+    deadline = time.monotonic() + 10
+    while _live_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = _live_members(proc.pid)
+    assert not left, f"processes {left} outlived the killed orchestrator"
 
 
 def _kill_after_first_stored(proc, url: str, path: Path, traces: Path) -> None:
@@ -60,7 +86,7 @@ def _kill_after_first_stored(proc, url: str, path: Path, traces: Path) -> None:
         if finished == N:
             break
         if stored:
-            _kill(proc)
+            _kill_orchestrator(proc)
             return
         time.sleep(0.005)
     _kill(proc)
@@ -90,7 +116,10 @@ def test_killed_run_resumes_only_the_unfinished_trials(
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
-    _kill_after_first_stored(proc, url, path, traces)
+    try:
+        _kill_after_first_stored(proc, url, path, traces)
+    finally:
+        _kill(proc)
     k = _stored(url, path)
     assert 1 <= k < N
 

@@ -9,7 +9,7 @@ from repro.hw import xeon_e5345
 from repro.mpi import run_mpi
 from repro.mpi.coll.allgather import allgather_recursive_doubling, allgather_ring
 from repro.mpi.coll.alltoall import alltoall_bruck
-from repro.mpi.coll.bcast import bcast_binomial, bcast_scatter_allgather
+from repro.mpi.coll.bcast import bcast
 from repro.mpi.coll.reduce import (
     allreduce_rabenseifner,
     allreduce_recursive_doubling,
@@ -23,7 +23,7 @@ TOPO = xeon_e5345()
 
 
 # ------------------------------------------------------------- bcast --
-@pytest.mark.parametrize("algo", [bcast_binomial, bcast_scatter_allgather])
+@pytest.mark.parametrize("algo", [pytest.param(bcast, id="bcast_binomial")])
 @pytest.mark.parametrize("nprocs", [4, 7, 8])
 @pytest.mark.parametrize("root", [0, 2])
 def test_bcast_algorithms(algo, nprocs, root):
@@ -39,27 +39,6 @@ def test_bcast_algorithms(algo, nprocs, root):
     r = run_mpi(TOPO, nprocs, main)
     expected = int(np.sum((np.arange(nbytes) % 157).astype(np.uint8), dtype=np.int64))
     assert all(res == expected for res in r.results)
-
-
-def test_bcast_selection_by_size():
-    """Small payloads take the tree; large take scatter+allgather.
-    Both must deliver; we check via tuning override that selection
-    actually switches (scatter+allgather sends p-1 extra ring messages)."""
-
-    def main(ctx):
-        buf = ctx.alloc(64 * KiB)
-        if ctx.rank == 0:
-            buf.data[:] = 3
-        yield ctx.comm.Bcast(buf, root=0)
-        return int(buf.data[0])
-
-    low = run_mpi(TOPO, 8, main, coll_tuning=CollTuning(bcast_long_min=1))
-    high = run_mpi(TOPO, 8, main, coll_tuning=CollTuning(bcast_long_min=1 << 30))
-    assert low.results == high.results == [3] * 8
-    # The long algorithm exchanges more (smaller) messages in total.
-    msgs_low = sum(ep.eager_received + ep.rndv_received for ep in low.world.endpoints)
-    msgs_high = sum(ep.eager_received + ep.rndv_received for ep in high.world.endpoints)
-    assert msgs_low > msgs_high
 
 
 # --------------------------------------------------------- allgather --
@@ -179,7 +158,7 @@ def test_untouched_allreduce_materialises_no_payload(nprocs, nbytes):
 def test_untouched_reduce_scatter_block_materialises_no_payload():
     def main(ctx):
         send, recv = ctx.alloc(64 * KiB), ctx.alloc(8 * KiB)
-        yield ctx.comm.Reduce_scatter_block(send, recv)
+        yield from reduce_scatter_block(ctx.comm, send, recv)
 
     r = run_mpi(TOPO, 8, main)
     assert all(b._data is None for space in r.world.spaces for b in space.buffers)
@@ -281,6 +260,52 @@ def test_partial_element_byte_count_raises_before_any_message(written):
         assert "100B" in msg and "8B" in msg
         assert now == 0.0
     assert sum(ep.eager_received + ep.rndv_received for ep in r.world.endpoints) == 0
+
+
+@pytest.mark.parametrize("nprocs", [4, 8])
+def test_reduce_scatter_block_pow2(nprocs):
+    block = 4 * KiB
+
+    def main(ctx):
+        p = ctx.comm.size
+        send = ctx.alloc(block * p)
+        recv = ctx.alloc(block)
+        for j in range(p):
+            send.data[j * block : (j + 1) * block] = ctx.rank + j
+        yield from reduce_scatter_block(ctx.comm, send, recv)
+        return int(recv.data[0])
+
+    r = run_mpi(TOPO, nprocs, main)
+    # rank j receives sum over ranks r of (r + j)
+    base = sum(range(nprocs))
+    assert r.results == [(base + nprocs * j) % 256 for j in range(nprocs)]
+
+
+def test_reduce_scatter_block_non_pow2_fallback():
+    block = 2 * KiB
+
+    def main(ctx):
+        p = ctx.comm.size
+        send = ctx.alloc(block * p)
+        recv = ctx.alloc(block)
+        for j in range(p):
+            send.data[j * block : (j + 1) * block] = 2 + j
+        yield from reduce_scatter_block(ctx.comm, send, recv)
+        return int(recv.data[0]), int(recv.data[-1])
+
+    r = run_mpi(TOPO, 3, main)
+    # rank j keeps block j, summed over the three ranks.
+    assert r.results == [(6, 6), (9, 9), (12, 12)]
+
+
+def test_reduce_scatter_block_indivisible_rejected():
+    def main(ctx):
+        send = ctx.alloc(100)  # not divisible by 3
+        recv = ctx.alloc(64)
+        with pytest.raises(MpiError):
+            yield from reduce_scatter_block(ctx.comm, send, recv)
+
+    run_mpi(TOPO, 3, main)
 
 
 def test_reduce_scatter_block_rejects_partial_element_blocks():

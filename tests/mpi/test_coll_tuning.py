@@ -15,7 +15,6 @@ def _chosen(ctx, nbytes):
     """Name of the algorithm each dispatcher picks for ``nbytes``."""
     from repro.mpi.coll.allgather import allgather
     from repro.mpi.coll.alltoall import alltoall
-    from repro.mpi.coll.bcast import bcast
     from repro.mpi.coll.reduce import allreduce
 
     p = ctx.comm.size
@@ -24,7 +23,6 @@ def _chosen(ctx, nbytes):
     big = ctx.alloc(p * nbytes)
     names = {}
     for key, gen in (
-        ("bcast", bcast(ctx.comm, buf)),
         ("allreduce", allreduce(ctx.comm, buf, out)),
         ("allgather", allgather(ctx.comm, buf, big)),
         ("alltoall", alltoall(ctx.comm, big, big)),  # per-pair block = nbytes
@@ -50,11 +48,6 @@ def _hier(nbytes):
     return run_cluster(SPEC2, 8, main, procs_per_node=4).results[0]
 
 
-def test_bcast_long_min_boundary():
-    assert _flat(32 * KiB - 1)["bcast"] == "bcast_binomial"
-    assert _flat(32 * KiB)["bcast"] == "bcast_scatter_allgather"
-
-
 def test_allreduce_rabenseifner_min_boundary():
     assert _flat(2 * KiB - 1)["allreduce"] == "allreduce_recursive_doubling"
     assert _flat(2 * KiB)["allreduce"] == "allreduce_rabenseifner"
@@ -75,16 +68,6 @@ def test_alltoall_medium_max_boundary():
     assert _flat(32 * KiB + 4)["alltoall"] == "alltoall_pairwise"
 
 
-def test_hier_bcast_min_boundary():
-    assert _hier(32 * KiB - 1)["bcast"] == "bcast_binomial"
-    assert _hier(32 * KiB)["bcast"] == "bcast_hier"
-
-
 def test_hier_allreduce_min_boundary():
     assert _hier(64 * KiB - 8)["allreduce"] == "allreduce_rabenseifner"
     assert _hier(64 * KiB)["allreduce"] == "allreduce_hier"
-
-
-def test_hier_alltoall_max_boundary():
-    assert _hier(4 * KiB)["alltoall"] == "alltoall_hier"
-    assert _hier(4 * KiB + 4)["alltoall"] == "alltoall_scattered"

@@ -75,39 +75,6 @@ def test_allreduce_everyone_gets_sum():
     assert r.results == [sum(2 * k for k in range(8))] * 8
 
 
-def test_gather_collects_blocks():
-    block = 8 * KiB
-
-    def main(ctx):
-        send = ctx.alloc(block)
-        send.data[:] = ctx.rank + 10
-        recv = ctx.alloc(block * 4) if ctx.rank == 1 else None
-        yield ctx.comm.Gather(send, recv, root=1)
-        if ctx.rank == 1:
-            return [int(recv.data[i * block]) for i in range(4)]
-        return None
-
-    r = run_mpi(TOPO, 4, main)
-    assert r.results[1] == [10, 11, 12, 13]
-
-
-def test_scatter_distributes_blocks():
-    block = 8 * KiB
-
-    def main(ctx):
-        recv = ctx.alloc(block)
-        send = None
-        if ctx.rank == 0:
-            send = ctx.alloc(block * 4)
-            for i in range(4):
-                send.data[i * block : (i + 1) * block] = 40 + i
-        yield ctx.comm.Scatter(send, recv, root=0)
-        return int(recv.data[0])
-
-    r = run_mpi(TOPO, 4, main)
-    assert r.results == [40, 41, 42, 43]
-
-
 @pytest.mark.parametrize("nprocs", [4, 8])
 def test_allgather_ring(nprocs):
     block = 16 * KiB

@@ -1,10 +1,7 @@
-"""Tests for sub-communicators, probe, Ssend, waitany."""
-
-import numpy as np
-import pytest
+"""Tests for sub-communicators and the eager send's early return."""
 
 from repro.hw import xeon_e5345
-from repro.mpi import ANY_SOURCE, ANY_TAG, run_mpi
+from repro.mpi import run_mpi
 from repro.mpi.request import Request
 from repro.units import KiB
 
@@ -96,97 +93,6 @@ def test_context_isolation_same_tags_different_comms():
     assert r.results[1] == (11, 22)
 
 
-def test_dup_gives_fresh_context():
-    def main(ctx):
-        comm = ctx.comm
-        dup = yield comm.Dup()
-        assert dup.cid != comm.cid
-        assert dup.group == comm.group
-        buf = ctx.alloc(64)
-        if ctx.rank == 0:
-            yield dup.Send(buf, dest=1)
-            return dup.cid
-        yield dup.Recv(buf, source=0)
-        return dup.cid
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[0] == r.results[1] != 0
-
-
-# ------------------------------------------------------------- Probe --
-def test_iprobe_sees_pending_without_consuming():
-    def main(ctx):
-        comm = ctx.comm
-        buf = ctx.alloc(1 * KiB)
-        if ctx.rank == 0:
-            buf.data[:] = 9
-            yield comm.Send(buf, dest=1, tag=3)
-            return None
-        # Wait until the message is pending.
-        while comm.Iprobe(source=0, tag=3) is None:
-            yield 1e-5
-        st = comm.Iprobe(source=0, tag=3)
-        assert st.nbytes == 1 * KiB and st.source == 0
-        # Still consumable.
-        st2 = yield comm.Recv(buf, source=0, tag=3)
-        return st2.nbytes, int(buf.data[0])
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[1] == (1 * KiB, 9)
-
-
-def test_probe_blocks_until_arrival():
-    def main(ctx):
-        comm = ctx.comm
-        buf = ctx.alloc(4 * KiB)
-        if ctx.rank == 0:
-            yield ctx.compute(0.002)
-            yield comm.Send(buf, dest=1, tag=1)
-            return None
-        st = yield comm.Probe(source=0, tag=1)
-        arrived_at = ctx.now
-        assert st.nbytes == 4 * KiB
-        yield comm.Recv(buf, source=0, tag=1)
-        return arrived_at
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[1] >= 0.002
-
-
-def test_probe_wildcards():
-    def main(ctx):
-        comm = ctx.comm
-        buf = ctx.alloc(64)
-        if ctx.rank == 0:
-            yield comm.Send(buf, dest=1, tag=55)
-            return None
-        st = yield comm.Probe(source=ANY_SOURCE, tag=ANY_TAG)
-        yield comm.Recv(buf, source=st.source, tag=st.tag)
-        return st.source, st.tag
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[1] == (0, 55)
-
-
-# ------------------------------------------------------------- Ssend --
-def test_ssend_small_message_waits_for_receiver():
-    """A 1 KiB Ssend must not complete before the receive is posted
-    (the eager path would buffer-and-return)."""
-
-    def main(ctx):
-        comm = ctx.comm
-        buf = ctx.alloc(1 * KiB)
-        if ctx.rank == 0:
-            yield comm.Ssend(buf, dest=1)
-            return ctx.now
-        yield ctx.compute(0.005)  # receiver arrives late
-        yield comm.Recv(buf, source=0)
-        return ctx.now
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[0] >= 0.005  # sender waited for the late receiver
-
-
 def test_send_small_message_returns_early():
     """Contrast: the plain eager Send buffers and returns immediately."""
 
@@ -202,36 +108,3 @@ def test_send_small_message_returns_early():
 
     r = run_mpi(TOPO, 2, main)
     assert r.results[0] < 0.001
-
-
-# ----------------------------------------------------------- waitany --
-def test_waitany_returns_first_completion():
-    def main(ctx):
-        comm = ctx.comm
-        fast, slow = ctx.alloc(1 * KiB), ctx.alloc(1 * KiB)
-        if ctx.rank == 0:
-            yield comm.Send(fast, dest=1, tag=1)  # immediate
-            yield ctx.compute(0.01)
-            yield comm.Send(slow, dest=1, tag=2)  # late
-            return None
-        reqs = [
-            comm.Irecv(slow, source=0, tag=2),
-            comm.Irecv(fast, source=0, tag=1),
-        ]
-        index, status = yield from Request.waitany(reqs)
-        yield from Request.waitall(reqs)
-        return index, status.tag
-
-    r = run_mpi(TOPO, 2, main)
-    assert r.results[1] == (1, 1)  # the tag-1 receive finished first
-
-
-def test_waitany_rejects_empty():
-    from repro.errors import MpiError
-
-    def main(ctx):
-        with pytest.raises(MpiError):
-            yield from Request.waitany([])
-        yield ctx.compute(0)
-
-    run_mpi(TOPO, 1, main)

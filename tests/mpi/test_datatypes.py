@@ -5,7 +5,7 @@ import pytest
 from repro.errors import DatatypeError
 from repro.hw import Machine, xeon_e5345
 from repro.kernel.address_space import AddressSpace
-from repro.mpi.datatypes import BYTE, Contiguous, Indexed, Vector, as_views
+from repro.mpi.datatypes import BYTE, Contiguous, Indexed, as_views
 from repro.sim import Engine
 
 
@@ -37,36 +37,6 @@ def test_contiguous_rejects_bad(buf):
         Contiguous(0)
     with pytest.raises(DatatypeError):
         Contiguous(8).iovec(buf, count=0)
-
-
-def test_vector_layout(buf):
-    t = Vector(count=3, blocklen=8, stride=32)
-    assert t.size == 24
-    assert t.extent == 2 * 32 + 8
-    views = t.iovec(buf)
-    assert [(v.offset, v.nbytes) for v in views] == [(0, 8), (32, 8), (64, 8)]
-
-
-def test_vector_dense_coalesces(buf):
-    t = Vector(count=4, blocklen=16, stride=16)  # actually contiguous
-    views = t.iovec(buf)
-    assert len(views) == 1 and views[0].nbytes == 64
-
-
-def test_vector_count_repeats_extent(buf):
-    t = Vector(count=2, blocklen=4, stride=8)
-    views = t.iovec(buf, count=2)
-    # Second repetition starts at extent=12; the block at 8 and the one
-    # at 12 are adjacent and get coalesced.
-    assert [(v.offset, v.nbytes) for v in views] == [(0, 4), (8, 8), (20, 4)]
-    assert sum(v.nbytes for v in views) == 2 * t.size
-
-
-def test_vector_rejects_bad():
-    with pytest.raises(DatatypeError):
-        Vector(0, 8, 16)
-    with pytest.raises(DatatypeError):
-        Vector(2, 16, 8)  # stride < blocklen
 
 
 def test_indexed_layout(buf):
@@ -109,34 +79,3 @@ def test_as_views_rejects_junk(buf):
         as_views([])
     with pytest.raises(DatatypeError):
         as_views([buf, buf])  # buffers inside a list are not views
-
-
-def test_pack_unpack_roundtrip(buf):
-    import numpy as np
-
-    from repro.mpi.datatypes import pack, unpack
-
-    t = Vector(count=5, blocklen=16, stride=40)
-    views = t.iovec(buf, offset=8)
-    for i, v in enumerate(views):
-        v.array[:] = i + 1
-    flat = pack(views)
-    assert flat.nbytes == t.size
-    # Clear and restore through unpack.
-    for v in views:
-        v.array[:] = 0
-    consumed = unpack(flat, views)
-    assert consumed == t.size
-    assert all(np.all(v.array == i + 1) for i, v in enumerate(views))
-
-
-def test_pack_empty_and_short_unpack(buf):
-    import numpy as np
-
-    from repro.mpi.datatypes import pack, unpack
-
-    assert pack([]).nbytes == 0
-    views = [buf.view(0, 10), buf.view(20, 10)]
-    consumed = unpack(np.full(5, 9, dtype=np.uint8), views)
-    assert consumed == 5
-    assert buf.view(0, 5).array.tolist() == [9] * 5

@@ -2,17 +2,16 @@
 
 These pin the invariants the neighborhood strategies lean on: an
 ``Indexed`` gather/scatter list always expands to an iovec covering
-exactly its bytes, address-adjacent blocks merge, zero-length blocks
-vanish, and ``pack``/``unpack`` round-trips any layout bit-exactly.
+exactly its bytes, address-adjacent blocks merge, and zero-length
+blocks vanish.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import Machine, xeon_e5345
 from repro.kernel.address_space import AddressSpace
-from repro.mpi.datatypes import Indexed, _coalesce, pack, unpack
+from repro.mpi.datatypes import Indexed, _coalesce
 from repro.sim import Engine
 
 BUF_BYTES = 1 << 16
@@ -75,23 +74,3 @@ def test_coalesce_merges_adjacent_and_preserves_bytes(blocks):
     # Merging never reorders: flattened byte ranges appear in input order.
     flat = [(v.offset, v.nbytes) for v in merged]
     assert flat == sorted(flat)
-
-
-@given(blocks=block_lists(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_pack_unpack_roundtrip_any_layout(blocks, seed):
-    buf = _buf()
-    t = Indexed(blocks)
-    views = t.iovec(buf)
-    rng = np.random.default_rng(seed)
-    for v in views:
-        v.array[:] = rng.integers(0, 256, size=v.nbytes, dtype=np.uint8)
-    originals = [v.array.copy() for v in views]
-    flat = pack(views)
-    assert flat.nbytes == t.size
-    for v in views:
-        v.array[:] = 0
-    consumed = unpack(flat, views)
-    assert consumed == t.size
-    for v, orig in zip(views, originals):
-        assert np.array_equal(v.array, orig)

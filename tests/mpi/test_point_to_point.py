@@ -228,12 +228,13 @@ def test_zero_byte_message():
 
 
 def test_noncontiguous_send_via_vector_datatype():
-    from repro.mpi.datatypes import Vector
+    from repro.mpi.datatypes import Indexed
 
     def main(ctx):
         comm = ctx.comm
         buf = ctx.alloc(512 * KiB)
-        t = Vector(count=1024, blocklen=256, stride=512)  # 256 KiB payload
+        # 1024 strided blocks of 256 B, 512 B apart: a 256 KiB payload.
+        t = Indexed([(i * 512, 256) for i in range(1024)])
         views = t.iovec(buf)
         if ctx.rank == 0:
             buf.data[:] = 0

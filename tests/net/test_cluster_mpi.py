@@ -82,6 +82,15 @@ def test_eager_rendezvous_crossover_follows_fabric_threshold():
     assert rndv.results[1][2] == "nic+rdma"
 
 
+def test_eager_bounce_path_registers_no_memory():
+    """Internode eager payloads stage through the NICs' preposted bounce
+    buffers, so they never touch the pin-down cache."""
+    r = run_cluster(SPEC2, 2, _pingpong(8 * KiB, reps=6), procs_per_node=1)
+    assert r.results[1][2] == "net-eager"
+    snap = r.obs.metrics.snapshot()
+    assert snap["regcache.hits"] == 0 and snap["regcache.misses"] == 0
+
+
 def test_per_pair_backend_selection_traced():
     """One job, three ranks: rank0-rank1 share node 0, rank2 sits on
     node 1.  Large sends must take the intranode LMT for the local pair

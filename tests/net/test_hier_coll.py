@@ -1,6 +1,4 @@
-"""Hierarchy-aware collectives: correctness and the hier-vs-flat win."""
-
-import re
+"""The hierarchical allreduce: correctness and the hier-vs-flat win."""
 
 import numpy as np
 import pytest
@@ -8,16 +6,13 @@ import pytest
 from repro.hw import cluster_of, xeon_e5345
 from repro.mpi import run_cluster
 from repro.mpi.coll.tuning import CollTuning
-from repro.obs import ObsConfig
 from repro.units import KiB
 
 TOPO = xeon_e5345()
 SPEC2 = cluster_of(TOPO, 2)
 
-FLAT = CollTuning(
-    hier_bcast_min=1 << 40, hier_allreduce_min=1 << 40, hier_alltoall_max=0
-)
-HIER = CollTuning(hier_bcast_min=1, hier_allreduce_min=1, hier_alltoall_max=1 << 40)
+FLAT = CollTuning(hier_allreduce_min=1 << 40)
+HIER = CollTuning(hier_allreduce_min=1)
 
 
 def _allreduce_main(nbytes):
@@ -99,97 +94,3 @@ def test_hier_allreduce_float64_slices_whole_elements(ndoubles):
     r = run_cluster(SPEC2, 8, main, procs_per_node=4, coll_tuning=HIER)
     expected = sum(values(k) for k in range(8))
     assert all(np.array_equal(got, expected) for got in r.results)
-
-
-@pytest.mark.parametrize("root", [0, 5])
-def test_hier_bcast_correct_from_any_root(root):
-    nbytes = 64 * KiB
-
-    def main(ctx):
-        from repro.mpi.coll.bcast import bcast
-
-        buf = ctx.alloc(nbytes)
-        if ctx.rank == root:
-            buf.data[:] = 42
-        yield from bcast(ctx.comm, buf, root=root)
-        return int(buf.data[0]), int(buf.data[-1])
-
-    r = run_cluster(SPEC2, 8, main, procs_per_node=4, coll_tuning=HIER)
-    assert r.results == [(42, 42)] * 8
-
-
-def test_hier_bcast_beats_flat_for_large_messages():
-    nbytes = 256 * KiB
-
-    def main(ctx):
-        from repro.mpi.coll.bcast import bcast
-
-        buf = ctx.alloc(nbytes)
-        yield from bcast(ctx.comm, buf, root=0)
-        t0 = ctx.now
-        yield from bcast(ctx.comm, buf, root=0)
-        return ctx.now - t0
-
-    times = {}
-    for label, tuning in (("flat", FLAT), ("hier", HIER)):
-        r = run_cluster(SPEC2, 8, main, procs_per_node=4, coll_tuning=tuning)
-        times[label] = max(r.results)
-    assert times["hier"] < times["flat"]
-
-
-def test_hier_alltoall_correct_small_blocks():
-    block = 512
-    nprocs = 8
-
-    def main(ctx):
-        from repro.mpi.coll.alltoall import alltoall
-
-        send = ctx.alloc(nprocs * block)
-        recv = ctx.alloc(nprocs * block)
-        for dst in range(nprocs):
-            send.data[dst * block : (dst + 1) * block] = (
-                ctx.rank * nprocs + dst
-            ) % 251
-        yield from alltoall(ctx.comm, send, recv)
-        return [
-            int(recv.data[src * block]) == (src * nprocs + ctx.rank) % 251
-            and int(recv.data[(src + 1) * block - 1]) == (src * nprocs + ctx.rank) % 251
-            for src in range(nprocs)
-        ]
-
-    r = run_cluster(SPEC2, nprocs, main, procs_per_node=4, coll_tuning=HIER)
-    assert all(all(ok) for ok in r.results)
-
-
-def test_hier_alltoall_reduces_wire_messages():
-    """Leader aggregation: N*(N-1) internode payload messages instead of
-    P*(P-1) — count NIC traffic in a trace."""
-    block = 512
-    nprocs = 8
-
-    def main(ctx):
-        from repro.mpi.coll.alltoall import alltoall
-
-        send = ctx.alloc(nprocs * block)
-        recv = ctx.alloc(nprocs * block)
-        yield from alltoall(ctx.comm, send, recv)
-        return None
-
-    counts = {}
-    for label, tuning in (("flat", FLAT), ("hier", HIER)):
-        r = run_cluster(
-            SPEC2, nprocs, main, procs_per_node=4, coll_tuning=tuning,
-            obs=ObsConfig(spans=True),
-        )
-        spans = r.obs.spans
-        by_id = {s.span_id: s for s in spans}
-        # Each wire span's parent is its NIC attempt, which names the
-        # request kind.
-        counts[label] = sum(
-            s.attrs["nbytes"]
-            for s in spans
-            if s.kind == "wire"
-            and re.fullmatch(r"nic\d+\.tx", s.track)
-            and by_id[s.parent_id].attrs["req"] != "ctrl"
-        )
-    assert counts["hier"] < counts["flat"]

@@ -70,15 +70,6 @@ def test_histogram_log2_buckets():
         h.observe(-1)
 
 
-def test_sim_snapshot_excludes_wall_namespace():
-    reg = MetricsRegistry()
-    reg.counter("engine.events_executed").inc(7)
-    reg.counter("wall.total_seconds").set(1.23)
-    reg.counter("wall.engine.dispatch.f.seconds").set(0.5)
-    assert "wall.total_seconds" in reg.snapshot()
-    assert reg.sim_snapshot() == {"engine.events_executed": 7}
-
-
 def test_registry_rejects_cross_type_name_collisions():
     reg = MetricsRegistry()
     reg.counter("a")

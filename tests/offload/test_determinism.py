@@ -1,8 +1,8 @@
 """Determinism guarantees of the offload paths.
 
 Seeded healthy and faulted/degraded DSA pairs replay to identical
-``sim_snapshot()`` dicts (the documented surface — ``wall.*`` is
-excluded by namespace).
+metrics ``snapshot()`` dicts: every metric the stack records is
+simulated data.
 """
 
 from repro import FaultPlan, ObsConfig, modern_server, run_mpi
@@ -38,7 +38,7 @@ def _run(seed=None, faults=None):
 def test_seeded_dsa_pairs_replay_identically():
     a = _run(seed=11)
     b = _run(seed=11)
-    assert a.obs.metrics.sim_snapshot() == b.obs.metrics.sim_snapshot()
+    assert a.obs.metrics.snapshot() == b.obs.metrics.snapshot()
     assert a.elapsed == b.elapsed
 
 
@@ -48,6 +48,6 @@ def test_seeded_degraded_pairs_replay_identically():
     plan = lambda: FaultPlan(seed=5, masked={0: frozenset({"dsa"})})
     a = _run(seed=3, faults=plan())
     b = _run(seed=3, faults=plan())
-    assert a.obs.metrics.sim_snapshot() == b.obs.metrics.sim_snapshot()
+    assert a.obs.metrics.snapshot() == b.obs.metrics.snapshot()
     assert a.elapsed == b.elapsed
     assert [d["to"] for d in a.world.policy.downgrades] == ["knem+ioat+async"]

@@ -23,29 +23,32 @@ TOPO = xeon_e5345()
 def test_mismatched_tags_deadlock_is_detected_not_hung():
     def main(ctx):
         comm = ctx.comm
-        buf = ctx.alloc(1 * KiB)
+        # Above the eager threshold: the send rendezvouses and blocks
+        # until a receive matches it.
+        buf = ctx.alloc(128 * KiB)
         if ctx.rank == 0:
-            yield comm.Ssend(buf, dest=1, tag=1)
+            yield comm.Send(buf, dest=1, tag=1)
         else:
             yield comm.Recv(buf, source=0, tag=2)  # wrong tag
 
     with pytest.raises(DeadlockError) as err:
         run_mpi(TOPO, 2, main)
-    assert len(err.value.blocked) >= 1
+    assert err.value.blocked == ["rank0", "rank1"]
 
 
-def test_circular_ssend_deadlock_detected():
-    """Two synchronous sends facing each other: classic deadlock."""
+def test_circular_rendezvous_send_deadlock_detected():
+    """Two blocking rendezvous sends facing each other: classic deadlock."""
 
     def main(ctx):
         comm = ctx.comm
-        buf = ctx.alloc(1 * KiB)
+        buf = ctx.alloc(128 * KiB)
         peer = 1 - ctx.rank
-        yield comm.Ssend(buf, dest=peer)
+        yield comm.Send(buf, dest=peer)
         yield comm.Recv(buf, source=peer)
 
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError) as err:
         run_mpi(TOPO, 2, main)
+    assert err.value.blocked == ["rank0", "rank1"]
 
 
 def test_large_circular_send_deadlock_detected():

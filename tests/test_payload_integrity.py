@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import ClusterSpec, FabricParams, run_cluster
+from repro import ClusterSpec, run_cluster
 from repro.core.policy import MODES
 from repro.hw import modern_server, xeon_e5345
 from repro.hw.coherence import CoherenceDomain
@@ -96,17 +96,14 @@ def test_cache_counters_account_for_every_streamed_line(mode, written, monkeypat
 
 @pytest.mark.parametrize("written", [True, False], ids=["written", "untouched"])
 @pytest.mark.parametrize(
-    "backend,nbytes,eager_rdma",
+    "backend,nbytes",
     [
-        ("net-eager", 4 * KiB, False),  # staged through bounce buffers
-        ("nic+rdma", 256 * KiB, False),  # rendezvous RDMA write
-        ("net-eager", 4 * KiB, True),  # eager RDMA into a ring slot
+        ("net-eager", 4 * KiB),  # staged through bounce buffers
+        ("nic+rdma", 256 * KiB),  # rendezvous RDMA write
     ],
-    ids=["staged", "rdma", "eager-rdma"],
+    ids=["staged", "rdma"],
 )
-def test_internode_delivery_is_exact(backend, nbytes, eager_rdma, written):
-    spec = ClusterSpec(
-        node=xeon_e5345(), nnodes=2, fabric=FabricParams(eager_rdma=eager_rdma)
-    )
+def test_internode_delivery_is_exact(backend, nbytes, written):
+    spec = ClusterSpec(node=xeon_e5345(), nnodes=2)
     r = run_cluster(spec, 2, _transfer(nbytes, written), procs_per_node=1)
     assert _check(r.results, nbytes, written) == backend

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.hw import Machine, xeon_e5345
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.copy import iter_lockstep
-from repro.mpi.datatypes import Indexed, Vector
+from repro.mpi.datatypes import Indexed
 from repro.sim import Engine, ProcessorSharing
 
 
@@ -58,7 +58,7 @@ def test_iter_lockstep_partitions_exactly(dst_sizes, src_sizes, chunk):
     per_block=st.integers(1, 2048),
 )
 def test_blocks_partition_buffer(p, per_block):
-    from repro.mpi.coll.gather import _blocks
+    from repro.mpi.coll.alltoall import _blocks
 
     space = _space()
     buf = space.alloc(p * per_block)
@@ -74,24 +74,6 @@ def test_blocks_partition_buffer(p, per_block):
 
 
 # ---------------------------------------------------------- datatypes --
-@settings(max_examples=100, deadline=None)
-@given(
-    count=st.integers(1, 20),
-    blocklen=st.integers(1, 64),
-    pad=st.integers(0, 64),
-    reps=st.integers(1, 4),
-)
-def test_vector_iovec_size_and_disjointness(count, blocklen, pad, reps):
-    space = _space()
-    t = Vector(count=count, blocklen=blocklen, stride=blocklen + pad)
-    buf = space.alloc(t.extent * reps + 64)
-    views = t.iovec(buf, count=reps)
-    assert sum(v.nbytes for v in views) == t.size * reps
-    spans = sorted((v.offset, v.offset + v.nbytes) for v in views)
-    for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-        assert a1 <= b0  # disjoint
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     blocks=st.lists(
