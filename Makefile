@@ -14,12 +14,12 @@ test-all:            ## everything, including slow end-to-end checks
 bench:               ## regenerate every paper artifact (pytest-benchmark)
 	pytest benchmarks/ --benchmark-only
 
-validate:            ## check all 15 paper claims against the simulation
+validate:            ## the 15 paper claims with their margins (the claims suite)
 	repro-bench --validate
 
-figures:
+figures:             ## Figs. 3-7 from their suites (fig3 .. fig7)
 	for n in 3 4 5 6 7; do repro-bench --figure $$n; done
 
-tables:
+tables:              ## Tables 1-2 from their suites (table1, table2)
 	repro-bench --table 1
 	repro-bench --table 2

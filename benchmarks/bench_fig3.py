@@ -1,14 +1,15 @@
 """Regenerate Figure 3: Pingpong, vmsplice vs writev vs default LMT."""
 
-from conftest import run_once
+from conftest import run_once, run_suite
 
-from repro.bench.figures.fig3 import run_fig3
 from repro.bench.reporting import format_series_table
+from repro.campaign.suites import figure_sweep
 from repro.units import MiB
 
 
-def test_fig3(benchmark, topo):
-    sweep = run_once(benchmark, run_fig3, topo=topo, fast=True)
+def test_fig3(benchmark):
+    doc = run_once(benchmark, run_suite, "fig3-fast")
+    sweep = figure_sweep(3, doc["campaigns"])
     print("\n" + format_series_table(sweep))
 
     at = 1 * MiB

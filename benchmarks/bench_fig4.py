@@ -1,14 +1,15 @@
 """Regenerate Figure 4: Pingpong throughput, shared 4 MiB L2."""
 
-from conftest import run_once
+from conftest import run_once, run_suite
 
-from repro.bench.figures.fig4 import run_fig4
 from repro.bench.reporting import format_series_table
+from repro.campaign.suites import figure_sweep
 from repro.units import MiB
 
 
-def test_fig4(benchmark, topo):
-    sweep = run_once(benchmark, run_fig4, topo=topo, fast=True)
+def test_fig4(benchmark):
+    doc = run_once(benchmark, run_suite, "fig4-fast")
+    sweep = figure_sweep(4, doc["campaigns"])
     print("\n" + format_series_table(sweep))
 
     # Plateau: default fastest, KNEM "almost as fast", vmsplice below,

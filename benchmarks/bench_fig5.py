@@ -1,14 +1,15 @@
 """Regenerate Figure 5: Pingpong throughput, no shared cache."""
 
-from conftest import run_once
+from conftest import run_once, run_suite
 
-from repro.bench.figures.fig5 import run_fig5
 from repro.bench.reporting import format_series_table
+from repro.campaign.suites import figure_sweep
 from repro.units import MiB
 
 
-def test_fig5(benchmark, topo):
-    sweep = run_once(benchmark, run_fig5, topo=topo, fast=True)
+def test_fig5(benchmark):
+    doc = run_once(benchmark, run_suite, "fig5-fast")
+    sweep = figure_sweep(5, doc["campaigns"])
     print("\n" + format_series_table(sweep))
 
     at = 1 * MiB

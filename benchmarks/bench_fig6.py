@@ -1,14 +1,15 @@
 """Regenerate Figure 6: KNEM synchronous vs asynchronous models."""
 
-from conftest import run_once
+from conftest import run_once, run_suite
 
-from repro.bench.figures.fig6 import run_fig6
 from repro.bench.reporting import format_series_table
+from repro.campaign.suites import figure_sweep
 from repro.units import MiB
 
 
-def test_fig6(benchmark, topo):
-    sweep = run_once(benchmark, run_fig6, topo=topo, fast=True)
+def test_fig6(benchmark):
+    doc = run_once(benchmark, run_suite, "fig6-fast")
+    sweep = figure_sweep(6, doc["campaigns"])
     print("\n" + format_series_table(sweep))
 
     at = 1 * MiB

@@ -1,50 +1,51 @@
 """Regenerate Table 1: NAS Parallel Benchmark execution times."""
 
 import pytest
-from conftest import run_once
+from conftest import run_once, run_specs
 
-from repro.bench.tables.table1 import PAPER_TABLE1, format_table1, run_table1
+from repro.bench.nas import BENCHMARKS
+from repro.bench.reporting import format_table1
+from repro.campaign.suites import table1_rows
 
 
-def test_table1_is_row(benchmark, topo):
+def _rows(kernels, cap):
+    """Table 1's rows of ``kernels``, each timing ``cap`` iterations."""
+    return table1_rows(run_specs("table1", benchmarks=tuple(kernels), reps=cap))
+
+
+def _speedup(seconds):
+    return seconds["default"] / seconds["knem-ioat"] - 1.0
+
+
+def test_table1_is_row(benchmark):
     """The headline row: is.B.8 with its ~25% KNEM+I/OAT speedup."""
-    rows = run_once(
-        benchmark, run_table1, topo=topo, benchmarks=["is.B.8"], iterations_cap=3
-    )
+    rows = run_once(benchmark, _rows, ["is.B.8"], 3)
     print("\n" + format_table1(rows))
-    (row,) = rows
-    assert row.seconds["default"] == pytest.approx(
-        PAPER_TABLE1["is.B.8"][0], rel=0.15
+    ((label, seconds),) = rows
+    assert seconds["default"] == pytest.approx(
+        BENCHMARKS[label].paper_default_seconds, rel=0.15
     )
-    assert 0.15 < row.speedup < 0.45  # paper: +25.8%
+    assert 0.15 < _speedup(seconds) < 0.45  # paper: +25.8%
     # Single-copy strategies in between.
-    assert row.seconds["knem-ioat"] < row.seconds["knem"] < row.seconds["default"]
-    assert row.seconds["vmsplice"] < row.seconds["default"]
+    assert seconds["knem-ioat"] < seconds["knem"] < seconds["default"]
+    assert seconds["vmsplice"] < seconds["default"]
 
 
-def test_table1_ft_row(benchmark, topo):
-    rows = run_once(
-        benchmark, run_table1, topo=topo, benchmarks=["ft.B.8"], iterations_cap=3
-    )
+def test_table1_ft_row(benchmark):
+    rows = run_once(benchmark, _rows, ["ft.B.8"], 3)
     print("\n" + format_table1(rows))
-    (row,) = rows
-    assert row.seconds["default"] == pytest.approx(
-        PAPER_TABLE1["ft.B.8"][0], rel=0.15
+    ((label, seconds),) = rows
+    assert seconds["default"] == pytest.approx(
+        BENCHMARKS[label].paper_default_seconds, rel=0.15
     )
-    assert 0.05 < row.speedup < 0.25  # paper: +10.6%
+    assert 0.05 < _speedup(seconds) < 0.25  # paper: +10.6%
 
 
-def test_table1_insensitive_rows(benchmark, topo):
+def test_table1_insensitive_rows(benchmark):
     """ep/lu/mg: no large messages, so deltas stay within a few %."""
-    rows = run_once(
-        benchmark,
-        run_table1,
-        topo=topo,
-        benchmarks=["ep.B.4", "lu.B.8", "mg.B.8"],
-        iterations_cap=2,
-    )
+    rows = run_once(benchmark, _rows, ["ep.B.4", "lu.B.8", "mg.B.8"], 2)
     print("\n" + format_table1(rows))
-    for row in rows:
-        paper_default = PAPER_TABLE1[row.label][0]
-        assert row.seconds["default"] == pytest.approx(paper_default, rel=0.15)
-        assert abs(row.speedup) < 0.06, row.label
+    for label, seconds in rows:
+        paper_default = BENCHMARKS[label].paper_default_seconds
+        assert seconds["default"] == pytest.approx(paper_default, rel=0.15)
+        assert abs(_speedup(seconds)) < 0.06, label

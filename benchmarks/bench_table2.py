@@ -1,36 +1,31 @@
 """Regenerate Table 2: L2 cache misses per workload and strategy."""
 
-from conftest import run_once
+from conftest import run_once, run_suite
 
-from repro.bench.tables.table2 import format_table2, run_table2
+from repro.bench.reporting import format_table2
+from repro.campaign.suites import table2_rows
 
 
-def test_table2(benchmark, topo):
-    table = run_once(
-        benchmark,
-        run_table2,
-        topo=topo,
-        is_iterations=2,
-        pingpong_reps=4,
-        alltoall_reps=2,
-    )
+def test_table2(benchmark):
+    doc = run_once(benchmark, run_suite, "table2-fast")
+    table = table2_rows(doc["campaigns"])
     print("\n" + format_table2(table))
 
     # 4 MiB pingpong: default worst, I/OAT nearly nothing (paper ratio
     # 45k : 17k : 14k : 3.7k).
-    row = table.row("4MiB Pingpong")
+    row = table["4MiB Pingpong"]
     assert row["default"] > row["vmsplice"]
     assert row["default"] > row["knem"]
     assert row["knem"] > 2 * row["knem-ioat"]
 
     # 4 MiB Alltoall: single-copy strategies clearly below the default
     # (paper ratio 624k : 262k; the simulation reproduces ~1.4x).
-    row = table.row("4MiB Alltoall")
+    row = table["4MiB Alltoall"]
     assert row["default"] > 1.25 * row["knem"]
     assert row["default"] > 1.25 * row["vmsplice"]
     assert row["knem-ioat"] < 0.5 * row["knem"]
 
     # IS: the ~20% total-miss gap that drives the 25% speedup.
-    row = table.row("is.B.8")
+    row = table["is.B.8"]
     assert row["knem-ioat"] < row["vmsplice"] <= row["default"]
     assert row["knem-ioat"] < 0.9 * row["default"]

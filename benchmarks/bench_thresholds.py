@@ -7,28 +7,24 @@ that KNEM should offload copies to I/OAT hardware when the size passes
 observed that the threshold jumps to 2 MiB.  Running the experiment on
 another host with 6 MiB L2 caches increased the threshold by 50%."
 
-Ported onto the :mod:`repro.campaign` engine: each observation is one
-trial of a ``crossover`` campaign, so the sweep is declarative and the
-records carry the same content hashes the result cache uses.
+Each observation is one trial of the ``thresholds`` suite's
+``crossover`` campaigns, run here one machine at a time.
 """
+
+import dataclasses
 
 from conftest import run_once
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import run_campaign
+from repro.campaign.suites import SUITES
 from repro.units import MiB
 
 
 def _crossover(machine, pairs):
-    """Run a one-machine crossover campaign and index metrics by pair."""
-    spec = CampaignSpec(
-        name=f"thresholds-{machine}",
-        workload="crossover",
-        machines=(machine,),
-        pairs=tuple(pairs),
-        seeds=(0,),
-        noise_sigma=0.0,
-    )
-    run = run_campaign(spec)
+    """Run the suite's crossover campaign of ``machine`` on ``pairs``
+    and index its metrics by pair."""
+    (spec,) = [s for s in SUITES["thresholds"].specs if s.machines == (machine,)]
+    run = run_campaign(dataclasses.replace(spec, pairs=tuple(pairs)))
     assert not run.failures, run.failures
     return {
         tuple(r["config"]["pair"]): r["metrics"] for r in run.records

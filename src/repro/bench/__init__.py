@@ -1,16 +1,16 @@
-"""Benchmark harness: IMB kernels, NAS skeletons, figure/table generators.
+"""Benchmark harness: the IMB kernels and NAS skeletons behind the
+paper's artifacts, and their renderers.
 
-Every evaluation artifact of the paper has a generator here:
-
-- Figures 3-6: IMB PingPong sweeps (:mod:`repro.bench.figures`);
+- Figures 3-6: IMB PingPong sweeps (:mod:`repro.bench.imb`);
 - Figure 7: IMB Alltoall aggregated throughput;
 - Table 1: NAS Parallel Benchmark execution times (:mod:`repro.bench.nas`);
 - Table 2: L2 cache-miss counts;
-- Sec. 3.5 thresholds and the ablation sweeps.
+- Sec. 3.5 thresholds and the 15 paper claims.
 
-``repro-bench --figure 4`` regenerates any of them from the
-command line; the ``benchmarks/`` directory wires them into
-pytest-benchmark.
+Each artifact is a campaign suite (:mod:`repro.campaign.suites`);
+``repro-bench --figure 4`` runs one and prints it from its suite
+document (:mod:`repro.bench.reporting`, :mod:`repro.bench.charts`).
+The ``benchmarks/`` directory wires the suites into pytest-benchmark.
 """
 
 from repro import _lazy_exports

@@ -12,6 +12,12 @@ Examples::
     repro-bench campaign run --backends default,knem --sizes 64K,1M --seeds 3
     repro-bench campaign compare --baseline BENCH_campaign.json
     repro-bench campaign run --suite offload --out BENCH_offload.json
+    repro-bench campaign compare --suite fig5-fast --baseline fig5.json
+
+The paper's artifacts (``--figure``, ``--table``, ``--thresholds``,
+``--validate``) are campaign suites (:mod:`repro.campaign.suites`): each
+command runs its suite with no result store and prints from the suite
+document.
 
 Subcommands self-register in :data:`SUBCOMMANDS`; ``--list`` and the
 dispatcher both read that one registry, so the help can never drift
@@ -24,6 +30,9 @@ import argparse
 import os
 import sys
 import time
+
+#: Worker processes of ``campaign`` runs and of the artifact commands.
+DEFAULT_WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _subcommand_lines() -> list[str]:
@@ -56,12 +65,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true", help="coarser/cheaper sweeps")
     p.add_argument("--csv", action="store_true", help="CSV output for figures")
     p.add_argument("--chart", action="store_true", help="ASCII chart for figures")
-    p.add_argument("--save", metavar="FILE", help="save the figure sweep as JSON")
-    p.add_argument(
-        "--compare",
-        metavar="FILE",
-        help="re-run the figure and diff against a saved JSON sweep",
-    )
     p.add_argument(
         "--validate",
         action="store_true",
@@ -182,7 +185,7 @@ def _add_spec_axes(p: argparse.ArgumentParser) -> None:
         "--workload",
         default="pingpong",
         choices=["pingpong", "allreduce", "crossover", "sched", "nhood",
-                 "offload"],
+                 "offload", "imb-pingpong", "imb-alltoall", "nas"],
         help="what each trial measures (default: pingpong)",
     )
     p.add_argument(
@@ -271,13 +274,15 @@ def _campaign_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         metavar="NAME",
-        help="run: a committed suite (sched, nhood or offload) instead "
-        "of the axes above; exits 1 naming every failed self-check",
+        help="run or compare: a suite (sched, nhood, offload, a figure "
+        "fig3..fig7, table1, table2, thresholds or claims; -fast for a "
+        "figure's or table's coarser one) instead of the axes above; "
+        "exits 1 naming every failed self-check",
     )
     p.add_argument(
         "--workers",
         type=int,
-        default=min(4, os.cpu_count() or 1),
+        default=DEFAULT_WORKERS,
         help="worker processes (<=1 runs serially in-process)",
     )
     p.add_argument(
@@ -380,37 +385,88 @@ def _print_failures(records: list[dict]) -> None:
         )
 
 
+def _suite_failures(doc: dict) -> list[dict]:
+    """The failed trial records of a suite document."""
+    return [t for c in doc["campaigns"] for t in c["trials"]
+            if t["status"] != "ok"]
+
+
 def _print_suite_doc(doc: dict) -> None:
+    from repro.campaign.suites import check_passed
+
     for campaign in doc["campaigns"]:
         _print_campaign_doc(campaign)
         _print_failures([t for t in campaign["trials"] if t["status"] != "ok"])
-    print("self-check: " + "  ".join(
-        f"{name}={'PASS' if ok else 'FAIL'}"
-        for name, ok in doc["checks"].items()
-    ))
+    if doc["checks"]:
+        print("self-check: " + "  ".join(
+            f"{name}={'PASS' if check_passed(ok) else 'FAIL'}"
+            for name, ok in doc["checks"].items()
+        ))
+
+
+def _compare_suites(baseline: dict, doc: dict, tolerance: float):
+    """One :func:`~repro.campaign.compare_campaigns` per campaign of
+    ``doc``, against the baseline campaign of the same name."""
+    from repro.campaign import compare_campaigns
+    from repro.errors import BenchmarkError
+
+    if not isinstance(baseline, dict) or baseline.get("kind") != "suite" \
+            or baseline.get("name") != doc["name"]:
+        raise BenchmarkError(f"baseline is not a {doc['name']!r} suite document")
+    base = {c["name"]: c for c in baseline["campaigns"]}
+    comparisons = []
+    for campaign in doc["campaigns"]:
+        if campaign["name"] not in base:
+            raise BenchmarkError(f"baseline lacks campaign {campaign['name']!r}")
+        comparisons.append(compare_campaigns(
+            base[campaign["name"]], campaign, tolerance=tolerance))
+    return comparisons
 
 
 def _run_suite_cli(args) -> int:
-    """``campaign run --suite NAME``: run, save, print, self-check."""
-    from repro.bench.store import atomic_write_json
+    """``campaign run|compare --suite NAME``: run, save, print or gate
+    against ``--baseline``, self-check."""
+    import json
+
     from repro.campaign import ResultCache
-    from repro.campaign.suites import run_suite
+    from repro.campaign.cache import atomic_write_json
+    from repro.campaign.suites import check_passed, run_suite
     from repro.errors import BenchmarkError
 
+    baseline = None
+    if args.action == "compare":
+        if not args.baseline:
+            print("campaign compare needs --baseline FILE", file=sys.stderr)
+            return 2
+        try:
+            with open(args.baseline) as fh:
+                baseline = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"campaign compare: {exc}", file=sys.stderr)
+            return 2
     cache = None if args.no_cache else ResultCache.open(args.results_dir)
     try:
         doc = run_suite(args.suite, cache=cache, workers=args.workers)
+        comparisons = (_compare_suites(baseline, doc, args.tolerance)
+                       if baseline is not None else [])
     except BenchmarkError as exc:
-        print(f"campaign run: {exc}", file=sys.stderr)
+        print(f"campaign {args.action}: {exc}", file=sys.stderr)
         return 2
     if args.out:
         atomic_write_json(args.out, doc)
         print(f"saved suite document to {args.out}", file=sys.stderr)
-    _print_suite_doc(doc)
-    failed = [name for name, ok in doc["checks"].items() if not ok]
+    if baseline is not None:
+        _print_failures(_suite_failures(doc))
+        for comparison in comparisons:
+            print(comparison.format())
+    else:
+        _print_suite_doc(doc)
+    failed = [name for name, ok in doc["checks"].items() if not check_passed(ok)]
     if failed:
         print(f"suite {args.suite!r} FAILED: {', '.join(failed)}",
               file=sys.stderr)
+        return 1
+    if not all(c.ok for c in comparisons) or _suite_failures(doc):
         return 1
     return 0
 
@@ -419,8 +475,8 @@ def _run_campaign_cli(argv: list[str]) -> int:
     args = _campaign_parser().parse_args(argv)
     import json
 
-    from repro.bench.store import atomic_write_json
     from repro.campaign import ResultCache, compare_campaigns, run_campaign
+    from repro.campaign.cache import atomic_write_json
     from repro.errors import BenchmarkError
 
     if args.action == "report":
@@ -451,9 +507,10 @@ def _run_campaign_cli(argv: list[str]) -> int:
             for key, default in vars(axes.parse_args([])).items()
             if getattr(args, key) != default
         ]
-        if args.action != "run" or given:
-            print("--suite runs with the run action only and takes no "
-                  f"axis flags (got {' '.join([args.action, *given])})",
+        if args.action not in ("run", "compare") or given:
+            print("--suite runs with the run action only, or with compare "
+                  "--baseline FILE, and takes no axis flags "
+                  f"(got {' '.join([args.action, *given])})",
                   file=sys.stderr)
             return 2
         return _run_suite_cli(args)
@@ -535,23 +592,33 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:<10} {help_line}")
         return 0
 
-    t0 = time.time()
     if args.figure:
-        from repro.bench.figures import FIGURES
+        suite = f"fig{args.figure}"
+    elif args.table:
+        suite = f"table{args.table}"
+    elif args.validate:
+        suite = "claims"
+    elif args.thresholds:
+        suite = "thresholds"
+    else:
+        _parser().print_help()
+        return 2
+    t0 = time.time()
+    from repro.campaign import suites
+
+    # --fast picks a figure's or table's coarser suite.
+    if args.fast and (args.figure or args.table):
+        suite += "-fast"
+    doc = suites.run_suite(suite, workers=DEFAULT_WORKERS)
+    failures = _suite_failures(doc)
+    if failures:
+        _print_failures(failures)
+        return 1
+    campaigns = doc["campaigns"]
+    if args.figure:
         from repro.bench.reporting import format_csv, format_series_table
 
-        sweep = FIGURES[args.figure](fast=args.fast)
-        if args.save:
-            from repro.bench.store import save_sweep
-
-            save_sweep(sweep, args.save)
-            print(f"saved to {args.save}", file=sys.stderr)
-        if args.compare:
-            from repro.bench.store import compare_sweeps, load_sweep
-
-            comparison = compare_sweeps(load_sweep(args.compare), sweep)
-            print(comparison.format())
-            return 0 if comparison.ok else 1
+        sweep = suites.figure_sweep(args.figure, campaigns)
         if args.chart:
             from repro.bench.charts import ascii_chart
 
@@ -560,36 +627,22 @@ def main(argv: list[str] | None = None) -> int:
             print(format_csv(sweep))
         else:
             print(format_series_table(sweep))
-    elif args.table == 1:
-        from repro.bench.tables.table1 import format_table1, run_table1
+    elif args.table:
+        from repro.bench.reporting import format_table1, format_table2
 
-        rows = run_table1(iterations_cap=5 if args.fast else 20)
-        print(format_table1(rows))
-    elif args.table == 2:
-        from repro.bench.tables.table2 import format_table2, run_table2
-
-        table = run_table2(is_iterations=2 if args.fast else 5)
-        print(format_table2(table))
+        if args.table == 1:
+            print(format_table1(suites.table1_rows(campaigns)))
+        else:
+            print(format_table2(suites.table2_rows(campaigns)))
     elif args.validate:
-        from repro.bench.validate import run_validation
+        from repro.bench.reporting import format_claims
 
-        report = run_validation()
-        print(report.format())
-        if not report.all_passed:
+        print(format_claims(doc["checks"], suites.CLAIMS))
+        if not all(map(suites.check_passed, doc["checks"].values())):
             return 1
-    elif args.thresholds:
-        from repro.core.autotune import find_ioat_crossover
-        from repro.hw.presets import xeon_e5345, xeon_x5460
-
-        for topo, bindings in [
-            (xeon_e5345(), (0, 1)),
-            (xeon_e5345(), (0, 4)),
-            (xeon_x5460(), (0, 1)),
-        ]:
-            print(find_ioat_crossover(topo, bindings).describe())
     else:
-        _parser().print_help()
-        return 2
+        for result in suites.threshold_results(campaigns):
+            print(result.describe())
     print(f"\n[{time.time() - t0:.1f}s]", file=sys.stderr)
     return 0
 

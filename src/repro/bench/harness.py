@@ -1,14 +1,14 @@
-"""Generic sweep machinery shared by the figure generators."""
+"""Sweep sizes, and the curves that ``--figure`` prints and charts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB, fmt_size
 
-__all__ = ["BenchmarkError", "Series", "Sweep", "sweep_sizes", "crossover"]
+__all__ = ["BenchmarkError", "Series", "Sweep", "sweep_sizes"]
 
 
 def sweep_sizes(
@@ -88,19 +88,3 @@ class Sweep:
     @property
     def xs(self) -> list[int]:
         return self.series[0].xs if self.series else []
-
-
-def crossover(
-    a: Series, b: Series, sizes: Optional[Sequence[int]] = None
-) -> Optional[int]:
-    """Smallest x at which series ``b`` first beats series ``a`` and
-    stays ahead for the rest of the sweep (None if it never does)."""
-    sizes = sizes or a.xs
-    winner_from = None
-    for x in sizes:
-        if b.y_at(x) > a.y_at(x):
-            if winner_from is None:
-                winner_from = x
-        else:
-            winner_from = None
-    return winner_from

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.bench.harness import BenchmarkError
 from repro.core.policy import LmtConfig
+from repro.errors import BenchmarkError
 from repro.hw.topology import TopologySpec
 from repro.mpi.world import run_mpi
 from repro.units import MiB
@@ -60,6 +60,13 @@ class AlltoallResult:
         return moved / MiB / self.seconds_per_op
 
 
+def _check_warmup(warmup: int) -> None:
+    """A negative warm-up would shift which repetitions are timed, so
+    it is refused before anything is simulated."""
+    if warmup < 0:
+        raise BenchmarkError(f"warmup must be >= 0, got {warmup}")
+
+
 def imb_pingpong(
     topo: TopologySpec,
     nbytes: int,
@@ -72,6 +79,7 @@ def imb_pingpong(
     """Run an IMB PingPong at one message size."""
     if nbytes <= 0 or repetitions <= 0:
         raise BenchmarkError(f"bad pingpong parameters: {nbytes}B x {repetitions}")
+    _check_warmup(warmup)
     marks: dict[str, float] = {}
 
     def main(ctx):
@@ -121,6 +129,7 @@ def imb_alltoall(
     """Run an IMB Alltoall at one per-pair block size."""
     if block_bytes <= 0 or repetitions <= 0:
         raise BenchmarkError(f"bad alltoall parameters: {block_bytes}B x {repetitions}")
+    _check_warmup(warmup)
     bindings = list(bindings) if bindings is not None else list(range(nprocs))
     marks: dict[str, float] = {}
 

@@ -16,6 +16,10 @@ from repro.units import fmt_size
 __all__ = [
     "format_series_table",
     "format_table",
+    "format_table1",
+    "format_table2",
+    "format_claims",
+    "format_claim_value",
     "format_csv",
     "format_json",
     "topology_block",
@@ -76,6 +80,88 @@ def format_csv(sweep: Sweep) -> str:
         lines.append(
             f"{x}," + ",".join(f"{s.y_at(x):.3f}" for s in sweep.series)
         )
+    return "\n".join(lines)
+
+
+#: The paper's four strategies: mode -> column heading of Tables 1-2.
+_TABLE_COLUMNS = {
+    "default": "default", "vmsplice": "vmsplice", "knem": "KNEM copy",
+    "knem-ioat": "KNEM I/OAT",
+}
+
+
+def format_table1(rows: Sequence[tuple[str, dict]]) -> str:
+    """Table 1 from ``(kernel, {mode: seconds})`` rows, with the
+    KNEM + I/OAT speedup over the default as the last column."""
+    body = []
+    for kernel, seconds in rows:
+        cells = [kernel]
+        for mode in _TABLE_COLUMNS:
+            text = f"{seconds[mode]:.2f} s"
+            if kernel == "mg.B.8" and mode == "vmsplice":
+                # The paper's run hung on an unrelated Nemesis bug.
+                text += " (paper: hang)"
+            cells.append(text)
+        speedup = seconds["default"] / seconds["knem-ioat"] - 1.0
+        cells.append(f"{speedup * 100:+.1f}%")
+        body.append(cells)
+    headers = ["NAS Kernel", *_TABLE_COLUMNS.values(), "Speedup"]
+    return format_table(headers, body,
+                        title="Table 1: NAS Parallel Benchmark execution times")
+
+
+def format_table2(rows: dict[str, dict[str, float]]) -> str:
+    """Table 2 from ``{workload: {mode: L2 misses}}``."""
+    body = [[workload] + [_fmt_misses(by_mode[m]) for m in _TABLE_COLUMNS]
+            for workload, by_mode in rows.items()]
+    headers = ["workload", *_TABLE_COLUMNS.values()]
+    return format_table(headers, body, title="Table 2: L2 cache misses")
+
+
+def _fmt_misses(value: float) -> str:
+    if value >= 1e6:
+        return f"{value / 1e6:.2f}M"
+    if value >= 1e3:
+        return f"{value / 1e3:.1f}k"
+    return f"{value:.0f}"
+
+
+def _fmt_claim_value(value: Optional[float], unit: str) -> str:
+    if value is None:
+        return "-"
+    return f"{value * 100:+.1f}%" if unit == "%" else f"{value:.2f}x"
+
+
+def format_claim_value(entry: dict) -> str:
+    """One claim's value, pass interval, signed margin and paper value."""
+    if entry.get("margin") is None:
+        return "exact check, no margin"
+    unit = entry["unit"]
+    lo, hi = entry["interval"]
+    left, right = "[]" if entry["closed"] else "()"
+    interval = (f"{left}{'-inf' if lo is None else _fmt_claim_value(lo, unit)}, "
+                f"{'inf' if hi is None else _fmt_claim_value(hi, unit)}{right}")
+    return (f"{_fmt_claim_value(entry['value'], unit)} in {interval}, "
+            f"margin {entry['margin']:+.2f}, "
+            f"paper {_fmt_claim_value(entry['paper'], unit)}")
+
+
+def format_claims(checks: dict, claims: dict) -> str:
+    """The ``--validate`` report: one block per claim of ``claims``
+    (id -> (source, statement, ...)) from its ``checks`` entry."""
+    lines = ["Paper-claim validation", "=" * 70]
+    passed = 0
+    for claim_id, (source, statement, *_check) in claims.items():
+        entry = checks[claim_id]
+        if not isinstance(entry, dict):  # its trials are missing
+            entry = {"pass": False, "measured": "no result", "margin": None}
+        passed += bool(entry["pass"])
+        lines.append(f"[{'PASS' if entry['pass'] else 'FAIL'}] {claim_id}  ({source})")
+        lines.append(f"       claim:    {statement}")
+        lines.append(f"       measured: {entry['measured']}")
+        lines.append(f"       value:    {format_claim_value(entry)}")
+    lines.append("=" * 70)
+    lines.append(f"{passed} passed, {len(claims) - passed} failed")
     return "\n".join(lines)
 
 

@@ -17,11 +17,12 @@ scripts:
   finished);
 * :mod:`~repro.campaign.stats` — replicate aggregation and the
   baseline regression gate;
-* :mod:`~repro.campaign.suites` — the committed sched, nhood and
-  offload experiments: specs plus named self-checks.
+* :mod:`~repro.campaign.suites` — every experiment as specs plus
+  named self-checks: the paper's figures, tables, thresholds and
+  claims (with margins), and the sched, nhood and offload studies.
 
 CLI: ``repro-bench campaign run|resume|compare|report``
-(``run --suite NAME`` runs a committed suite).
+(``run --suite NAME`` runs a suite, ``compare --suite NAME`` gates it).
 """
 
 from repro import _lazy_exports

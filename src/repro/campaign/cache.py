@@ -8,8 +8,7 @@ only raw primitives (read a record's text, write a record, delete one,
 list the keys):
 
 * :class:`DirectoryStore` — one ``<hash>.json`` file per trial, written
-  through :func:`repro.bench.store.atomic_write_json` (tmp + fsync +
-  rename), so an interrupted campaign leaves at worst a stray ``.tmp``
+  through :func:`atomic_write_json` (tmp + fsync + rename), so an interrupted campaign leaves at worst a stray ``.tmp``
   file, never a torn record;
 * :class:`SqliteStore` — one database in WAL mode with the hash as
   primary key; a database file sqlite cannot read is moved aside and
@@ -26,6 +25,7 @@ is what makes ``campaign resume`` a retry of exactly the broken subset.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 from typing import Optional
@@ -38,6 +38,8 @@ __all__ = [
     "SqliteStore",
     "MemoryStore",
     "check_key",
+    "atomic_write_json",
+    "fsync_dir",
 ]
 
 #: One or more lower-case ASCII hex digits (``[0-9]`` never matches
@@ -54,6 +56,46 @@ def check_key(key: str) -> str:
     if _HEX_KEY(key) is None:
         raise BenchmarkError(f"store key is not a hex digest: {key!r}")
     return key
+
+
+def fsync_dir(dirpath: str | Path) -> None:
+    """Flush a directory entry to disk (best effort).
+
+    ``os.replace`` makes a rename atomic against concurrent *readers*,
+    but the new directory entry itself lives in the page cache until
+    the directory is fsync'd — on power loss the file could vanish (or
+    worse, point at half-flushed blocks).  Some filesystems refuse
+    fsync on directory descriptors; that is a durability limitation,
+    not an error, so ``OSError`` is swallowed.
+    """
+    fd = os.open(dirpath, getattr(os, "O_DIRECTORY", 0) or os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write_json(path: str | Path, payload, indent: Optional[int] = 2) -> None:
+    """Write ``payload`` as JSON so readers never see a torn file.
+
+    The document lands in ``path.with_suffix(".tmp")`` first, is
+    fsync'd, then renamed over ``path``, then the *directory* is
+    fsync'd so the rename survives power loss — an interrupted writer
+    leaves at worst a stale ``.tmp`` beside an intact previous
+    version.  Used by the directory store and for every document the
+    CLI writes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(payload, indent=indent) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
 
 
 class ResultCache:
@@ -159,8 +201,6 @@ class DirectoryStore(ResultCache):
             return None
 
     def _write(self, key: str, record: dict) -> None:
-        from repro.bench.store import atomic_write_json
-
         atomic_write_json(self.path(key), record)
 
     def delete(self, key: str) -> None:

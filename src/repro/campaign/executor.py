@@ -238,12 +238,75 @@ def _run_allreduce(config: dict, obs) -> dict:
 def _run_crossover(config: dict, obs) -> dict:
     from repro.core.autotune import find_ioat_crossover
 
-    res = find_ioat_crossover(_topo(config["machine"]), tuple(config["pair"]))
+    res = find_ioat_crossover(
+        _topo(config["machine"]), tuple(config["pair"]),
+        sizes=config["sizes"], repetitions=config["reps"],
+    )
     return {
         "primary": "crossover_bytes",
         "crossover_bytes": res.measured_crossover,
         "predicted_dmamin": res.predicted_dmamin,
+        "shares_cache": res.shares_cache,
+        "knem_mib_per_s": list(res.knem_mib),
+        "ioat_mib_per_s": list(res.ioat_mib),
     }
+
+
+def _imb_config(config: dict):
+    """The LMT config of an IMB trial: its mode at its rendezvous switch."""
+    from repro.core.policy import LmtConfig
+
+    return LmtConfig(
+        mode=config["backend"], eager_threshold=config["eager_threshold"]
+    )
+
+
+def _run_imb_pingpong(config: dict, obs) -> dict:
+    """One :func:`repro.bench.imb.imb_pingpong` (Figs. 3-6, Table 2)."""
+    from repro.bench.imb import imb_pingpong
+
+    r = imb_pingpong(
+        _topo(config["machine"]), config["size"], mode=config["backend"],
+        bindings=tuple(config["pair"]), warmup=config["warmup"],
+        repetitions=config["reps"], config=_imb_config(config),
+    )
+    return {
+        "primary": "mib_per_s",
+        "mib_per_s": r.throughput_mib,
+        "one_way_seconds": r.one_way_seconds,
+        "l2_misses": r.l2_misses,
+    }
+
+
+def _run_imb_alltoall(config: dict, obs) -> dict:
+    """One :func:`repro.bench.imb.imb_alltoall` over ``procs_per_node``
+    ranks (Fig. 7, Table 2)."""
+    from repro.bench.imb import imb_alltoall
+
+    r = imb_alltoall(
+        _topo(config["machine"]), config["size"], mode=config["backend"],
+        nprocs=config["procs_per_node"], warmup=config["warmup"],
+        repetitions=config["reps"], config=_imb_config(config),
+    )
+    return {
+        "primary": "aggregated_mib_per_s",
+        "aggregated_mib_per_s": r.aggregated_mib,
+        "seconds_per_op": r.seconds_per_op,
+        "l2_misses": r.l2_misses,
+    }
+
+
+def _run_nas(config: dict, obs) -> dict:
+    """One :func:`repro.bench.nas.run_nas` of a class-B Table 1 kernel,
+    timing at most ``reps`` iterations (Tables 1 and 2)."""
+    from repro.bench.nas import BENCHMARKS, run_nas
+
+    spec = BENCHMARKS[config["benchmark"]]
+    r = run_nas(
+        spec, _topo(config["machine"]), mode=config["backend"],
+        iterations=min(spec.iterations, config["reps"]), obs=obs,
+    )
+    return {"primary": "seconds", "seconds": r.seconds, "l2_misses": r.l2_misses}
 
 
 def _run_sched(config: dict, obs) -> dict:
@@ -393,6 +456,9 @@ _WORKLOAD_FNS: dict[str, Callable[[dict, object], dict]] = {
     "sched": _run_sched,
     "nhood": _run_nhood,
     "offload": _run_offload,
+    "imb-pingpong": _run_imb_pingpong,
+    "imb-alltoall": _run_imb_alltoall,
+    "nas": _run_nas,
 }
 
 

@@ -46,7 +46,14 @@ __all__ = [
 ]
 
 #: Workloads the executor knows how to run (see repro.campaign.executor).
-WORKLOADS = ("pingpong", "allreduce", "crossover", "sched", "nhood", "offload")
+WORKLOADS = (
+    "pingpong", "allreduce", "crossover", "sched", "nhood", "offload",
+    "imb-pingpong", "imb-alltoall", "nas",
+)
+
+#: IMB's warm-up round count per IMB workload, written into each trial
+#: config (the kernels exclude these rounds from the timing).
+IMB_WARMUP = {"imb-pingpong": 2, "imb-alltoall": 1}
 
 #: Machine presets a trial config may name (see repro.hw.presets).
 MACHINES = ("xeon_e5345", "xeon_x5460", "nehalem8", "modern_server")
@@ -78,7 +85,7 @@ MACHINE_GENERATIONS = tuple(g["generation"] for g in GENERATIONS)
 _AXES = (
     "machines", "backends", "sizes", "nnodes", "pairs", "drops", "tunings",
     "seeds", "sched_policies", "job_mixes", "patterns", "strategies",
-    "machine_generations",
+    "machine_generations", "benchmarks",
 )
 
 #: Bumped whenever trial semantics change incompatibly; salted into
@@ -87,9 +94,13 @@ _SCHEMA_VERSION = 1
 
 #: Per-workload bumps, so one workload's trials can change without
 #: moving every other hash: sched and nhood trials gained per-job and
-#: per-counter metrics, and offload trials an IMB-style second warm-up
-#: round trip.
-_WORKLOAD_VERSIONS = {"sched": 2, "nhood": 2, "offload": 2}
+#: per-counter metrics, offload trials an IMB-style second warm-up
+#: round trip, and crossover trials take their sweep and repetitions
+#: from the config.  The IMB and NAS workloads start at their own 1.
+_WORKLOAD_VERSIONS = {
+    "sched": 2, "nhood": 2, "offload": 2, "crossover": 2,
+    "imb-pingpong": 1, "imb-alltoall": 1, "nas": 1,
+}
 
 
 #: ``json.dumps`` with these arguments builds an encoder per call.
@@ -115,11 +126,17 @@ def group_config(config: dict) -> dict:
 
 def group_label(config: dict) -> str:
     """Human-readable name of a replicate group, stable across runs."""
+    if "size" in config:
+        size = fmt_size(config["size"])
+    elif "sizes" in config:  # a crossover trial sweeps its own sizes
+        size = f"{fmt_size(config['sizes'][0])}-{fmt_size(config['sizes'][-1])}"
+    else:
+        size = "-"
     parts = [
         config["workload"],
         config["machine"],
         config["backend"],
-        fmt_size(config["size"]),
+        size,
         f"n{config['nnodes']}",
     ]
     pair = config.get("pair")
@@ -132,8 +149,10 @@ def group_label(config: dict) -> str:
     # The sched, nhood and offload axes only exist on those workloads'
     # trials, so legacy labels (and the committed baseline documents
     # keyed on them) never move.
+    if config.get("eager_threshold") is not None:
+        parts.append(f"eager{fmt_size(config['eager_threshold'])}")
     for key in ("sched_policy", "job_mix", "pattern", "strategy",
-                "machine_generation"):
+                "machine_generation", "benchmark"):
         if key in config:
             parts.append(config[key])
     return "/".join(parts)
@@ -203,9 +222,13 @@ class CampaignSpec:
     tunings: tuple = ("default",)
     #: Noise-seed replicates; one trial per seed per config point.
     seeds: tuple = (0,)
-    #: Pingpong round trips (or timed allreduce iterations) per trial.
+    #: Pingpong round trips (or timed allreduce iterations, IMB
+    #: repetitions, crossover-sweep repetitions per size) per trial; a
+    #: "nas" trial times ``min(reps, the benchmark's iterations)``
+    #: iterations and extrapolates to the full count.
     reps: int = 2
-    #: Ranks per node for collective workloads (allreduce).
+    #: Ranks per node for collective workloads (allreduce; the rank
+    #: count of an "imb-alltoall" trial).
     procs_per_node: int = 2
     #: Lognormal jitter width; 0.0 runs the simulator deterministically.
     noise_sigma: float = 0.02
@@ -234,6 +257,12 @@ class CampaignSpec:
     #: fixes both).  Keys never enter other workloads' configs, so
     #: legacy trial hashes are untouched.
     machine_generations: tuple = MACHINE_GENERATIONS
+    #: Rendezvous switch of the IMB workloads in bytes (None keeps
+    #: Nemesis' stock 64 KiB); written only into those trials' configs.
+    eager_threshold: Optional[int] = None
+    #: Benchmark axis of the "nas" workload: Table 1 row labels (see
+    #: repro.bench.nas.BENCHMARKS); its keys enter only "nas" configs.
+    benchmarks: tuple = ("is.B.8",)
     #: When set, each executed trial writes a Perfetto trace to
     #: ``<trace_dir>/<hash>.trace.json`` (not part of the trial hash).
     trace_dir: Optional[str] = None
@@ -274,6 +303,14 @@ class CampaignSpec:
         if self.workload == "offload":
             _pick("machine generation", self.machine_generations,
                   MACHINE_GENERATIONS)
+        if self.workload in (*IMB_WARMUP, "nas") and self.noise_sigma:
+            raise BenchmarkError(
+                f"{self.workload} trials run noise-free; set noise_sigma=0"
+            )
+        if self.workload == "nas":
+            from repro.bench.nas import BENCHMARKS
+
+            _pick("NAS benchmark", self.benchmarks, tuple(BENCHMARKS))
         if self.workload == "nhood":
             from repro.nhood.patterns import PATTERNS
             from repro.nhood.strategy import STRATEGIES
@@ -287,21 +324,26 @@ class CampaignSpec:
         """(field, values) of every axis in :meth:`trials`' expansion
         order; an axis the workload does not use has the one value None.
 
-        The sched, nhood and offload axes multiply only their own
+        The sched, nhood, offload and nas axes multiply only their own
         workload's product and their keys enter only its configs, so
         other workloads' trial hashes never move.  For "offload" the
         generation axis *replaces* machine x backend: each generation
         fixes its preset and its offload mode (:data:`GENERATIONS`).
+        A "crossover" trial sweeps all of ``sizes`` itself, and a "nas"
+        trial has no message size.
         """
         def only(workload: str, values: tuple) -> tuple:
             return values if self.workload == workload else (None,)
 
         offload = self.workload == "offload"
+        unsized = self.workload in ("crossover", "nas")
         return [
             ("machine_generations", only("offload", self.machine_generations)),
             ("machines", (None,) if offload else self.machines),
             ("backends", (None,) if offload else self.backends),
-            ("sizes", self.sizes), ("nnodes", self.nnodes),
+            ("benchmarks", only("nas", self.benchmarks)),
+            ("sizes", (None,) if unsized else self.sizes),
+            ("nnodes", self.nnodes),
             ("pairs", self.pairs), ("drops", self.drops),
             ("tunings", self.tunings),
             ("sched_policies", only("sched", self.sched_policies)),
@@ -315,8 +357,8 @@ class CampaignSpec:
         """Expand the cross-product into deterministic trial order."""
         generations = {g["generation"]: g for g in GENERATIONS}
         out = []
-        for (generation, machine, backend, size, nn, pair, drop, tuning, pol,
-             mix, pattern, strategy, seed) in itertools.product(
+        for (generation, machine, backend, benchmark, size, nn, pair, drop,
+             tuning, pol, mix, pattern, strategy, seed) in itertools.product(
                  *(values for _, values in self._axes())):
             if generation is not None:
                 machine = generations[generation]["machine"]
@@ -325,7 +367,7 @@ class CampaignSpec:
                 "workload": self.workload,
                 "machine": machine,
                 "backend": backend,
-                "size": int(size),
+                "size": None if size is None else int(size),
                 "nnodes": int(nn),
                 "pair": [int(pair[0]), int(pair[1])],
                 "drop": float(drop),
@@ -337,6 +379,15 @@ class CampaignSpec:
                 "max_events": int(self.max_events),
                 "max_sim_time": float(self.max_sim_time),
             }
+            if size is None:
+                del config["size"]
+                if self.workload == "crossover":
+                    config["sizes"] = [int(s) for s in self.sizes]
+            if self.workload in IMB_WARMUP:
+                config["warmup"] = IMB_WARMUP[self.workload]
+                config["eager_threshold"] = self.eager_threshold
+            if benchmark is not None:
+                config["benchmark"] = benchmark
             if pol is not None:
                 config["sched_policy"] = pol
                 config["job_mix"] = mix

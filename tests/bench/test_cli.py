@@ -60,14 +60,37 @@ def test_bad_figure_rejected():
 
 
 @pytest.mark.slow
-def test_figure_fast_run(capsys):
+def test_figure_fast_run(shared_suite_runs, capsys):
     assert main(["--figure", "4", "--fast"]) == 0
     out = capsys.readouterr().out
     assert "KNEM LMT" in out and "64KiB" in out
 
 
 @pytest.mark.slow
-def test_figure_csv(capsys):
+def test_figure_csv(shared_suite_runs, capsys):
     assert main(["--figure", "6", "--fast", "--csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("size,")
+
+
+def test_sweep_store_flags_are_gone(capsys):
+    """Saving and comparing a figure is ``campaign run|compare --suite``."""
+    for flag in ("--save", "--compare"):
+        with pytest.raises(SystemExit):
+            main(["--figure", "6", flag, "x.json"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_table_and_thresholds_print_from_their_suites(shared_suite_runs, capsys):
+    assert main(["--thresholds"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("DMAmin predicts") == 3
+    assert "xeon-e5345 cores (0, 4) (no shared cache)" in out
+
+
+def test_validate_prints_each_margin(shared_suite_runs, capsys):
+    assert main(["--validate"]) == 0
+    out = capsys.readouterr().out
+    assert "15 passed, 0 failed" in out
+    assert out.count("       value:    ") == 15
+    assert "+31.1% in (+15.0%, +45.0%), margin +0.46, paper +25.8%" in out

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import BenchmarkError, Series, Sweep, crossover, sweep_sizes
+from repro.bench.harness import BenchmarkError, Series, Sweep, sweep_sizes
 from repro.bench.reporting import format_csv, format_series_table, format_table
+from repro.campaign.suites import stable_win
 from repro.units import KiB, MiB
 
 
@@ -53,22 +54,27 @@ def test_sweep_get_and_missing():
         sweep.get("b")
 
 
+def _crossover(a: Series, b: Series):
+    """Where ``b`` overtakes ``a`` for good, by the suites' rule."""
+    return stable_win((x, b.y_at(x) > a.y_at(x)) for x in a.xs)
+
+
 def test_crossover_detects_stable_win():
     a = Series("a", [(1, 10.0), (2, 10.0), (4, 10.0), (8, 10.0)])
     b = Series("b", [(1, 5.0), (2, 11.0), (4, 12.0), (8, 13.0)])
-    assert crossover(a, b) == 2
+    assert _crossover(a, b) == 2
 
 
 def test_crossover_requires_staying_ahead():
     a = Series("a", [(1, 10.0), (2, 10.0), (4, 10.0)])
     b = Series("b", [(1, 11.0), (2, 9.0), (4, 12.0)])
-    assert crossover(a, b) == 4
+    assert _crossover(a, b) == 4
 
 
 def test_crossover_none_when_never_wins():
     a = Series("a", [(1, 10.0), (2, 10.0)])
     b = Series("b", [(1, 5.0), (2, 5.0)])
-    assert crossover(a, b) is None
+    assert _crossover(a, b) is None
 
 
 def test_format_table_alignment():

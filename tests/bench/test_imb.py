@@ -27,6 +27,21 @@ def test_pingpong_rejects_bad_params():
         imb_pingpong(TOPO, 1024, repetitions=0)
 
 
+def test_negative_warmup_is_refused_before_simulating(monkeypatch):
+    """A negative warm-up would time the wrong repetitions (or none at
+    all): both kernels refuse it, naming it, before any simulation."""
+    import repro.bench.imb as imb
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated despite a negative warmup")
+
+    monkeypatch.setattr(imb, "run_mpi", no_run)
+    with pytest.raises(BenchmarkError, match="warmup"):
+        imb.imb_pingpong(TOPO, 4096, warmup=-1, repetitions=2)
+    with pytest.raises(BenchmarkError, match="warmup"):
+        imb.imb_alltoall(TOPO, 4096, nprocs=4, warmup=-1, repetitions=3)
+
+
 def test_pingpong_warmup_excluded():
     """More warmup must not change the measured steady-state rate."""
     a = imb_pingpong(TOPO, 256 * KiB, warmup=1, repetitions=4)

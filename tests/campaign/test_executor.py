@@ -176,3 +176,55 @@ def test_metrics_for_raises_on_failed_trial():
         run.metrics_for(seed=0)
     with pytest.raises(KeyError):
         run.record_for(seed=12345)
+
+
+# ------------------------------------------------- paper-artifact workloads
+def _one(workload, **axes):
+    (record,) = run_campaign(CampaignSpec(
+        name="kind", workload=workload, seeds=(0,), noise_sigma=0.0, **axes
+    )).records
+    assert record["status"] == "ok", record["error"]
+    return record
+
+
+def test_imb_workloads_time_like_the_imb_kernels():
+    """The trial kinds call the IMB kernels with the config's values."""
+    from repro.bench.imb import imb_alltoall, imb_pingpong
+    from repro.core.policy import LmtConfig
+    from repro.hw.presets import xeon_e5345
+
+    pp = _one("imb-pingpong", backends=("knem",), sizes=(256 * KiB,),
+              pairs=((0, 4),), reps=3)
+    want = imb_pingpong(xeon_e5345(), 256 * KiB, mode="knem", bindings=(0, 4),
+                        repetitions=3)
+    assert pp["primary"] == "mib_per_s"
+    assert pp["metrics"] == {"mib_per_s": want.throughput_mib,
+                             "one_way_seconds": want.one_way_seconds,
+                             "l2_misses": want.l2_misses}
+    a2a = _one("imb-alltoall", backends=("knem",), sizes=(16 * KiB,),
+               procs_per_node=4, reps=2, eager_threshold=2 * KiB)
+    want = imb_alltoall(xeon_e5345(), 16 * KiB, mode="knem", nprocs=4,
+                        repetitions=2,
+                        config=LmtConfig(mode="knem", eager_threshold=2 * KiB))
+    assert a2a["metrics"]["aggregated_mib_per_s"] == want.aggregated_mib
+    assert a2a["metrics"]["l2_misses"] == want.l2_misses
+
+
+def test_nas_workload_caps_the_iterations():
+    from repro.bench.nas import BENCHMARKS, run_nas
+    from repro.hw.presets import xeon_e5345
+
+    record = _one("nas", backends=("knem-ioat",), benchmarks=("ep.B.4",), reps=2)
+    want = run_nas(BENCHMARKS["ep.B.4"], xeon_e5345(), mode="knem-ioat",
+                   iterations=2)
+    assert record["metrics"] == {"seconds": want.seconds,
+                                 "l2_misses": want.l2_misses}
+
+
+def test_negative_warmup_in_a_config_fails_the_trial_by_name():
+    (trial,) = CampaignSpec(name="w", workload="imb-pingpong", seeds=(0,),
+                            noise_sigma=0.0).trials()
+    config = {**trial.config, "warmup": -1}
+    (record,) = run_campaign(CampaignSpec(), trials=[Trial(config)]).records
+    assert record["status"] == "failed"
+    assert record["error"] == "BenchmarkError: warmup must be >= 0, got -1"

@@ -232,6 +232,13 @@ _DESCRIBE_SPECS = {
                   job_mixes=("pair", "trio")),
     "nhood": dict(workload="nhood", nnodes=(2,), patterns=("irregular", "stencil2d")),
     "offload": dict(workload="offload", machines=("xeon_e5345", "xeon_x5460")),
+    "imb-pingpong": dict(workload="imb-pingpong", backends=("default", "knem"),
+                         pairs=((0, 1), (0, 4)), noise_sigma=0.0),
+    "imb-alltoall": dict(workload="imb-alltoall", sizes=(4 * KiB, 64 * KiB),
+                         procs_per_node=4, noise_sigma=0.0),
+    "nas": dict(workload="nas", backends=("default", "knem-ioat"),
+                benchmarks=("ep.B.4", "is.B.8"), sizes=(4 * KiB, 64 * KiB),
+                noise_sigma=0.0),
 }
 
 
@@ -250,7 +257,7 @@ def test_describe_names_the_axes_that_multiply(kind):
 
     spec = _spec(**_DESCRIBE_SPECS[kind])
     text = spec.describe()
-    factors = re.search(r": \w+, (.*) -> (\d+) trials?$", text)
+    factors = re.search(r": [\w-]+, (.*) -> (\d+) trials?$", text)
     counts = [int(n) for n in re.findall(r"(\d+) [a-z_ ]+", factors.group(1))]
     assert math.prod(counts) == int(factors.group(2)) == len(spec.trials())
     if kind == "offload":
@@ -283,6 +290,48 @@ def test_workload_version_moves_only_its_own_hashes():
 
     for workload, moved in [("pingpong", False), ("allreduce", False),
                             ("sched", True), ("nhood", True),
-                            ("offload", True)]:
+                            ("offload", True), ("crossover", True)]:
         config = CampaignSpec(workload=workload, nnodes=(2,)).trials()[0].config
         assert (trial_hash(config) != v1(config)) is moved, workload
+
+
+# ------------------------------------------------- paper-artifact workloads
+def test_crossover_trial_sweeps_every_size():
+    """One crossover trial per placement sweeps the whole ``sizes``
+    axis with ``reps`` repetitions per size."""
+    spec = _spec(workload="crossover", backends=("default",),
+                 sizes=(1 << 20, 2 << 20), pairs=((0, 1), (0, 4)), seeds=(0,),
+                 reps=3)
+    trials = spec.trials()
+    assert [t.config["pair"] for t in trials] == [[0, 1], [0, 4]]
+    for t in trials:
+        assert t.config["sizes"] == [1 << 20, 2 << 20] and "size" not in t.config
+    assert trials[0].label == "crossover/xeon_e5345/default/1MiB-2MiB/n1"
+
+
+def test_imb_trials_carry_their_warmup_and_rendezvous_switch():
+    for workload, warmup in (("imb-pingpong", 2), ("imb-alltoall", 1)):
+        (t,) = _spec(workload=workload, backends=("knem",), sizes=(64 * KiB,),
+                     seeds=(0,), noise_sigma=0.0,
+                     eager_threshold=2 * KiB).trials()
+        assert t.config["warmup"] == warmup
+        assert t.config["eager_threshold"] == 2 * KiB
+        assert t.label.endswith("/eager2KiB")
+    (t,) = _spec(backends=("knem",), sizes=(64 * KiB,),
+                 seeds=(0,)).trials()  # legacy configs gain no key
+    assert "warmup" not in t.config and "eager_threshold" not in t.config
+
+
+def test_nas_trials_name_their_kernel_and_no_size():
+    spec = _spec(workload="nas", backends=("knem",),
+                 benchmarks=("ep.B.4", "is.B.8"), seeds=(0,), noise_sigma=0.0)
+    assert [t.config["benchmark"] for t in spec.trials()] == ["ep.B.4", "is.B.8"]
+    assert all("size" not in t.config for t in spec.trials())
+    with pytest.raises(BenchmarkError, match="unknown NAS benchmark 'xx.B.8'"):
+        _spec(workload="nas", benchmarks=("xx.B.8",), noise_sigma=0.0)
+
+
+@pytest.mark.parametrize("workload", ["imb-pingpong", "imb-alltoall", "nas"])
+def test_imb_and_nas_trials_run_noise_free(workload):
+    with pytest.raises(BenchmarkError, match="run noise-free"):
+        _spec(workload=workload, noise_sigma=0.02)

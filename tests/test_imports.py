@@ -50,7 +50,6 @@ NOT_INTRANODE = (
     "repro.faults",
     "repro.sim.rng",
     "repro.obs.export",
-    "repro.bench.store",
     "repro.sched",
     "repro.nhood",
     "repro.campaign.suites",

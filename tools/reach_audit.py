@@ -50,10 +50,11 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
         ("validate", [*CLI, "--validate"]),
         ("figure3-csv", [*CLI, "--figure", "3", "--fast", "--csv"]),
         ("figure4-chart", [*CLI, "--figure", "4", "--fast", "--chart"]),
-        ("figure5-save", [*CLI, "--figure", "5", "--fast",
-                          "--save", str(tmp / "fig5.json")]),
-        ("figure5-compare", [*CLI, "--figure", "5", "--fast",
-                             "--compare", str(tmp / "fig5.json")]),
+        ("figure5-save", [*CLI, "campaign", "run", "--suite", "fig5-fast",
+                          "--no-cache", "--out", str(tmp / "fig5.json")]),
+        ("figure5-compare", [*CLI, "campaign", "compare", "--suite",
+                             "fig5-fast", "--no-cache",
+                             "--baseline", str(tmp / "fig5.json")]),
         ("figure6", [*CLI, "--figure", "6", "--fast"]),
         ("figure7", [*CLI, "--figure", "7", "--fast"]),
         ("table1", [*CLI, "--table", "1", "--fast"]),
