@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -40,6 +39,7 @@ from repro.campaign.stats import aggregate
 
 __all__ = [
     "run_campaign",
+    "run_campaigns",
     "CampaignRun",
     "DOCUMENT_VERSION",
     "POOL_KILL_ENV",
@@ -603,18 +603,17 @@ def _exit_with_orchestrator(pid: int) -> None:
 
 
 def _pool_run(
-    runner, jobs: list[tuple[dict, str]], workers: int
+    jobs: list[tuple[dict, str, Optional[str]]], workers: int
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(index, record)`` for ``jobs`` as pool workers finish them.
 
-    ``jobs`` are ``(config, hash)`` pairs for ``runner``.  A dead
-    worker makes *every* unfinished future raise
-    :class:`BrokenProcessPool` without saying which trial killed it, so
-    each suspect is retried alone in a single-worker pool, in job
-    order, after the pool drains: collateral trials succeed there, and
-    a pool that breaks again convicts its only occupant, which becomes
-    a ``status: "failed"`` record instead of an exception out of
-    :func:`run_campaign`.
+    ``jobs`` are :func:`_execute` arguments.  A dead worker makes
+    *every* unfinished future raise :class:`BrokenProcessPool` without
+    saying which trial killed it, so each suspect is retried alone in a
+    single-worker pool, in job order, after the pool drains: collateral
+    trials succeed there, and a pool that breaks again convicts its
+    only occupant, which becomes a ``status: "failed"`` record instead
+    of an exception out of :func:`run_campaign`.
     """
     # Imported here: a serial run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -623,7 +622,7 @@ def _pool_run(
     watch = {"initializer": _exit_with_orchestrator, "initargs": (os.getpid(),)}
     suspects: list[int] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), **watch) as pool:
-        futures = {pool.submit(runner, *job): i for i, job in enumerate(jobs)}
+        futures = {pool.submit(_execute, *job): i for i, job in enumerate(jobs)}
         for future in as_completed(futures):
             try:
                 record = future.result()
@@ -632,12 +631,54 @@ def _pool_run(
             else:
                 yield futures[future], record
     for i in sorted(suspects):
+        config, key, _ = jobs[i]
         try:
             with ProcessPoolExecutor(max_workers=1, **watch) as solo:
-                record = solo.submit(runner, *jobs[i]).result()
+                record = solo.submit(_execute, *jobs[i]).result()
         except BrokenProcessPool:
-            record = _death_record(*jobs[i])
+            record = _death_record(config, key)
         yield i, record
+
+
+def _run(
+    campaigns: list[tuple[CampaignSpec, list[Trial], Optional[str]]],
+    cache: Optional[ResultCache],
+    workers: int,
+) -> list[CampaignRun]:
+    """Run ``(spec, trials, trace_dir)`` campaigns on one pool.
+
+    Every trial is served from ``cache`` or executed; a config that
+    several campaigns hold executes once.
+    """
+    records: list[list[Optional[dict]]] = []
+    jobs: list[tuple[dict, str, Optional[str]]] = []
+    slots: dict[str, list[tuple[int, int]]] = {}  # hash -> (campaign, trial)
+    for c, (_, trials, trace_dir) in enumerate(campaigns):
+        records.append([])
+        for i, trial in enumerate(trials):
+            record = cache.serve(trial) if cache is not None else None
+            records[c].append(record)
+            if record is None:
+                if trial.hash not in slots:
+                    jobs.append((trial.config, trial.hash, trace_dir))
+                slots.setdefault(trial.hash, []).append((c, i))
+    if workers > 1 and len(jobs) > 1:
+        fresh = _pool_run(jobs, workers)
+    else:
+        fresh = ((j, _execute(*job)) for j, job in enumerate(jobs))
+    # Each record is stored the moment it arrives, so a campaign killed
+    # partway keeps every trial that finished before the kill, and its
+    # resume runs only the rest.
+    for j, record in fresh:
+        key = jobs[j][1]
+        if cache is not None and record["status"] == "ok":
+            cache.put(key, record)
+        for c, i in slots[key]:
+            records[c][i] = {**record, "cached": False}
+    return [
+        CampaignRun(spec=spec, trials=trials, records=recs)
+        for (spec, trials, _), recs in zip(campaigns, records)
+    ]
 
 
 def run_campaign(
@@ -656,25 +697,16 @@ def run_campaign(
     """
     trials = list(trials) if trials is not None else spec.trials()
     trace_dir = trace_dir if trace_dir is not None else spec.trace_dir
-    records: list[Optional[dict]] = [None] * len(trials)
-    pending: list[tuple[int, Trial]] = []
-    for i, trial in enumerate(trials):
-        records[i] = cache.serve(trial) if cache is not None else None
-        if records[i] is None:
-            pending.append((i, trial))
-    if pending:
-        jobs = [(t.config, t.hash) for _, t in pending]
-        runner = partial(_execute, trace_dir=trace_dir)
-        if workers > 1 and len(jobs) > 1:
-            fresh = _pool_run(runner, jobs, workers)
-        else:
-            fresh = ((j, runner(*job)) for j, job in enumerate(jobs))
-        # Each record is stored the moment it arrives, so a campaign
-        # killed partway keeps every trial that finished before the
-        # kill, and its resume runs only the rest.
-        for j, record in fresh:
-            i, trial = pending[j]
-            if cache is not None and record["status"] == "ok":
-                cache.put(trial.hash, record)
-            records[i] = {**record, "cached": False}
-    return CampaignRun(spec=spec, trials=trials, records=records)
+    (run,) = _run([(spec, trials, trace_dir)], cache, workers)
+    return run
+
+
+def run_campaigns(
+    specs: Sequence[CampaignSpec],
+    cache: Optional[ResultCache] = None,
+    workers: int = 0,
+) -> list[CampaignRun]:
+    """:func:`run_campaign` of each of ``specs``, with the uncached
+    trials of them all on one pool, so ``workers`` stay busy across
+    campaigns; each distinct trial config executes once."""
+    return _run([(s, s.trials(), s.trace_dir) for s in specs], cache, workers)

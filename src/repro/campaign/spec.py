@@ -21,7 +21,6 @@ seed so :mod:`repro.campaign.stats` can aggregate across them.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, fields
@@ -31,6 +30,17 @@ from typing import Optional
 from repro.core.policy import MODES
 from repro.errors import BenchmarkError
 from repro.units import KiB, fmt_size
+
+# hashlib maps OpenSSL's libcrypto (about 3.7 MiB resident) into every
+# process that imports it; CPython's builtin SHA-256 gives the same
+# digest without it.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256
 
 __all__ = [
     "WORKLOADS",
@@ -116,7 +126,7 @@ def trial_hash(config: dict) -> str:
     """Stable content hash of a canonical trial config."""
     version = _WORKLOAD_VERSIONS.get(config.get("workload"), _SCHEMA_VERSION)
     payload = f"repro.campaign/v{version}:{canonical_json(config)}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 def group_config(config: dict) -> dict:
@@ -303,10 +313,19 @@ class CampaignSpec:
         if self.workload == "offload":
             _pick("machine generation", self.machine_generations,
                   MACHINE_GENERATIONS)
-        if self.workload in (*IMB_WARMUP, "nas") and self.noise_sigma:
+        if self.workload in (*IMB_WARMUP, "nas", "crossover") and self.noise_sigma:
             raise BenchmarkError(
                 f"{self.workload} trials run noise-free; set noise_sigma=0"
             )
+        if self.workload == "crossover":
+            # A crossover trial always compares knem with knem-ioat, so
+            # more than one backend or seed only repeats its measurement.
+            for axis in ("backends", "seeds"):
+                if len(getattr(self, axis)) > 1:
+                    raise BenchmarkError(
+                        f"crossover trials ignore the {axis} axis; "
+                        "give it one value"
+                    )
         if self.workload == "nas":
             from repro.bench.nas import BENCHMARKS
 

@@ -54,7 +54,7 @@ from functools import partial
 from typing import Optional
 
 from repro.bench.harness import sweep_sizes
-from repro.campaign.executor import run_campaign
+from repro.campaign.executor import run_campaigns
 from repro.campaign.spec import MACHINE_GENERATIONS, CampaignSpec
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
@@ -896,14 +896,18 @@ def check_suite(name: str, campaigns: list) -> dict:
 def run_suite(name: str, cache=None, workers: int = 0) -> dict:
     """Run every spec of suite ``name`` and check the results.
 
-    Returns ``{"kind": "suite", "name", "campaigns", "checks"}``.  The
-    campaign documents leave out how each trial was obtained (the
-    ``cached`` flag and the executed / cache-hit counts), so a warm
-    rerun writes the same bytes as a cold one.
+    All the suite's uncached trials share one worker pool
+    (:func:`~repro.campaign.executor.run_campaigns`), so ``workers``
+    stay busy across its campaigns, and each ``ok`` record is stored
+    as it lands.  Returns ``{"kind": "suite", "name", "campaigns",
+    "checks"}``, the campaigns in spec order.  The campaign documents
+    leave out how each trial was obtained (the ``cached`` flag and the
+    executed / cache-hit counts), so a warm rerun writes the same bytes
+    as a cold one.
     """
     campaigns = []
-    for spec in _suite(name).specs:
-        doc = run_campaign(spec, cache=cache, workers=workers).document()
+    for run in run_campaigns(_suite(name).specs, cache=cache, workers=workers):
+        doc = run.document()
         for record in doc["trials"]:
             del record["cached"]
         for key in ("executed", "cache_hits"):

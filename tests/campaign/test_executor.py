@@ -105,6 +105,30 @@ def test_pool_worker_death_is_contained_to_one_trial(tmp_path, monkeypatch):
     assert all(r["status"] == "ok" for r in retry.records)
 
 
+def test_campaigns_share_one_pool_and_run_a_shared_config_once(monkeypatch):
+    """``run_campaigns`` puts every uncached trial of its specs on one
+    pool; a config two specs hold executes once and fills both."""
+    import repro.campaign.executor as executor
+
+    pools = []
+    pool_run = executor._pool_run
+
+    def counting(jobs, workers):
+        pools.append(len(jobs))
+        return pool_run(jobs, workers)
+
+    monkeypatch.setattr(executor, "_pool_run", counting)
+    a = CampaignSpec(name="a", sizes=(4 * KiB,), seeds=(0, 1), reps=1)
+    b = CampaignSpec(name="b", sizes=(4 * KiB, 16 * KiB), seeds=(1,), reps=1)
+    cache = ResultCache.open("mem:")
+    runs = executor.run_campaigns([a, b], cache=cache, workers=2)
+    assert pools == [3]  # b's 4 KiB trial is a's seed-1 trial
+    assert len(cache) == 3
+    assert [r.document() for r in runs] == [
+        run_campaign(spec).document() for spec in (a, b)
+    ]
+
+
 def test_pool_kill_env_never_fires_in_the_orchestrator(monkeypatch):
     """The kill hook only bites inside multiprocessing children."""
     from repro.campaign.executor import POOL_KILL_ENV, pool_kill_armed

@@ -46,6 +46,7 @@ def test_nhood_axes_never_leak_into_other_workloads():
         spec = CampaignSpec(
             name="t", workload=workload, sizes=(64 * KiB,),
             patterns=("irregular",), strategies=("node-aware",),
+            noise_sigma=0.0,
         )
         for t in spec.trials():
             assert "pattern" not in t.config

@@ -45,6 +45,7 @@ def test_generation_key_never_leaks_into_other_workloads():
         spec = CampaignSpec(
             name="t", workload=workload, sizes=(64 * KiB,),
             machine_generations=("modern",),
+            noise_sigma=0.0,
         )
         for t in spec.trials():
             assert "machine_generation" not in t.config

@@ -1,12 +1,18 @@
 """Spec expansion and content-hash stability."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    WORKLOADS,
     CampaignSpec,
     Trial,
     canonical_json,
@@ -14,8 +20,11 @@ from repro.campaign import (
     group_label,
     trial_hash,
 )
+from repro.campaign.spec import _SCHEMA_VERSION, _WORKLOAD_VERSIONS
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _spec(**overrides):
@@ -68,6 +77,41 @@ def test_canonical_json_is_sorted_compact_dumps(config):
     assert canonical_json(config) == canonical_json(
         dict(reversed(list(config.items())))
     )
+
+
+@given(st.sampled_from(WORKLOADS), st.dictionaries(st.text(), _JSON, max_size=6))
+def test_trial_hash_is_the_sha256_of_the_versioned_payload(workload, extra):
+    """The builtin SHA-256 the hash uses digests like hashlib's."""
+    config = {**extra, "workload": workload}
+    version = _WORKLOAD_VERSIONS.get(workload, _SCHEMA_VERSION)
+    payload = f"repro.campaign/v{version}:{canonical_json(config)}"
+    assert trial_hash(config) == hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_trial_hash_falls_back_to_hashlib_without_the_builtin_sha256():
+    """An interpreter built without ``_sha2``/``_sha256`` hashes through
+    hashlib, to the same digests."""
+    configs = [
+        t.config for kind in sorted(_DESCRIBE_SPECS)
+        for t in _spec(**_DESCRIBE_SPECS[kind]).trials()
+    ]
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, json\n"
+        "from repro.campaign import spec\n"
+        "assert spec.sha256 is hashlib.sha256, spec.sha256\n"
+        "print(json.dumps([spec.trial_hash(c) for c in json.load(sys.stdin)]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        input=json.dumps(configs),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == [trial_hash(c) for c in configs]
 
 
 def test_axis_change_changes_hash():
@@ -227,7 +271,8 @@ def test_repeated_axis_value_rejected(axis, values, shown):
 _DESCRIBE_SPECS = {
     "pingpong": dict(pairs=((0, 1), (0, 4))),
     "allreduce": dict(workload="allreduce", nnodes=(2, 4), tunings=("default", "flat")),
-    "crossover": dict(workload="crossover", machines=("xeon_e5345", "xeon_x5460")),
+    "crossover": dict(workload="crossover", machines=("xeon_e5345", "xeon_x5460"),
+                      backends=("knem",), seeds=(0,), noise_sigma=0.0),
     "sched": dict(workload="sched", sched_policies=("fifo", "backfill", "gang"),
                   job_mixes=("pair", "trio")),
     "nhood": dict(workload="nhood", nnodes=(2,), patterns=("irregular", "stencil2d")),
@@ -282,8 +327,6 @@ def test_workload_version_moves_only_its_own_hashes():
     """sched, nhood and offload trials hash under their own schema
     version, so results cached before their metrics changed are never
     served; pingpong keeps version 1 (the frozen-hash tests pin it)."""
-    import hashlib
-
     def v1(config):
         payload = f"repro.campaign/v1:{canonical_json(config)}"
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -291,7 +334,8 @@ def test_workload_version_moves_only_its_own_hashes():
     for workload, moved in [("pingpong", False), ("allreduce", False),
                             ("sched", True), ("nhood", True),
                             ("offload", True), ("crossover", True)]:
-        config = CampaignSpec(workload=workload, nnodes=(2,)).trials()[0].config
+        config = CampaignSpec(workload=workload, nnodes=(2,),
+                              noise_sigma=0.0).trials()[0].config
         assert (trial_hash(config) != v1(config)) is moved, workload
 
 
@@ -301,7 +345,7 @@ def test_crossover_trial_sweeps_every_size():
     axis with ``reps`` repetitions per size."""
     spec = _spec(workload="crossover", backends=("default",),
                  sizes=(1 << 20, 2 << 20), pairs=((0, 1), (0, 4)), seeds=(0,),
-                 reps=3)
+                 reps=3, noise_sigma=0.0)
     trials = spec.trials()
     assert [t.config["pair"] for t in trials] == [[0, 1], [0, 4]]
     for t in trials:
@@ -335,3 +379,18 @@ def test_nas_trials_name_their_kernel_and_no_size():
 def test_imb_and_nas_trials_run_noise_free(workload):
     with pytest.raises(BenchmarkError, match="run noise-free"):
         _spec(workload=workload, noise_sigma=0.02)
+
+
+@pytest.mark.parametrize("axes,refused", [
+    (dict(backends=("knem", "knem-ioat")), "crossover trials ignore the backends axis"),
+    (dict(seeds=(0, 1)), "crossover trials ignore the seeds axis"),
+    (dict(noise_sigma=0.02), "crossover trials run noise-free"),
+])
+def test_crossover_refuses_the_axes_its_trial_ignores(axes, refused):
+    """A crossover trial compares knem with knem-ioat noise-free: a
+    second backend, a second seed or noise would only repeat it."""
+    one = dict(workload="crossover", backends=("knem",), seeds=(0,),
+               noise_sigma=0.0)
+    assert len(_spec(**one).trials()) == 1
+    with pytest.raises(BenchmarkError, match=refused):
+        _spec(**{**one, **axes})

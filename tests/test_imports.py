@@ -26,12 +26,13 @@ import repro
 SRC = Path(repro.__file__).resolve().parent.parent
 
 
-def _loaded_after(code: str, package: str = "repro") -> list[str]:
-    """The ``package`` modules loaded by ``code`` in a fresh interpreter."""
+def _loaded_after(code: str, packages: tuple = ("repro",)) -> list[str]:
+    """The modules of the top-level ``packages`` loaded by ``code`` in
+    a fresh interpreter."""
     probe = code + (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        f" if m == {package!r} or m.startswith({package!r} + '.'))))\n"
+        f" if m.partition('.')[0] in {tuple(packages)!r})))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -78,7 +79,7 @@ def test_alltoall_run_loads_only_the_intranode_stack():
 
 
 def _numpy_loaded_after(code: str) -> bool:
-    return "numpy" in _loaded_after(code, "numpy")
+    return "numpy" in _loaded_after(code, ("numpy",))
 
 
 def test_untouched_pingpong_never_imports_numpy():
@@ -154,6 +155,23 @@ def test_serial_noisy_campaign_loads_neither_numpy_nor_multiprocessing():
         "assert not run.failures and run.executed == 2\n"
         "assert 'multiprocessing' not in sys.modules\n"
     )
+
+
+def test_campaign_into_a_sqlite_store_never_loads_openssl(tmp_path):
+    """Trial hashes come from CPython's builtin SHA-256: ``hashlib``
+    maps OpenSSL's libcrypto (about 3.7 MiB resident) into every
+    process that expands, runs or resumes a campaign."""
+    store = f"sqlite:{tmp_path / 'runs.db'}"
+    loaded = _loaded_after(
+        "from repro.campaign import CampaignSpec, ResultCache, run_campaign\n"
+        f"store = ResultCache.open({store!r})\n"
+        "spec = CampaignSpec(name='probe', sizes=(64 * 1024,), seeds=(0, 1),"
+        " noise_sigma=0.02)\n"
+        "assert run_campaign(spec, cache=store).executed == 2\n"
+        "assert run_campaign(spec, cache=store).cache_hits == 2\n",
+        ("hashlib", "_hashlib", "ssl", "_ssl"),
+    )
+    assert loaded == []
 
 
 def test_noise_coerce_takes_numpy_integers_but_not_bools():

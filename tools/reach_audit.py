@@ -89,6 +89,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
                        "--nnodes", "1,2", "--tunings", "default,flat",
                        "--sizes", "64K", "--no-cache"]),
         ("crossover", [*CLI, "campaign", "run", "--workload", "crossover",
+                       "--backends", "knem", "--seeds", "1", "--sigma", "0",
                        "--no-cache"]),
         ("pingpong-drops", [*CLI, "campaign", "run", "--nnodes", "2",
                             "--drops", "0.01", "--sizes", "256K",
