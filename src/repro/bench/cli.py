@@ -174,85 +174,66 @@ def _run_trace(argv: list[str]) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    from repro.units import parse_size
+
+    return parse_size(text)
+
+
+#: The comma-list axis flags: spec field -> (default, parser of one
+#: value, help).
+_AXIS_FLAGS = {
+    "machine_generations": ("nehalem-era,modern", str,
+                            "comma list of hardware generations, each "
+                            "fixing its machine preset and offload engine"),
+    "sched_policies": ("fifo", str, "comma list of scheduler policies"),
+    "job_mixes": ("pair", str, "comma list of job mixes"),
+    "patterns": ("irregular", str, "comma list of graph patterns"),
+    "strategies": ("direct,node-aware", str, "comma list of exchange strategies"),
+    "machines": ("xeon_e5345,xeon_x5460", str, "comma list of machine presets"),
+    "backends": ("default,knem,knem-ioat", str, "comma list of LMT modes"),
+    "sizes": ("64K,256K,1M", _size, "comma list of message sizes"),
+    "nnodes": ("1", int, "comma list of node counts (1 = intranode)"),
+    "drops": ("0", float, "comma list of injected wire drop rates"),
+    "tunings": ("default", str, "comma list from {default, flat}"),
+}
+
+
 def _add_spec_axes(p: argparse.ArgumentParser) -> None:
     """Register the campaign-spec axis arguments on ``p``.
 
-    A separate parser reads their defaults, so ``--suite`` can reject
-    any axis flag that was given.
+    The workload choices and each axis' note on the kinds that read it
+    come from the trial-kind table.  A separate parser reads their
+    defaults, so ``--suite`` can reject any axis flag that was given.
     """
+    from repro.campaign.spec import TRIAL_KINDS
+
+    def kinds(text: str, reads, others: str = "") -> str:
+        """``text`` plus the kinds for which ``reads(kind)`` holds, or
+        ``others`` and the rest."""
+        yes = [name for name, kind in TRIAL_KINDS.items() if reads(kind)]
+        no = [name for name in TRIAL_KINDS if name not in yes]
+        if not no:
+            return text
+        if not others and len(yes) <= len(no):
+            return f"{text} ({', '.join(yes)} only)"
+        return f"{text} ({others or 'one value for'} {', '.join(no)})"
+
     p.add_argument("--name", default="campaign", help="campaign name")
-    p.add_argument(
-        "--workload",
-        default="pingpong",
-        choices=["pingpong", "allreduce", "crossover", "sched", "nhood",
-                 "offload", "imb-pingpong", "imb-alltoall", "nas"],
-        help="what each trial measures (default: pingpong)",
-    )
-    p.add_argument(
-        "--machine-generations",
-        default="nehalem-era,modern",
-        help="comma list of hardware generations (offload workload only; "
-        "each fixes its machine preset and offload engine)",
-    )
-    p.add_argument(
-        "--sched-policies",
-        default="fifo",
-        help="comma list of scheduler policies (sched workload only)",
-    )
-    p.add_argument(
-        "--job-mixes",
-        default="pair",
-        help="comma list of job mixes (sched workload only)",
-    )
-    p.add_argument(
-        "--patterns",
-        default="irregular",
-        help="comma list of graph patterns (nhood workload only)",
-    )
-    p.add_argument(
-        "--strategies",
-        default="direct,node-aware",
-        help="comma list of exchange strategies (nhood workload only)",
-    )
-    p.add_argument(
-        "--machines",
-        default="xeon_e5345,xeon_x5460",
-        help="comma list of machine presets",
-    )
-    p.add_argument(
-        "--backends",
-        default="default,knem,knem-ioat",
-        help="comma list of LMT modes",
-    )
-    p.add_argument(
-        "--sizes",
-        default="64K,256K,1M",
-        help="comma list of message sizes",
-    )
-    p.add_argument(
-        "--nnodes", default="1", help="comma list of node counts (1 = intranode)"
-    )
-    p.add_argument(
-        "--drops", default="0", help="comma list of injected wire drop rates"
-    )
-    p.add_argument(
-        "--tunings", default="default", help="comma list from {default, flat}"
-    )
-    p.add_argument(
-        "--seeds",
-        type=int,
-        default=3,
-        help="number of seeded replicates per config (seeds 0..N-1)",
-    )
-    p.add_argument(
-        "--sigma", type=float, default=0.02, help="noise sigma (0 = off)"
-    )
+    p.add_argument("--workload", default="pingpong", choices=list(TRIAL_KINDS),
+                   help="what each trial measures (default: pingpong)")
+    for axis, (default, _, text) in _AXIS_FLAGS.items():
+        p.add_argument("--" + axis.replace("_", "-"), default=default, help=kinds(
+            text, lambda kind: axis in kind.axes + kind.sweeps))
+    p.add_argument("--seeds", type=int, default=3, help=kinds(
+        "number of seeded replicates per config (seeds 0..N-1)",
+        lambda kind: "seeds" in kind.axes, "1 for"))
+    p.add_argument("--sigma", type=float, default=0.02, help=kinds(
+        "noise sigma, 0 = off", lambda kind: kind.noise, "0 for"))
     p.add_argument("--reps", type=int, default=2, help="round trips per trial")
-    p.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        help="also write a Perfetto trace per executed trial",
-    )
+    p.add_argument("--trace-dir", metavar="DIR", help=kinds(
+        "also write a Perfetto trace per executed trial",
+        lambda kind: kind.traces, "refused by"))
 
 
 def _campaign_parser() -> argparse.ArgumentParser:
@@ -327,33 +308,15 @@ def _campaign_spec(args):
     :class:`~repro.errors.BenchmarkError`."""
     from repro.campaign import CampaignSpec
     from repro.errors import BenchmarkError
-    from repro.units import parse_size
 
     try:
-        sizes = tuple(parse_size(s) for s in _csv(args.sizes))
-        nnodes = tuple(int(n) for n in _csv(args.nnodes))
-        drops = tuple(float(d) for d in _csv(args.drops))
+        axes = {axis: tuple(map(parse, _csv(getattr(args, axis))))
+                for axis, (_, parse, _) in _AXIS_FLAGS.items()}
     except ValueError as exc:
         raise BenchmarkError(str(exc)) from None
-    return CampaignSpec(
-        name=args.name,
-        workload=args.workload,
-        machines=tuple(_csv(args.machines)),
-        backends=tuple(_csv(args.backends)),
-        sizes=sizes,
-        nnodes=nnodes,
-        drops=drops,
-        tunings=tuple(_csv(args.tunings)),
-        seeds=tuple(range(args.seeds)),
-        reps=args.reps,
-        noise_sigma=args.sigma,
-        sched_policies=tuple(_csv(args.sched_policies)),
-        job_mixes=tuple(_csv(args.job_mixes)),
-        patterns=tuple(_csv(args.patterns)),
-        strategies=tuple(_csv(args.strategies)),
-        machine_generations=tuple(_csv(args.machine_generations)),
-        trace_dir=args.trace_dir,
-    )
+    return CampaignSpec(name=args.name, workload=args.workload,
+                        seeds=tuple(range(args.seeds)), reps=args.reps,
+                        noise_sigma=args.sigma, trace_dir=args.trace_dir, **axes)
 
 
 def _print_campaign_doc(doc: dict) -> None:

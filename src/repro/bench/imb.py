@@ -75,8 +75,10 @@ def imb_pingpong(
     warmup: int = 2,
     repetitions: int = 6,
     config: Optional[LmtConfig] = None,
+    **run,
 ) -> PingPongResult:
-    """Run an IMB PingPong at one message size."""
+    """Run an IMB PingPong at one message size; ``run`` holds further
+    :func:`~repro.mpi.world.run_mpi` keywords (noise, obs, budgets)."""
     if nbytes <= 0 or repetitions <= 0:
         raise BenchmarkError(f"bad pingpong parameters: {nbytes}B x {repetitions}")
     _check_warmup(warmup)
@@ -104,7 +106,8 @@ def imb_pingpong(
                 "L2_MISSES", cores=list(bindings)
             )
 
-    run_mpi(topo, 2, main, bindings=list(bindings), mode=mode, config=config)
+    run_mpi(topo, 2, main, bindings=list(bindings), mode=mode, config=config,
+            **run)
     elapsed = marks["stop"] - marks["start"]
     return PingPongResult(
         nbytes=nbytes,
@@ -125,8 +128,10 @@ def imb_alltoall(
     repetitions: int = 3,
     bindings: Optional[Sequence[int]] = None,
     config: Optional[LmtConfig] = None,
+    **run,
 ) -> AlltoallResult:
-    """Run an IMB Alltoall at one per-pair block size."""
+    """Run an IMB Alltoall at one per-pair block size; ``run`` holds
+    further :func:`~repro.mpi.world.run_mpi` keywords (obs, budgets)."""
     if block_bytes <= 0 or repetitions <= 0:
         raise BenchmarkError(f"bad alltoall parameters: {block_bytes}B x {repetitions}")
     _check_warmup(warmup)
@@ -160,7 +165,8 @@ def imb_alltoall(
                     ctx.machine.papi.total("L2_MISSES", cores=bindings) - m0
                 )
 
-    run_mpi(topo, nprocs, main, bindings=bindings, mode=mode, config=config)
+    run_mpi(topo, nprocs, main, bindings=bindings, mode=mode, config=config,
+            **run)
     return AlltoallResult(
         block_bytes=block_bytes,
         nprocs=nprocs,

@@ -129,11 +129,14 @@ def run_nas(
     bindings: Optional[list[int]] = None,
     noise=None,
     obs=None,
+    max_events: Optional[int] = None,
+    max_sim_time: Optional[float] = None,
 ) -> NasResult:
     """Run one NAS skeleton; returns the timed-region duration.
 
     ``iterations`` overrides the spec (for scaled-down test runs); the
     reported time extrapolates linearly to the full iteration count.
+    ``noise``, ``obs`` and the watchdog budgets go to the one run.
     """
     iters = iterations or spec.iterations
     marks: dict[str, float] = {}
@@ -168,6 +171,8 @@ def run_nas(
         config=config,
         noise=noise,
         obs=obs,
+        max_events=max_events,
+        max_sim_time=max_sim_time,
     )
     scale = spec.iterations / iters
     return NasResult(

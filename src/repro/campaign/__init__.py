@@ -6,7 +6,9 @@ package runs such cross-products as one engine instead of ad-hoc
 scripts:
 
 * :mod:`~repro.campaign.spec` — axes -> trials, each with a canonical
-  config and a stable content hash;
+  config and a stable content hash; one trial-kind record per workload
+  names its runner (:mod:`~repro.campaign.runners`) and the axes it
+  reads;
 * :mod:`~repro.campaign.executor` — :func:`run_campaign`, the one way
   to run a campaign: multiprocessing pool, per-trial watchdog
   timeouts, worker-death containment, and every finished record
@@ -32,7 +34,7 @@ _lazy_exports(__name__, {
     "repro.campaign.executor": ("CampaignRun", "run_campaign"),
     "repro.campaign.spec": (
         "MACHINES",
-        "WORKLOADS",
+        "TRIAL_KINDS",
         "CampaignSpec",
         "Trial",
         "canonical_json",
@@ -50,7 +52,7 @@ __all__ = [
     "canonical_json",
     "group_config",
     "group_label",
-    "WORKLOADS",
+    "TRIAL_KINDS",
     "MACHINES",
     "ResultCache",
     "run_campaign",

@@ -9,6 +9,12 @@ whose SHA-256 is the trial's identity: the executor keys the result
 cache on it, so the same config always reuses the same stored result
 and any axis change produces a new hash.
 
+What a workload's trials run and read is one :class:`TrialKind` record
+in :data:`TRIAL_KINDS`: its runner, the axes it reads, the config keys
+it adds, whether it draws noise and its schema version.  Only the axes
+a kind reads multiply its trials; a spec that gives several values to
+any other axis, or noise to a kind that draws none, is refused.
+
 Hashes are computed once per trial: a :class:`Trial` memoises its
 hash, so the executor can key every cache read and store write on it
 without hashing again.  Each
@@ -25,9 +31,10 @@ import itertools
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional
+from importlib import import_module
+from typing import Callable, Optional
 
-from repro.core.policy import MODES
+from repro.campaign import runners
 from repro.errors import BenchmarkError
 from repro.units import KiB, fmt_size
 
@@ -43,7 +50,8 @@ except ImportError:
         from hashlib import sha256
 
 __all__ = [
-    "WORKLOADS",
+    "TRIAL_KINDS",
+    "TrialKind",
     "MACHINES",
     "GENERATIONS",
     "MACHINE_GENERATIONS",
@@ -54,16 +62,6 @@ __all__ = [
     "group_config",
     "group_label",
 ]
-
-#: Workloads the executor knows how to run (see repro.campaign.executor).
-WORKLOADS = (
-    "pingpong", "allreduce", "crossover", "sched", "nhood", "offload",
-    "imb-pingpong", "imb-alltoall", "nas",
-)
-
-#: IMB's warm-up round count per IMB workload, written into each trial
-#: config (the kernels exclude these rounds from the timing).
-IMB_WARMUP = {"imb-pingpong": 2, "imb-alltoall": 1}
 
 #: Machine presets a trial config may name (see repro.hw.presets).
 MACHINES = ("xeon_e5345", "xeon_x5460", "nehalem8", "modern_server")
@@ -90,26 +88,128 @@ GENERATIONS = (
 #: Generation names, the values of the ``machine_generations`` axis.
 MACHINE_GENERATIONS = tuple(g["generation"] for g in GENERATIONS)
 
-#: Every tuple-valued field of :class:`CampaignSpec`: each must be
-#: non-empty and repeat no value.
-_AXES = (
-    "machines", "backends", "sizes", "nnodes", "pairs", "drops", "tunings",
-    "seeds", "sched_policies", "job_mixes", "patterns", "strategies",
-    "machine_generations", "benchmarks",
-)
 
-#: Bumped whenever trial semantics change incompatibly; salted into
-#: every hash so stale cached results can never be mistaken for fresh.
+#: Every axis (tuple field) of :class:`CampaignSpec` in expansion
+#: order: the config key its trial value takes and that value's JSON
+#: form.  Each must be non-empty and repeat no value.
+_AXES = {
+    "machine_generations": ("machine_generation", str),
+    "machines": ("machine", str),
+    "backends": ("backend", str),
+    "benchmarks": ("benchmark", str),
+    "sizes": ("size", int),
+    "nnodes": ("nnodes", int),
+    "pairs": ("pair", lambda pair: (int(pair[0]), int(pair[1]))),
+    "drops": ("drop", float),
+    "tunings": ("tuning", str),
+    "sched_policies": ("sched_policy", str),
+    "job_mixes": ("job_mix", str),
+    "patterns": ("pattern", str),
+    "strategies": ("strategy", str),
+    "seeds": ("seed", int),
+}
+
+#: The axes whose key is in every trial config (``size`` only where
+#: the kind reads the sizes axis), in config order.  An axis outside
+#: this list enters only the configs of the kinds that read it, so
+#: adding one never moves another kind's hashes.
+_SHARED = ("machines", "backends", "sizes", "nnodes", "pairs", "drops",
+           "tunings", "seeds")
+
+#: Where the allowed values of an axis live: (what a value names,
+#: module, attribute).  A shared axis is always checked, any other only
+#: when the spec's kind reads it, so a spec imports only its own kind's
+#: modules.
+_CHOICES = {
+    "machines": ("machine preset", __name__, "MACHINES"),
+    "backends": ("LMT backend", "repro.core.policy", "MODES"),
+    "tunings": ("tuning", __name__, "_TUNINGS"),
+    "machine_generations": ("machine generation", __name__, "MACHINE_GENERATIONS"),
+    "benchmarks": ("NAS benchmark", "repro.bench.nas", "BENCHMARKS"),
+    "sched_policies": ("sched policy", "repro.sched.scheduler", "SCHED_POLICIES"),
+    "job_mixes": ("job mix", "repro.sched.job", "JOB_MIXES"),
+    "patterns": ("pattern", "repro.nhood.patterns", "PATTERNS"),
+    "strategies": ("strategy", "repro.nhood.strategy", "STRATEGIES"),
+}
+
+#: Collective tunings: "default" (hierarchy on) or "flat".
+_TUNINGS = ("default", "flat")
+
+#: The schema version of a config whose workload names no trial kind.
 _SCHEMA_VERSION = 1
 
-#: Per-workload bumps, so one workload's trials can change without
-#: moving every other hash: sched and nhood trials gained per-job and
-#: per-counter metrics, offload trials an IMB-style second warm-up
-#: round trip, and crossover trials take their sweep and repetitions
-#: from the config.  The IMB and NAS workloads start at their own 1.
-_WORKLOAD_VERSIONS = {
-    "sched": 2, "nhood": 2, "offload": 2, "crossover": 2,
-    "imb-pingpong": 1, "imb-alltoall": 1, "nas": 1,
+
+@dataclass(frozen=True)
+class TrialKind:
+    """What the trials of one campaign workload run and read."""
+
+    #: ``runner(config, obs) -> metrics`` (see repro.campaign.runners).
+    runner: Callable[[dict, object], dict]
+    #: The axes the runner reads, in expansion order: each multiplies
+    #: the trial count.  Any other axis must keep its default or hold
+    #: one value.
+    axes: tuple
+    #: Whether the runner draws the trial's noise; a kind that does not
+    #: takes only ``noise_sigma=0``.
+    noise: bool = False
+    #: Salted into :func:`trial_hash`; bumped when the kind's trials
+    #: change incompatibly, so stale cached results are never served.
+    version: int = _SCHEMA_VERSION
+    #: Axes one trial sweeps itself: the whole axis enters the config as
+    #: a list under the axis name and multiplies nothing.
+    sweeps: tuple = ()
+    #: ``adds(spec, config) -> dict``: the config keys the kind adds.
+    adds: Optional[Callable[["CampaignSpec", dict], dict]] = None
+    #: Whether a trial is one simulated run, whose spans ``trace_dir``
+    #: records; a kind that makes several runs per trial refuses it.
+    traces: bool = True
+
+
+def _generation(spec: "CampaignSpec", config: dict) -> dict:
+    """An offload trial's generation fixes its preset and offload mode."""
+    gen = next(g for g in GENERATIONS
+               if g["generation"] == config["machine_generation"])
+    return {"machine": gen["machine"], "backend": gen["offload_mode"]}
+
+
+def _degree(spec: "CampaignSpec", config: dict) -> dict:
+    """An irregular nhood graph's target neighbour count."""
+    return {"degree": int(spec.degree)} if config["pattern"] == "irregular" else {}
+
+
+def _imb(warmup: int):
+    """The keys of an IMB kind: IMB's warm-up round count (the kernels
+    exclude those rounds from the timing) and the rendezvous switch."""
+    return lambda spec, config: {"warmup": warmup,
+                                 "eager_threshold": spec.eager_threshold}
+
+
+_SIZED = ("machines", "backends", "sizes")
+
+#: The trial kinds, by workload name: the one place that says what each
+#: workload's trials run and which spec axes multiply them.  Schema
+#: versions: sched and nhood trials gained per-job and per-counter
+#: metrics, offload trials an IMB-style second warm-up round trip, and
+#: crossover trials take their sweep and repetitions from the config.
+TRIAL_KINDS = {
+    "pingpong": TrialKind(runners.pingpong_trial, (
+        *_SIZED, "nnodes", "pairs", "drops", "seeds"), noise=True),
+    "allreduce": TrialKind(runners.allreduce_trial, (
+        *_SIZED, "nnodes", "drops", "tunings", "seeds"), noise=True),
+    "crossover": TrialKind(runners.crossover_trial, ("machines", "pairs"),
+                           version=2, sweeps=("sizes",), traces=False),
+    "sched": TrialKind(runners.sched_trial, (
+        *_SIZED, "sched_policies", "job_mixes", "seeds"), version=2),
+    "nhood": TrialKind(runners.nhood_trial, (
+        *_SIZED, "nnodes", "drops", "patterns", "strategies", "seeds"),
+        noise=True, version=2, adds=_degree),
+    "offload": TrialKind(runners.offload_trial, (
+        "machine_generations", "sizes", "seeds"),
+        noise=True, version=2, adds=_generation, traces=False),
+    "imb-pingpong": TrialKind(runners.imb_pingpong_trial, (*_SIZED, "pairs"),
+                              adds=_imb(2)),
+    "imb-alltoall": TrialKind(runners.imb_alltoall_trial, _SIZED, adds=_imb(1)),
+    "nas": TrialKind(runners.nas_trial, ("machines", "backends", "benchmarks")),
 }
 
 
@@ -124,7 +224,8 @@ def canonical_json(config: dict) -> str:
 
 def trial_hash(config: dict) -> str:
     """Stable content hash of a canonical trial config."""
-    version = _WORKLOAD_VERSIONS.get(config.get("workload"), _SCHEMA_VERSION)
+    kind = TRIAL_KINDS.get(config.get("workload"))
+    version = kind.version if kind is not None else _SCHEMA_VERSION
     payload = f"repro.campaign/v{version}:{canonical_json(config)}"
     return sha256(payload.encode()).hexdigest()
 
@@ -156,15 +257,13 @@ def group_label(config: dict) -> str:
         parts.append(f"drop{config['drop']:g}")
     if config.get("tuning", "default") != "default":
         parts.append(config["tuning"])
-    # The sched, nhood and offload axes only exist on those workloads'
-    # trials, so legacy labels (and the committed baseline documents
-    # keyed on them) never move.
     if config.get("eager_threshold") is not None:
         parts.append(f"eager{fmt_size(config['eager_threshold'])}")
-    for key in ("sched_policy", "job_mix", "pattern", "strategy",
-                "machine_generation", "benchmark"):
-        if key in config:
-            parts.append(config[key])
+    # Only the kind's own axes' keys: the keys of shared axes, and so
+    # every label, stay as they were before a kind gained an axis.
+    for axis in TRIAL_KINDS[config["workload"]].axes:
+        if axis not in _SHARED:
+            parts.append(config[_AXES[axis][0]])
     return "/".join(parts)
 
 
@@ -213,9 +312,11 @@ class CampaignSpec:
     """Axes of one experiment campaign.
 
     Every tuple field is an axis; scalars apply to all trials.  The
-    expansion order is fixed (machine, backend, size, nnodes, pair,
-    drop, tuning, seed) so trial lists — and therefore the executor's
-    record order — are deterministic for a given spec.
+    axes the workload's :class:`TrialKind` reads multiply, in a fixed
+    order (generation, machine, backend, benchmark, size, nnodes,
+    pair, drop, tuning, sched policy, job mix, pattern, strategy,
+    seed), so trial lists — and therefore the executor's record order
+    — are deterministic for a given spec.
     """
 
     name: str = "campaign"
@@ -245,15 +346,11 @@ class CampaignSpec:
     #: Per-trial Engine watchdog budgets (LivelockError past either).
     max_events: int = 20_000_000
     max_sim_time: float = 60.0
-    #: Scheduling-policy axis, used only by the "sched" workload (the
-    #: keys are absent from other workloads' configs, so legacy trial
-    #: hashes and labels are untouched).
+    #: Scheduling-policy axis of the "sched" workload.
     sched_policies: tuple = ("fifo",)
     #: Job-mix axis of the "sched" workload (see repro.sched.job).
     job_mixes: tuple = ("pair",)
-    #: Graph-pattern axis of the "nhood" workload (see repro.nhood) —
-    #: like the scheduler axes, the keys never enter other workloads'
-    #: configs, so legacy trial hashes are untouched.
+    #: Graph-pattern axis of the "nhood" workload (see repro.nhood).
     patterns: tuple = ("irregular",)
     #: Strategy axis of the "nhood" workload.
     strategies: tuple = ("direct", "node-aware")
@@ -262,25 +359,24 @@ class CampaignSpec:
     #: trials' configs.
     degree: int = 12
     #: Machine-generation axis of the "offload" workload (each names a
-    #: hardware era from :data:`GENERATIONS`; the trial's
-    #: ``machine``/``backend`` axes are ignored there — the generation
-    #: fixes both).  Keys never enter other workloads' configs, so
-    #: legacy trial hashes are untouched.
+    #: hardware era from :data:`GENERATIONS`, which fixes the trial's
+    #: machine and backend).
     machine_generations: tuple = MACHINE_GENERATIONS
     #: Rendezvous switch of the IMB workloads in bytes (None keeps
     #: Nemesis' stock 64 KiB); written only into those trials' configs.
     eager_threshold: Optional[int] = None
     #: Benchmark axis of the "nas" workload: Table 1 row labels (see
-    #: repro.bench.nas.BENCHMARKS); its keys enter only "nas" configs.
+    #: repro.bench.nas.BENCHMARKS).
     benchmarks: tuple = ("is.B.8",)
     #: When set, each executed trial writes a Perfetto trace to
-    #: ``<trace_dir>/<hash>.trace.json`` (not part of the trial hash).
+    #: ``<trace_dir>/<hash>.trace.json`` (not part of the trial hash);
+    #: a kind whose trials make several runs refuses it.
     trace_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _pick("workload", (self.workload,), WORKLOADS)
-        _pick("machine preset", self.machines, MACHINES)
-        _pick("LMT backend", self.backends, MODES)
+        _pick("workload", (self.workload,), tuple(TRIAL_KINDS))
+        kind = TRIAL_KINDS[self.workload]
+        read = kind.axes + kind.sweeps
         for axis in _AXES:
             values = getattr(self, axis)
             if not values:
@@ -290,11 +386,19 @@ class CampaignSpec:
                     raise BenchmarkError(
                         f"campaign axis {axis!r} repeats {value!r}"
                     )
+            if axis in _CHOICES and (axis in _SHARED or axis in read):
+                what, module, name = _CHOICES[axis]
+                _pick(what, values, tuple(getattr(import_module(module), name)))
+            # More values on an axis the runner ignores would only
+            # repeat one measurement.
+            if axis not in read and len(values) > 1 \
+                    and tuple(values) != _DEFAULTS[axis]:
+                raise BenchmarkError(f"{self.workload} trials ignore the "
+                                     f"{axis} axis; give it one value")
         if any(s <= 0 for s in self.sizes):
             raise BenchmarkError(f"non-positive message size in {self.sizes}")
         if any(n < 1 for n in self.nnodes):
             raise BenchmarkError(f"node counts must be >= 1, got {self.nnodes}")
-        _pick("tuning", self.tunings, ("default", "flat"))
         if self.reps < 1:
             raise BenchmarkError(f"reps must be >= 1, got {self.reps}")
         if self.procs_per_node < 1:
@@ -303,120 +407,53 @@ class CampaignSpec:
             )
         if not 0.0 <= self.noise_sigma <= 0.5:
             raise BenchmarkError(f"noise_sigma out of [0, 0.5]: {self.noise_sigma}")
-        if self.workload == "sched":
-            # Imported lazily: spec.py stays light for non-sched specs.
-            from repro.sched.job import JOB_MIXES
-            from repro.sched.scheduler import SCHED_POLICIES
-
-            _pick("sched policy", self.sched_policies, SCHED_POLICIES)
-            _pick("job mix", self.job_mixes, JOB_MIXES)
-        if self.workload == "offload":
-            _pick("machine generation", self.machine_generations,
-                  MACHINE_GENERATIONS)
-        if self.workload in (*IMB_WARMUP, "nas", "crossover") and self.noise_sigma:
+        if self.noise_sigma and not kind.noise:
             raise BenchmarkError(
                 f"{self.workload} trials run noise-free; set noise_sigma=0"
             )
-        if self.workload == "crossover":
-            # A crossover trial always compares knem with knem-ioat, so
-            # more than one backend or seed only repeats its measurement.
-            for axis in ("backends", "seeds"):
-                if len(getattr(self, axis)) > 1:
-                    raise BenchmarkError(
-                        f"crossover trials ignore the {axis} axis; "
-                        "give it one value"
-                    )
-        if self.workload == "nas":
-            from repro.bench.nas import BENCHMARKS
-
-            _pick("NAS benchmark", self.benchmarks, tuple(BENCHMARKS))
-        if self.workload == "nhood":
-            from repro.nhood.patterns import PATTERNS
-            from repro.nhood.strategy import STRATEGIES
-
-            _pick("pattern", self.patterns, PATTERNS)
-            _pick("strategy", self.strategies, STRATEGIES)
-            if self.degree < 1:
-                raise BenchmarkError(f"degree must be >= 1, got {self.degree}")
+        if self.trace_dir is not None and not kind.traces:
+            raise BenchmarkError(f"{self.workload} trials make several runs "
+                                 "each and write no trace; drop trace_dir")
+        if "patterns" in read and self.degree < 1:
+            raise BenchmarkError(f"degree must be >= 1, got {self.degree}")
 
     def _axes(self) -> list[tuple[str, tuple]]:
-        """(field, values) of every axis in :meth:`trials`' expansion
-        order; an axis the workload does not use has the one value None.
-
-        The sched, nhood, offload and nas axes multiply only their own
-        workload's product and their keys enter only its configs, so
-        other workloads' trial hashes never move.  For "offload" the
-        generation axis *replaces* machine x backend: each generation
-        fixes its preset and its offload mode (:data:`GENERATIONS`).
-        A "crossover" trial sweeps all of ``sizes`` itself, and a "nas"
-        trial has no message size.
-        """
-        def only(workload: str, values: tuple) -> tuple:
-            return values if self.workload == workload else (None,)
-
-        offload = self.workload == "offload"
-        unsized = self.workload in ("crossover", "nas")
-        return [
-            ("machine_generations", only("offload", self.machine_generations)),
-            ("machines", (None,) if offload else self.machines),
-            ("backends", (None,) if offload else self.backends),
-            ("benchmarks", only("nas", self.benchmarks)),
-            ("sizes", (None,) if unsized else self.sizes),
-            ("nnodes", self.nnodes),
-            ("pairs", self.pairs), ("drops", self.drops),
-            ("tunings", self.tunings),
-            ("sched_policies", only("sched", self.sched_policies)),
-            ("job_mixes", only("sched", self.job_mixes)),
-            ("patterns", only("nhood", self.patterns)),
-            ("strategies", only("nhood", self.strategies)),
-            ("seeds", self.seeds),
-        ]
+        """(field, JSON values) of every axis that multiplies the trial
+        count, in :meth:`trials`' expansion order: the axes the kind
+        reads (:data:`TRIAL_KINDS`)."""
+        return [(axis, tuple(map(_AXES[axis][1], getattr(self, axis))))
+                for axis in TRIAL_KINDS[self.workload].axes]
 
     def trials(self) -> list[Trial]:
-        """Expand the cross-product into deterministic trial order."""
-        generations = {g["generation"]: g for g in GENERATIONS}
+        """Expand the cross-product into deterministic trial order.
+
+        Every config holds the shared axes' keys, then the scalars,
+        then the keys of the kind's own axes, sweeps and additions.  A
+        shared axis the kind does not read holds one value, which every
+        trial carries.
+        """
+        kind = TRIAL_KINDS[self.workload]
+        axes = self._axes()
+        keys = [_AXES[axis][0] for axis, _ in axes]
+        base = {"workload": self.workload}
+        for axis in _SHARED:
+            key, form = _AXES[axis]
+            base[key] = form(getattr(self, axis)[0])
+        if "sizes" not in kind.axes:
+            del base["size"]
+        base.update(reps=int(self.reps), procs_per_node=int(self.procs_per_node),
+                    noise_sigma=float(self.noise_sigma),
+                    max_events=int(self.max_events),
+                    max_sim_time=float(self.max_sim_time))
         out = []
-        for (generation, machine, backend, benchmark, size, nn, pair, drop,
-             tuning, pol, mix, pattern, strategy, seed) in itertools.product(
-                 *(values for _, values in self._axes())):
-            if generation is not None:
-                machine = generations[generation]["machine"]
-                backend = generations[generation]["offload_mode"]
-            config = {
-                "workload": self.workload,
-                "machine": machine,
-                "backend": backend,
-                "size": None if size is None else int(size),
-                "nnodes": int(nn),
-                "pair": [int(pair[0]), int(pair[1])],
-                "drop": float(drop),
-                "tuning": tuning,
-                "seed": int(seed),
-                "reps": int(self.reps),
-                "procs_per_node": int(self.procs_per_node),
-                "noise_sigma": float(self.noise_sigma),
-                "max_events": int(self.max_events),
-                "max_sim_time": float(self.max_sim_time),
-            }
-            if size is None:
-                del config["size"]
-                if self.workload == "crossover":
-                    config["sizes"] = [int(s) for s in self.sizes]
-            if self.workload in IMB_WARMUP:
-                config["warmup"] = IMB_WARMUP[self.workload]
-                config["eager_threshold"] = self.eager_threshold
-            if benchmark is not None:
-                config["benchmark"] = benchmark
-            if pol is not None:
-                config["sched_policy"] = pol
-                config["job_mix"] = mix
-            if pattern is not None:
-                config["pattern"] = pattern
-                config["strategy"] = strategy
-                if pattern == "irregular":
-                    config["degree"] = int(self.degree)
-            if generation is not None:
-                config["machine_generation"] = generation
+        for point in itertools.product(*(values for _, values in axes)):
+            config = base.copy()
+            config.update(zip(keys, point))
+            config["pair"] = list(config["pair"])
+            for axis in kind.sweeps:
+                config[axis] = list(map(_AXES[axis][1], getattr(self, axis)))
+            if kind.adds is not None:
+                config.update(kind.adds(self, config))
             out.append(Trial(config=config))
         return out
 
@@ -433,3 +470,7 @@ class CampaignSpec:
             f"{' x '.join(shown) or '1 config'} -> {n} trial"
             + ("s" if n != 1 else "")
         )
+
+
+#: Each axis' default: an axis a kind does not read may keep it.
+_DEFAULTS = {f.name: f.default for f in fields(CampaignSpec) if f.name in _AXES}

@@ -56,6 +56,7 @@ from typing import Optional
 from repro.bench.harness import sweep_sizes
 from repro.campaign.executor import run_campaigns
 from repro.campaign.spec import MACHINE_GENERATIONS, CampaignSpec
+from repro.core.autotune import CrossoverResult, stable_win
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
 
@@ -258,20 +259,6 @@ def _sweep(campaigns: list, generation: str) -> list[dict]:
     if not found:
         raise LookupError(f"no offload trials of {generation!r}")
     return found
-
-
-def stable_win(points) -> Optional[int]:
-    """Smallest size from which a challenger wins for good, given
-    ``(size, wins)`` pairs in size order (the rule of
-    :func:`repro.core.autotune.find_ioat_crossover`); None when the
-    challenger loses at the last size."""
-    crossover = None
-    for size, wins in points:
-        if not wins:
-            crossover = None
-        elif crossover is None:
-            crossover = size
-    return crossover
 
 
 def _crossover(campaigns: list, generation: str) -> Optional[int]:
@@ -539,7 +526,6 @@ THRESHOLDS = Suite(specs=tuple(
 def threshold_results(campaigns: list) -> list:
     """One :class:`~repro.core.autotune.CrossoverResult` per crossover
     trial, in trial order."""
-    from repro.core.autotune import CrossoverResult
     from repro.hw import presets
 
     out = []

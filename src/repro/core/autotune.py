@@ -19,7 +19,7 @@ from repro.bench.imb import imb_pingpong
 from repro.hw.topology import TopologySpec
 from repro.units import KiB, MiB, fmt_size
 
-__all__ = ["CrossoverResult", "find_ioat_crossover"]
+__all__ = ["CrossoverResult", "find_ioat_crossover", "stable_win"]
 
 
 @dataclass(frozen=True)
@@ -51,39 +51,39 @@ class CrossoverResult:
         )
 
 
+def stable_win(points) -> Optional[int]:
+    """Smallest size from which a challenger wins for good, given
+    ``(size, wins)`` pairs in size order; None when the challenger
+    loses at the last size."""
+    crossover = None
+    for size, wins in points:
+        if not wins:
+            crossover = None
+        elif crossover is None:
+            crossover = size
+    return crossover
+
+
 def find_ioat_crossover(
     topo: TopologySpec,
     bindings: tuple[int, int] = (0, 1),
     sizes: Optional[Sequence[int]] = None,
     repetitions: int = 5,
+    **run,
 ) -> CrossoverResult:
-    """Measure where KNEM+I/OAT overtakes the KNEM kernel copy."""
+    """Measure where KNEM+I/OAT overtakes the KNEM kernel copy; every
+    pingpong runs with ``run``'s further :func:`imb_pingpong` keywords
+    (the watchdog budgets)."""
     if sizes is None:
         sizes = sweep_sizes(256 * KiB, 8 * MiB, per_octave=2)
-    knem = []
-    ioat = []
+    knem, ioat = [], []
     for nbytes in sizes:
-        knem.append(
-            imb_pingpong(
-                topo, nbytes, mode="knem", bindings=bindings, repetitions=repetitions
-            ).throughput_mib
-        )
-        ioat.append(
-            imb_pingpong(
-                topo,
-                nbytes,
-                mode="knem-ioat",
-                bindings=bindings,
-                repetitions=repetitions,
-            ).throughput_mib
-        )
-    crossover = None
-    for size, k, i in zip(sizes, knem, ioat):
-        if i > k:
-            if crossover is None:
-                crossover = size
-        else:
-            crossover = None
+        for mode, rates in (("knem", knem), ("knem-ioat", ioat)):
+            rates.append(imb_pingpong(
+                topo, nbytes, mode=mode, bindings=bindings,
+                repetitions=repetitions, **run,
+            ).throughput_mib)
+    crossover = stable_win((s, i > k) for s, k, i in zip(sizes, knem, ioat))
 
     shares = topo.shares_cache(*bindings)
     sharers = 2 if shares else 1

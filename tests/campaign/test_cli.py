@@ -146,6 +146,10 @@ def test_report_prints_no_band_for_a_one_sample_group(tmp_path, capsys):
     (["--backends", "bogus"], "unknown LMT backend 'bogus'"),
     (["--sizes", "64K,64K", "--seeds", "1"], "campaign axis 'sizes' repeats 65536"),
     (["--sizes", "12Q"], "cannot parse size: '12Q'"),
+    (["--workload", "offload"], "offload trials ignore the machines axis"),
+    (["--workload", "sched"], "sched trials run noise-free"),
+    (["--workload", "crossover", "--backends", "knem", "--seeds", "1",
+      "--sigma", "0", "--trace-dir", "t"], "crossover trials make several runs"),
 ])
 def test_bad_spec_value_exits_2_with_its_message(tmp_path, capsys, extra, message):
     argv = ["campaign", "run", "--results-dir", str(tmp_path), *extra]
@@ -154,3 +158,16 @@ def test_bad_spec_value_exits_2_with_its_message(tmp_path, capsys, extra, messag
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "results").exists()
 
+
+def test_help_lists_the_kinds_and_what_each_reads(capsys, monkeypatch):
+    """The workload choices and every axis note come from the kind table."""
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit):
+        main(["campaign", "--help"])
+    out = capsys.readouterr().out
+    assert ("{pingpong,allreduce,crossover,sched,nhood,offload,"
+            "imb-pingpong,imb-alltoall,nas}") in out
+    assert "comma list of job mixes (sched only)" in out
+    assert "comma list of LMT modes (one value for crossover, offload)" in out
+    assert "(0 for crossover, sched, imb-pingpong, imb-alltoall, nas)" in out
+    assert "(refused by crossover, offload)" in out

@@ -8,7 +8,14 @@ move.
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultCache, group_label, run_campaign, trial_hash
+from repro.campaign import (
+    TRIAL_KINDS,
+    CampaignSpec,
+    ResultCache,
+    group_label,
+    run_campaign,
+    trial_hash,
+)
 from repro.errors import BenchmarkError
 from repro.units import KiB
 
@@ -42,7 +49,9 @@ def test_nhood_axes_multiply_the_product():
 
 
 def test_nhood_axes_never_leak_into_other_workloads():
-    for workload in ("pingpong", "allreduce", "crossover", "sched"):
+    for workload, kind in TRIAL_KINDS.items():
+        if "patterns" in kind.axes:
+            continue
         spec = CampaignSpec(
             name="t", workload=workload, sizes=(64 * KiB,),
             patterns=("irregular",), strategies=("node-aware",),

@@ -8,7 +8,14 @@ configs — legacy trial hashes must not move.
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultCache, group_label, run_campaign, trial_hash
+from repro.campaign import (
+    TRIAL_KINDS,
+    CampaignSpec,
+    ResultCache,
+    group_label,
+    run_campaign,
+    trial_hash,
+)
 from repro.campaign.spec import MACHINE_GENERATIONS
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
@@ -41,7 +48,9 @@ def test_generation_axis_replaces_machine_backend_product():
 
 
 def test_generation_key_never_leaks_into_other_workloads():
-    for workload in ("pingpong", "allreduce", "crossover", "sched", "nhood"):
+    for workload, kind in TRIAL_KINDS.items():
+        if "machine_generations" in kind.axes:
+            continue
         spec = CampaignSpec(
             name="t", workload=workload, sizes=(64 * KiB,),
             machine_generations=("modern",),

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.campaign import (
-    WORKLOADS,
+    TRIAL_KINDS,
     CampaignSpec,
     Trial,
     canonical_json,
@@ -20,7 +20,6 @@ from repro.campaign import (
     group_label,
     trial_hash,
 )
-from repro.campaign.spec import _SCHEMA_VERSION, _WORKLOAD_VERSIONS
 from repro.errors import BenchmarkError
 from repro.units import KiB, MiB
 
@@ -79,11 +78,12 @@ def test_canonical_json_is_sorted_compact_dumps(config):
     )
 
 
-@given(st.sampled_from(WORKLOADS), st.dictionaries(st.text(), _JSON, max_size=6))
+@given(st.sampled_from(sorted(TRIAL_KINDS)),
+       st.dictionaries(st.text(), _JSON, max_size=6))
 def test_trial_hash_is_the_sha256_of_the_versioned_payload(workload, extra):
     """The builtin SHA-256 the hash uses digests like hashlib's."""
     config = {**extra, "workload": workload}
-    version = _WORKLOAD_VERSIONS.get(workload, _SCHEMA_VERSION)
+    version = TRIAL_KINDS[workload].version
     payload = f"repro.campaign/v{version}:{canonical_json(config)}"
     assert trial_hash(config) == hashlib.sha256(payload.encode()).hexdigest()
 
@@ -191,7 +191,7 @@ def test_describe_counts_trials():
 _REUSE_SPECS = {
     "pingpong": dict(pairs=((0, 1), (0, 4))),
     "sched": dict(workload="sched", sched_policies=("fifo",),
-                  job_mixes=("pair", "trio")),
+                  job_mixes=("pair", "trio"), noise_sigma=0.0),
     "nhood": dict(workload="nhood", nnodes=(2,),
                   patterns=("irregular", "stencil2d")),
     "offload": dict(workload="offload", backends=("default",)),
@@ -274,23 +274,21 @@ _DESCRIBE_SPECS = {
     "crossover": dict(workload="crossover", machines=("xeon_e5345", "xeon_x5460"),
                       backends=("knem",), seeds=(0,), noise_sigma=0.0),
     "sched": dict(workload="sched", sched_policies=("fifo", "backfill", "gang"),
-                  job_mixes=("pair", "trio")),
+                  job_mixes=("pair", "trio"), noise_sigma=0.0),
     "nhood": dict(workload="nhood", nnodes=(2,), patterns=("irregular", "stencil2d")),
-    "offload": dict(workload="offload", machines=("xeon_e5345", "xeon_x5460")),
+    "offload": dict(workload="offload", backends=("default",)),
     "imb-pingpong": dict(workload="imb-pingpong", backends=("default", "knem"),
-                         pairs=((0, 1), (0, 4)), noise_sigma=0.0),
+                         pairs=((0, 1), (0, 4)), seeds=(0,), noise_sigma=0.0),
     "imb-alltoall": dict(workload="imb-alltoall", sizes=(4 * KiB, 64 * KiB),
-                         procs_per_node=4, noise_sigma=0.0),
+                         procs_per_node=4, seeds=(0,), noise_sigma=0.0),
     "nas": dict(workload="nas", backends=("default", "knem-ioat"),
-                benchmarks=("ep.B.4", "is.B.8"), sizes=(4 * KiB, 64 * KiB),
+                benchmarks=("ep.B.4", "is.B.8"), sizes=(4 * KiB,), seeds=(0,),
                 noise_sigma=0.0),
 }
 
 
 def test_describe_specs_cover_every_workload():
-    from repro.campaign import WORKLOADS
-
-    assert set(_DESCRIBE_SPECS) == set(WORKLOADS)
+    assert set(_DESCRIBE_SPECS) == set(TRIAL_KINDS)
 
 
 @pytest.mark.parametrize("kind", sorted(_DESCRIBE_SPECS))
@@ -367,7 +365,7 @@ def test_imb_trials_carry_their_warmup_and_rendezvous_switch():
 
 
 def test_nas_trials_name_their_kernel_and_no_size():
-    spec = _spec(workload="nas", backends=("knem",),
+    spec = _spec(workload="nas", backends=("knem",), sizes=(64 * KiB,),
                  benchmarks=("ep.B.4", "is.B.8"), seeds=(0,), noise_sigma=0.0)
     assert [t.config["benchmark"] for t in spec.trials()] == ["ep.B.4", "is.B.8"]
     assert all("size" not in t.config for t in spec.trials())
@@ -378,7 +376,8 @@ def test_nas_trials_name_their_kernel_and_no_size():
 @pytest.mark.parametrize("workload", ["imb-pingpong", "imb-alltoall", "nas"])
 def test_imb_and_nas_trials_run_noise_free(workload):
     with pytest.raises(BenchmarkError, match="run noise-free"):
-        _spec(workload=workload, noise_sigma=0.02)
+        _spec(workload=workload, sizes=(64 * KiB,), seeds=(0,),
+              noise_sigma=0.02)
 
 
 @pytest.mark.parametrize("axes,refused", [
